@@ -8,7 +8,6 @@ integrator provides an independent continuous-time cross-check.
 """
 
 from . import circuits, lindblad, linalg, walk
-from ._kernels import USING_NUMBA
 from .circuits import (
     BUILTIN_CIRCUITS,
     Circuit,
@@ -49,3 +48,6 @@ from .walk import (
 )
 
 __version__ = "0.1.0"
+
+#: There is one kernel backend, numpy; ``perfbench/worker.py`` records this flag.
+USING_NUMBA = False

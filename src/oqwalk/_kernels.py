@@ -1,98 +1,32 @@
-"""Hot numeric kernels: one numba ``@njit`` path, one pure-numpy path.
+"""Hot numeric kernels, in numpy.
 
 The walk iteration spends essentially all of its time applying small complex
 matrix sandwiches B ρ B† over the edge table, and the continuous-time
-reference model spends its time in the jump-operator sum.  Both kernels are
-compiled with numba when it is importable; setting the environment variable
-``OQW_PURE_NUMPY=1`` (checked once at import) forces the numpy fallback.
-
-``benchmarks/bench_kernels.py`` times the two paths against each other.
+reference model spends its time in the jump-operator sum.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 
-def _pure_numpy_requested() -> bool:
-    return os.environ.get("OQW_PURE_NUMPY", "0").strip().lower() not in (
-        "",
-        "0",
-        "false",
-        "no",
-    )
-
-
-_njit = None
-if not _pure_numpy_requested():
-    try:
-        from numba import njit as _njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        _njit = None
-
-USING_NUMBA = _njit is not None
-
-
-# ---------------------------------------------------------------------------
-# Walk step: out[i] = sum over edges e with dst[e] == i of B_e ρ_src[e] B_e†
-# ---------------------------------------------------------------------------
-
-def step_blocks_numpy(b_ops, b_dag, src, dst, blocks):
-    """Apply one CP-map step to the stacked density blocks (numpy path)."""
+def step_blocks(b_ops, b_dag, src, dst, blocks):
+    """Apply one CP-map step to the stacked density blocks:
+    out[i] = sum over edges e with dst[e] == i of B_e ρ_src[e] B_e†.
+    """
     out = np.zeros_like(blocks)
     np.add.at(out, dst, b_ops @ blocks[src] @ b_dag)
     return out
 
 
-def _step_blocks_loops(b_ops, b_dag, src, dst, blocks):
-    out = np.zeros_like(blocks)
-    for e in range(b_ops.shape[0]):
-        out[dst[e]] += np.dot(np.dot(b_ops[e], blocks[src[e]]), b_dag[e])
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Master-equation right-hand side with damp = ½ Σ_k L_k†L_k precomputed:
-#   rhs = Σ_k L_k ρ L_k† − damp ρ − ρ damp
-# ---------------------------------------------------------------------------
-
-def lindblad_rhs_numpy(l_ops, l_dag, damp, rho):
-    """Dissipative generator applied to rho (numpy path)."""
+def lindblad_rhs_kernel(l_ops, l_dag, damp, rho):
+    """Dissipative generator Σ_k L_k ρ L_k† − damp ρ − ρ damp,
+    with damp = ½ Σ_k L_k†L_k precomputed.
+    """
     jump = (l_ops @ rho @ l_dag).sum(axis=0)
     return jump - damp @ rho - rho @ damp
 
 
-def _lindblad_rhs_loops(l_ops, l_dag, damp, rho):
-    out = -(np.dot(damp, rho) + np.dot(rho, damp))
-    for k in range(l_ops.shape[0]):
-        out += np.dot(np.dot(l_ops[k], rho), l_dag[k])
-    return out
-
-
-if USING_NUMBA:
-    step_blocks_numba = _njit(cache=True, nogil=True)(_step_blocks_loops)
-    lindblad_rhs_numba = _njit(cache=True, nogil=True)(_lindblad_rhs_loops)
-    step_blocks = step_blocks_numba
-    lindblad_rhs_kernel = lindblad_rhs_numba
-else:
-    step_blocks = step_blocks_numpy
-    lindblad_rhs_kernel = lindblad_rhs_numpy
-
-
 def stacked_trace_norm(diff) -> float:
-    """Sum of trace norms over a stack of Hermitian matrices.
-
-    Batched LAPACK keeps this at C speed for both backends, so it has no
-    numba variant.
-    """
+    """Sum of trace norms over a stack of Hermitian matrices."""
     return float(np.abs(np.linalg.eigvalsh(diff)).sum())
-
-
-def warmup() -> None:
-    """Trigger JIT compilation so timed runs do not pay the compile cost."""
-    b = np.eye(2, dtype=np.complex128).reshape(1, 2, 2)
-    idx = np.zeros(1, dtype=np.int64)
-    step_blocks(b, b.copy(), idx, idx, b.copy())
-    lindblad_rhs_kernel(b, b.copy(), np.eye(2, dtype=np.complex128), np.eye(2, dtype=np.complex128))

@@ -70,14 +70,18 @@ def parse_omega_spec(spec: str) -> list[float]:
         values = [float(spec)]
     elif len(parts) == 3:
         start, stop, step_size = (float(p) for p in parts)
-        if step_size <= 0:
+        if not step_size > 0:
             raise ValueError("grid step must be positive")
+        if not np.isfinite(stop - start):
+            raise ValueError("grid bounds must be finite")
         n = int(round((stop - start) / step_size))
         # snap accumulated float error so grid points equal the user's literals
         values = [round(start + k * step_size, 12) for k in range(n + 1)]
         values = [v for v in values if v <= stop + 1e-12]
     else:
         raise ValueError(f"bad omega spec {spec!r}; use x or start:stop:step")
+    if not values:
+        raise ValueError(f"omega grid {spec!r} is empty")
     for v in values:
         if not (0.0 < v <= 1.0):
             raise ValueError(f"omega {v} outside (0, 1]")
@@ -110,8 +114,8 @@ def _resolve_input(cfg: RunConfig, circuit: Circuit) -> str:
 
 def _resolve_tol(cfg: RunConfig) -> float:
     if cfg.tol is not None:
-        if cfg.tol <= 0:
-            raise DomainError("tol must be positive")
+        if not (np.isfinite(cfg.tol) and cfg.tol > 0):
+            raise DomainError(f"tol must be finite and positive, got {cfg.tol}")
         return cfg.tol
     return _DEFAULT_TOLS.get(cfg.circuit, 1e-7)
 

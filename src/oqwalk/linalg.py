@@ -17,8 +17,6 @@ __all__ = [
     "as_matrix",
     "kron",
     "dagger",
-    "matmul",
-    "trace",
     "frobenius",
     "trace_norm",
     "is_hermitian",
@@ -52,21 +50,6 @@ def kron(a, b) -> np.ndarray:
 def dagger(a) -> np.ndarray:
     """Conjugate transpose."""
     return np.ascontiguousarray(as_matrix(a).conj().T)
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def trace(a) -> complex:
-    """Sum of diagonal entries of a square matrix."""
-    a = as_matrix(a)
-    _require_square(a)
-    return complex(np.trace(a))
 
 
 def frobenius(a) -> float:

@@ -70,10 +70,7 @@ class LindbladModel:
         self.jumps = tuple(ops)
         self.internal_dim = internal_dim
         self.num_nodes = num_nodes
-        stack_shape = (len(ops), self.dim, self.dim)
-        self._l_ops = np.ascontiguousarray(
-            np.stack(ops) if ops else np.zeros(stack_shape, dtype=np.complex128)
-        )
+        self._l_ops = np.array(ops, dtype=np.complex128).reshape(-1, self.dim, self.dim)
         self._l_dag = np.ascontiguousarray(self._l_ops.conj().transpose(0, 2, 1))
         self._damp = 0.5 * np.einsum("kij,kjl->il", self._l_dag, self._l_ops)
 
@@ -154,6 +151,10 @@ def integrate(
     the RK4 map as well, so the step size affects transient rates but not
     the stationary state the run converges to.
     """
+    for name, value in (("dt", dt), ("stop_tol", stop_tol), ("max_time", max_time),
+                        ("observe_every", observe_every)):
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
     if dt <= 0:
         raise DomainError("dt must be positive")
     rho = as_matrix(rho0)

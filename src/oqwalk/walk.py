@@ -36,7 +36,6 @@ __all__ = [
     "Violation",
     "ConvergenceReport",
     "validate",
-    "local_map",
     "step",
     "build_dqc_chain",
     "two_node_gate_walk",
@@ -103,8 +102,8 @@ class OpenQuantumWalk:
         Mapping (source, target) -> dim x dim coin operator.
 
     Instances are immutable after construction and safe to share across
-    threads.  The edge table is also kept in stacked-array form for the
-    step kernel.
+    threads.  The edge table is stored once, as stacked source, target and
+    coin arrays sorted by edge, which is the form the step kernel takes.
     """
 
     def __init__(self, num_nodes: int, dim: int, transitions):
@@ -124,21 +123,24 @@ class OpenQuantumWalk:
                     f"expected ({dim}, {dim})"
                 )
             table[(src, dst)] = op
-        self.transitions = table
         edges = sorted(table)
-        self._src = np.array([e[0] for e in edges], dtype=np.int64)
-        self._dst = np.array([e[1] for e in edges], dtype=np.int64)
-        self._b_ops = np.ascontiguousarray(
-            np.stack([table[e] for e in edges])
-            if edges
-            else np.zeros((0, dim, dim), dtype=np.complex128)
-        )
+        self._src, self._dst = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+        coins = [table[e] for e in edges]
+        self._b_ops = np.array(coins, dtype=np.complex128).reshape(-1, dim, dim)
+        self._b_ops.flags.writeable = False
         self._b_dag = np.ascontiguousarray(self._b_ops.conj().transpose(0, 2, 1))
+
+    @property
+    def transitions(self) -> dict:
+        """Read-only views of the coins, keyed (source, target), in edge order."""
+        return {
+            (int(s), int(d)): op for s, d, op in zip(self._src, self._dst, self._b_ops)
+        }
 
     def __repr__(self):
         return (
             f"OpenQuantumWalk(num_nodes={self.num_nodes}, dim={self.dim}, "
-            f"edges={len(self.transitions)})"
+            f"edges={len(self._src)})"
         )
 
 
@@ -184,9 +186,6 @@ class BlockState:
     def total_trace(self) -> float:
         return float(self.probabilities().sum())
 
-    def block(self, node: int) -> np.ndarray:
-        return self.blocks[node]
-
 
 def validate_state(state: BlockState, tol: float = TOL.trace) -> None:
     """Raise unless the block state is Hermitian, PSD, and unit total trace."""
@@ -209,30 +208,14 @@ class Violation(NamedTuple):
 
 def validate(walk: OpenQuantumWalk, tol: float = TOL.walk_norm) -> list[Violation]:
     """Check sum_i B†B = I at every source; violations are returned, not raised."""
+    gram = np.zeros((walk.num_nodes, walk.dim, walk.dim), dtype=np.complex128)
+    np.add.at(gram, walk._src, walk._b_dag @ walk._b_ops)
     eye = np.eye(walk.dim)
     out = []
     for j in range(walk.num_nodes):
-        acc = np.zeros((walk.dim, walk.dim), dtype=np.complex128)
-        for (src, _dst), op in walk.transitions.items():
-            if src == j:
-                acc += op.conj().T @ op
-        residual = frobenius(acc - eye)
+        residual = frobenius(gram[j] - eye)
         if residual > tol:
             out.append(Violation(source=j, residual=residual))
-    return out
-
-
-def local_map(walk: OpenQuantumWalk, j: int, rho) -> np.ndarray:
-    """CP map at one vertex: sum_i B_{j->i} ρ B_{j->i}†."""
-    rho = as_matrix(rho)
-    if rho.shape != (walk.dim, walk.dim):
-        raise ShapeError(f"rho must be {walk.dim}x{walk.dim}, got {rho.shape}")
-    ops = [op for (src, _), op in walk.transitions.items() if src == j]
-    if not 0 <= j < walk.num_nodes or not ops:
-        raise DomainError(f"node {j} has no outgoing transitions")
-    out = np.zeros_like(rho)
-    for op in ops:
-        out += op @ rho @ op.conj().T
     return out
 
 
@@ -257,23 +240,9 @@ def build_dqc_chain(circuit: Circuit, params: ChainParams) -> OpenQuantumWalk:
     node 0 backs onto itself with √λ·I and node T self-loops with √ω·I, so
     every source satisfies the normalization exactly.
     """
-    big_t = circuit.depth
-    if big_t < 1:
+    if circuit.depth < 1:
         raise DomainError("circuit must have at least one slice")
-    unitaries = circuit_unitaries(circuit)
-    dim = 2**circuit.num_qubits
-    sqrt_w = math.sqrt(params.omega)
-    sqrt_l = math.sqrt(params.lam)
-    eye = np.eye(dim, dtype=np.complex128)
-    table = {}
-    table[(0, 0)] = sqrt_l * eye
-    table[(0, 1)] = sqrt_w * unitaries[0]
-    for t in range(1, big_t):
-        table[(t, t + 1)] = sqrt_w * unitaries[t]
-        table[(t, t - 1)] = sqrt_l * dagger(unitaries[t - 1])
-    table[(big_t, big_t)] = sqrt_w * eye
-    table[(big_t, big_t - 1)] = sqrt_l * dagger(unitaries[big_t - 1])
-    return OpenQuantumWalk(big_t + 1, dim, table)
+    return _chain_walk(circuit_unitaries(circuit), params)
 
 
 def two_node_gate_walk(u, params: ChainParams) -> OpenQuantumWalk:
@@ -281,16 +250,21 @@ def two_node_gate_walk(u, params: ChainParams) -> OpenQuantumWalk:
     u = as_matrix(u)
     if not is_unitary(u, 1e-10):
         raise DomainError("coin matrix must be unitary within 1e-10")
+    return _chain_walk([u], params)
+
+
+def _chain_walk(unitaries, params: ChainParams) -> OpenQuantumWalk:
+    """The (T+1)-node chain walk over U_1..U_T described in build_dqc_chain."""
+    big_t = len(unitaries)
+    dim = unitaries[0].shape[0]
     sqrt_w = math.sqrt(params.omega)
     sqrt_l = math.sqrt(params.lam)
-    eye = np.eye(u.shape[0], dtype=np.complex128)
-    table = {
-        (0, 0): sqrt_l * eye,
-        (0, 1): sqrt_w * u,
-        (1, 1): sqrt_w * eye,
-        (1, 0): sqrt_l * dagger(u),
-    }
-    return OpenQuantumWalk(2, u.shape[0], table)
+    eye = np.eye(dim, dtype=np.complex128)
+    table = {(0, 0): sqrt_l * eye, (big_t, big_t): sqrt_w * eye}
+    for t, u in enumerate(unitaries, start=1):
+        table[(t - 1, t)] = sqrt_w * u
+        table[(t, t - 1)] = sqrt_l * dagger(u)
+    return OpenQuantumWalk(big_t + 1, dim, table)
 
 
 def classical_marginal_step(params: ChainParams, big_t: int, p) -> np.ndarray:
@@ -375,6 +349,8 @@ def run_until_converged(
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
+    if max_steps < 1:
+        raise DomainError(f"max_steps must be >= 1, got {max_steps}")
     validate_state(init)
     if target_node is None:
         target_node = walk.num_nodes - 1

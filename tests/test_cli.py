@@ -217,3 +217,23 @@ def test_run_config_defaults():
     assert cli._resolve_tol(cfg) == 1e-5
     cfg2 = RunConfig(circuit="toffoli")
     assert cli._resolve_tol(cfg2) == 1e-7
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["run", "--circuit", "toffoli", "--tol", "nan"], "tol"),
+        (["run", "--circuit", "toffoli", "--tol", "inf"], "tol"),
+        (["run", "--circuit", "toffoli", "--max-steps", "-3"], "max_steps"),
+        (["sweep", "--circuit", "qft3", "--omega", "0.9:0.5:0.1"], "empty"),
+        (["sweep", "--circuit", "qft3", "--omega", "0.5:inf:0.1"], "finite"),
+        (["lindblad", "--circuit", "toffoli", "--max-time", "inf"], "max_time"),
+        (["lindblad", "--circuit", "toffoli", "--dt", "nan"], "dt"),
+        (["lindblad", "--circuit", "toffoli", "--record-every", "inf"], "observe_every"),
+    ],
+)
+def test_non_finite_or_empty_input_is_an_input_error(argv, named, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()

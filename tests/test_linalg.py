@@ -1,20 +1,17 @@
 import numpy as np
 import pytest
 
-from oqwalk.errors import CapacityError, DomainError, ShapeError
+from oqwalk.errors import CapacityError, DomainError
 from oqwalk.linalg import (
     dagger,
     is_unitary,
     kron,
-    matmul,
     psd_check,
-    trace,
     trace_norm,
 )
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
-S = np.diag([1, np.exp(1j * np.pi / 2)])
 
 
 def random_matrix(rng, n):
@@ -81,43 +78,7 @@ class TestDagger:
         b = (rng.integers(-4, 5, (3, 3)) + 1j * rng.integers(-4, 5, (3, 3))).astype(
             complex
         )
-        assert np.array_equal(dagger(matmul(a, b)), matmul(dagger(b), dagger(a)))
-
-
-class TestMatmul:
-    def test_pauli_x_squares_to_identity(self):
-        assert np.array_equal(matmul(X, X), np.eye(2))
-
-    def test_hadamard_squares_to_identity(self):
-        assert np.allclose(matmul(H, H), np.eye(2), atol=1e-15)
-
-    def test_s_squared_is_z(self):
-        assert np.allclose(matmul(S, S), np.diag([1, -1]), atol=1e-15)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(np.eye(2), np.eye(3))
-
-
-class TestTrace:
-    def test_identity(self):
-        assert trace(np.eye(4)) == 4
-
-    def test_off_diagonal(self):
-        assert trace(np.array([[0, 1], [0, 0]])) == 0
-
-    def test_invariant_under_conjugation(self):
-        assert abs(trace(H @ np.diag([1.0, 0.0]) @ H) - 1.0) < 1e-14
-
-    def test_non_square(self):
-        with pytest.raises(ShapeError):
-            trace(np.ones((2, 3)))
-
-    def test_cyclic_on_random(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            a, b = random_matrix(rng, 8), random_matrix(rng, 8)
-            assert abs(trace(matmul(a, b)) - trace(matmul(b, a))) < 1e-12
+        assert np.array_equal(dagger(a @ b), dagger(b) @ dagger(a))
 
 
 class TestTraceNorm:

@@ -24,7 +24,6 @@ from oqwalk.walk import (
     build_dqc_chain,
     classical_marginal_step,
     conditional_state,
-    local_map,
     run_until_converged,
     step,
     two_node_gate_walk,
@@ -36,12 +35,6 @@ X = np.array([[0, 1], [1, 0]], dtype=complex)
 S = np.diag([1.0, 1j])
 
 PSI = np.array([math.cos(0.3), math.sin(0.3) * np.exp(0.4j)])
-
-
-def random_density(rng, d):
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real
 
 
 class TestChainParams:
@@ -90,6 +83,36 @@ class TestValidate:
         bad = validate(walk, 1e-10)
         assert [v.source for v in bad] == [0]
 
+    @pytest.mark.parametrize(
+        "walk, tol",
+        [
+            # sources 0 and 2 unnormalized, 1 normalized, node 3 has no out-edges
+            (
+                OpenQuantumWalk(4, 2, {
+                    (0, 0): 0.5 * H, (0, 1): 0.7 * S, (0, 3): 0.9 * X,
+                    (1, 2): math.sqrt(0.3) * H, (1, 0): math.sqrt(0.7) * S,
+                    (2, 3): 1.2 * np.eye(2), (2, 1): 0.4 * H @ S,
+                }),
+                1e-10,
+            ),
+            (build_dqc_chain(qft(3), ChainParams(0.6)), 0.0),
+        ],
+    )
+    def test_matches_per_source_reference(self, walk, tol):
+        expected = []
+        for j in range(walk.num_nodes):
+            acc = np.zeros((walk.dim, walk.dim), dtype=complex)
+            for (src, _dst), b in walk.transitions.items():
+                if src == j:
+                    acc += b.conj().T @ b
+            residual = np.linalg.norm(acc - np.eye(walk.dim))
+            if residual > tol:
+                expected.append((j, residual))
+        got = validate(walk, tol)
+        assert [v.source for v in got] == [j for j, _ in expected]
+        for v, (_, residual) in zip(got, expected):
+            assert abs(v.residual - residual) <= 1e-15
+
     @pytest.mark.parametrize("omega", [0.5, 0.8])
     def test_dqc_chain_is_normalized(self, omega):
         walk = build_dqc_chain(toffoli13(), ChainParams(omega))
@@ -105,35 +128,6 @@ class TestValidate:
             m = kron(b, ket_bra)
             total += dagger(m) @ m
         assert np.allclose(total, np.eye(4), atol=1e-12)
-
-
-class TestLocalMap:
-    def test_identity_coin_fixed_point(self):
-        walk = OpenQuantumWalk(1, 2, {(0, 0): np.eye(2)})
-        rho = np.outer(PSI, PSI.conj())
-        assert np.allclose(local_map(walk, 0, rho), rho, atol=1e-15)
-
-    def test_two_node_form(self):
-        params = ChainParams(0.7)
-        walk = two_node_gate_walk(H, params)
-        rho = np.outer(PSI, PSI.conj())
-        got = local_map(walk, 0, rho)
-        expected = params.lam * rho + params.omega * H @ rho @ H.conj().T
-        assert np.allclose(got, expected, atol=1e-14)
-        assert np.trace(got).real == pytest.approx(1.0, abs=1e-12)
-
-    def test_trace_preserved_on_random_states(self):
-        rng = np.random.default_rng(11)
-        walk = build_dqc_chain(qft(3), ChainParams(0.6))
-        for _ in range(10):
-            rho = random_density(rng, walk.dim)
-            out = local_map(walk, 3, rho)
-            assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
-
-    def test_unknown_node(self):
-        walk = two_node_gate_walk(H, ChainParams(0.5))
-        with pytest.raises(DomainError):
-            local_map(walk, 5, np.eye(2) / 2)
 
 
 class TestStep:
