@@ -3,8 +3,9 @@
 The package compiles a unitary circuit into a chain walk whose forward hops
 apply the next gate, iterates the walk to its steady state, and reports how
 the detection probability at the output register and the number of steps to
-stationarity depend on the forward weight ω.  A dense master-equation
-integrator provides an independent continuous-time cross-check.
+stationarity depend on the forward weight ω.  A master-equation integrator
+on the same node blocks and edge table provides an independent
+continuous-time cross-check.
 """
 
 from . import circuits, lindblad, linalg, walk

@@ -223,14 +223,12 @@ def cmd_lindblad(cfg: RunConfig) -> int:
     bits = _resolve_input(cfg, circuit)
     model = lb.build_dqc_lindblad(circuit, include_reset=cfg.include_reset)
     psi0 = basis_state(circuit.num_qubits, bits)
-    node0 = np.zeros(model.num_nodes)
-    node0[0] = 1.0
-    rho0 = np.kron(np.outer(psi0, psi0.conj()), np.diag(node0)).astype(np.complex128)
+    rho0 = wk.BlockState.pure(model.num_nodes, model.dim, 0, psi0).blocks
 
     samples: list[tuple[float, np.ndarray]] = []
 
     def observer(t: float, rho: np.ndarray) -> None:
-        samples.append((t, lb.node_marginals(rho, model.internal_dim, model.num_nodes)))
+        samples.append((t, lb.node_marginals(rho)))
 
     result = lb.integrate(
         model,

@@ -29,6 +29,3 @@ TOL = Tolerances()
 
 #: Dense storage only; refuse to build matrices beyond this dimension.
 MAX_DENSE_DIM = 4096
-
-#: Full Hilbert dimension cap for the continuous-time reference model.
-MAX_LINDBLAD_DIM = 256

@@ -6,9 +6,19 @@ with jump operators built from the circuit unitaries: the pair of registers
 |t−1⟩⟨t|, so hopping forward applies the next gate and hopping backward
 undoes it.  Optional reset jumps lower each qubit inside register 0.
 
-This model exists for desk-scale cross-validation of the discrete walk, so
-everything is dense, the integrator is a plain fixed-step classical
-Runge-Kutta scheme, and the full dimension is capped.
+These jumps map a state that is block diagonal in the register index to one
+that is again block diagonal, and on such states the register jump acts
+exactly as its two edges (t−1 → t, U_t) and (t → t−1, U_t†) taken as
+separate jumps B ⊗ |i⟩⟨j|: the cross terms vanish.  So the model is stored
+as the walk's edge table and integrated on stacked (N, d, d) node blocks,
+with the generator of the continuous-time open quantum walk
+
+    dρ_n/dt = Σ_{e: dst=n} B_e ρ_src B_e† − ½{K_n, ρ_n},
+    K_n = Σ_{e: src=n} B_e†B_e,
+
+whose jump term is the walk's step kernel.  A model with one node is a
+plain dense Lindblad generator.  The integrator is a fixed-step classical
+Runge-Kutta scheme.
 """
 
 from __future__ import annotations
@@ -20,9 +30,9 @@ import numpy as np
 
 from . import _kernels
 from .circuits import Circuit, circuit_unitaries, embed_single
-from .config import MAX_LINDBLAD_DIM, TOL
-from .errors import CapacityError, DomainError, ShapeError
-from .linalg import as_matrix, frobenius
+from .errors import DomainError, ShapeError
+from .linalg import frobenius
+from .walk import BlockState, edge_arrays
 
 __all__ = [
     "LindbladModel",
@@ -37,94 +47,82 @@ _LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
 
 
 class LindbladModel:
-    """Dissipative generator data: jump operators on one Hilbert space.
+    """Dissipative generator on node blocks, stored as an edge table.
 
-    There is no Hamiltonian part.  ``internal_dim``/``num_nodes`` carry the
-    register factorization when the model came from a chain build; they stay
-    ``None`` for hand-assembled models.
+    ``edges`` are (source j, target i, B) triples on ``num_nodes`` nodes
+    with ``dim``-dimensional blocks; each is the jump B ⊗ |i⟩⟨j|, and a
+    (source, target) pair may repeat.  There is no Hamiltonian part.  With
+    one node every edge is (0, 0) and the model is the dense generator of
+    its jump operators.  ``_g`` holds −½K_n per node.
     """
 
-    def __init__(
-        self,
-        jumps,
-        dim: int | None = None,
-        internal_dim: int | None = None,
-        num_nodes: int | None = None,
-    ):
-        ops = [as_matrix(op) for op in jumps]
-        dims = {op.shape for op in ops}
-        if len(dims) > 1:
-            raise ShapeError(f"jump operators disagree on shape: {sorted(dims)}")
-        if ops:
-            if ops[0].shape[0] != ops[0].shape[1]:
-                raise ShapeError("jump operators must be square")
-            self.dim = ops[0].shape[0]
-            if dim is not None and dim != self.dim:
-                raise ShapeError(f"dim {dim} does not match jump shape {ops[0].shape}")
-        elif dim is not None:
-            # Jump-free generator: rhs is identically zero.  Allowed so that
-            # the integrator's fixed-point behavior can be exercised.
-            self.dim = int(dim)
-        else:
-            raise ShapeError("a jump-free model needs an explicit dim")
-        self.jumps = tuple(ops)
-        self.internal_dim = internal_dim
-        self.num_nodes = num_nodes
-        self._l_ops = np.array(ops, dtype=np.complex128).reshape(-1, self.dim, self.dim)
-        self._l_dag = np.ascontiguousarray(self._l_ops.conj().transpose(0, 2, 1))
-        self._damp = 0.5 * np.einsum("kij,kjl->il", self._l_dag, self._l_ops)
+    def __init__(self, num_nodes: int, dim: int, edges):
+        self._src, self._dst, self._b_ops, self._b_dag = edge_arrays(num_nodes, dim, edges)
+        self.num_nodes = int(num_nodes)
+        self.dim = int(dim)
+        k = _kernels.source_gram(self._b_ops, self._b_dag, self._src, self._dst, self.num_nodes)
+        self._g = -0.5 * k
+        self._g_dag = np.ascontiguousarray(_adjoint(self._g))
 
     def __repr__(self):
-        return f"LindbladModel(dim={self.dim}, jumps={len(self.jumps)})"
+        return (
+            f"LindbladModel(num_nodes={self.num_nodes}, dim={self.dim}, "
+            f"edges={len(self._src)})"
+        )
 
 
 def build_dqc_lindblad(circuit: Circuit, include_reset: bool = False) -> LindbladModel:
-    """Assemble the chain's jump operators on the (internal ⊗ node) space.
+    """The chain's jumps as edges on T+1 registers of 2^q-dimensional blocks.
 
-    One register jump per circuit slice; ``include_reset`` adds one qubit
-    reset per qubit, active only inside register 0.  The full dimension
-    2^q · (T+1) must stay within the desk-scale cap.
+    Slice t gives the edges (t−1 → t, U_t) and (t → t−1, U_t†);
+    ``include_reset`` adds one (0 → 0) edge per qubit, lowering that qubit.
     """
     big_t = circuit.depth
     if big_t < 1:
         raise DomainError("circuit must have at least one slice")
-    dim_internal = 2**circuit.num_qubits
-    num_nodes = big_t + 1
-    full = dim_internal * num_nodes
-    if full > MAX_LINDBLAD_DIM:
-        raise CapacityError(
-            f"full dimension {full} exceeds the desk-scale cap {MAX_LINDBLAD_DIM}"
-        )
-    unitaries = circuit_unitaries(circuit)
-    jumps = []
-    for t in range(1, num_nodes):
-        hop = np.zeros((num_nodes, num_nodes), dtype=np.complex128)
-        hop[t, t - 1] = 1.0
-        jumps.append(np.kron(unitaries[t - 1], hop) + np.kron(unitaries[t - 1].conj().T, hop.T))
+    edges = []
+    for t, u in enumerate(circuit_unitaries(circuit), start=1):
+        edges += [(t - 1, t, u), (t, t - 1, u.conj().T)]
     if include_reset:
-        node0 = np.zeros((num_nodes, num_nodes), dtype=np.complex128)
-        node0[0, 0] = 1.0
         for q in range(1, circuit.num_qubits + 1):
-            jumps.append(np.kron(embed_single(_LOWER, q, circuit.num_qubits), node0))
-    return LindbladModel(jumps, internal_dim=dim_internal, num_nodes=num_nodes)
+            edges.append((0, 0, embed_single(_LOWER, q, circuit.num_qubits)))
+    return LindbladModel(big_t + 1, 2**circuit.num_qubits, edges)
+
+
+def _adjoint(blocks) -> np.ndarray:
+    return blocks.conj().transpose(0, 2, 1)
+
+
+def _checked_blocks(model: LindbladModel, rho, name: str) -> np.ndarray:
+    """rho as finite (N, d, d) blocks of unit total trace, Hermitian within 1e-8."""
+    blocks = np.ascontiguousarray(rho, dtype=np.complex128)
+    shape = (model.num_nodes, model.dim, model.dim)
+    if blocks.shape != shape:
+        raise ShapeError(f"{name} must be blocks of shape {shape}, got {blocks.shape}")
+    if not np.isfinite(blocks).all():
+        raise DomainError(f"{name} contains NaN or Inf entries")
+    if abs(np.einsum("nii->", blocks) - 1.0) > 1e-8:
+        raise DomainError(f"{name} must have unit trace within 1e-8")
+    if frobenius(blocks - _adjoint(blocks)) > 1e-8:
+        raise DomainError(f"{name} must be Hermitian within 1e-8")
+    return blocks
+
+
+def _rhs(model: LindbladModel, blocks) -> np.ndarray:
+    jump = _kernels.step_blocks(model._b_ops, model._b_dag, model._src, model._dst, blocks)
+    return _kernels.lindblad_rhs_kernel(jump, model._g, model._g_dag, blocks)
 
 
 def lindblad_rhs(model: LindbladModel, rho) -> np.ndarray:
-    """Generator applied to a density matrix, with input checks."""
-    rho = as_matrix(rho)
-    if rho.shape != (model.dim, model.dim):
-        raise ShapeError(f"rho must be {model.dim}x{model.dim}, got {rho.shape}")
-    if abs(np.trace(rho) - 1.0) > 1e-8:
-        raise DomainError("rho must have unit trace within 1e-8")
-    if frobenius(rho - rho.conj().T) > 1e-8:
-        raise DomainError("rho must be Hermitian within 1e-8")
-    return _kernels.lindblad_rhs_kernel(model._l_ops, model._l_dag, model._damp, rho)
+    """Generator applied to a block state, with input checks."""
+    return _rhs(model, _checked_blocks(model, rho, "rho"))
 
 
 @dataclass
 class IntegrationResult:
     """Final state of a fixed-step integration run."""
 
+    #: The final (N, d, d) node blocks.
     rho: np.ndarray
     time: float
     steps: int
@@ -144,9 +142,10 @@ def integrate(
 ) -> IntegrationResult:
     """March the master equation to stationarity with classical RK4 steps.
 
-    The state is re-Hermitized each step and its trace renormalized whenever
-    the drift exceeds 1e-12.  ``observer(t, rho)`` is called at t = 0 and
-    then roughly every ``observe_every`` time units plus at the final state.
+    ``rho0`` and the state are (N, d, d) node blocks.  The state is
+    re-Hermitized each step and its trace renormalized whenever the drift
+    exceeds 1e-12.  ``observer(t, rho)`` is called at t = 0 and then roughly
+    every ``observe_every`` time units plus at the final state.
     Because the generator is linear, its fixed points are fixed points of
     the RK4 map as well, so the step size affects transient rates but not
     the stationary state the run converges to.
@@ -157,17 +156,9 @@ def integrate(
             raise DomainError(f"{name} must be finite, got {value}")
     if dt <= 0:
         raise DomainError("dt must be positive")
-    rho = as_matrix(rho0)
-    if rho.shape != (model.dim, model.dim):
-        raise ShapeError(f"rho must be {model.dim}x{model.dim}, got {rho.shape}")
-    if abs(np.trace(rho) - 1.0) > 1e-8:
-        raise DomainError("rho0 must have unit trace within 1e-8")
-    if frobenius(rho - rho.conj().T) > 1e-8:
-        raise DomainError("rho0 must be Hermitian within 1e-8")
-    rho = 0.5 * (rho + rho.conj().T)
-
-    l_ops, l_dag, damp = model._l_ops, model._l_dag, model._damp
-    rhs = lambda r: _kernels.lindblad_rhs_kernel(l_ops, l_dag, damp, r)
+    rho = _checked_blocks(model, rho0, "rho0")
+    rho = 0.5 * (rho + _adjoint(rho))
+    rhs = lambda r: _rhs(model, r)
 
     if observer is not None:
         observer(0.0, rho)
@@ -186,8 +177,8 @@ def integrate(
         k3 = rhs(rho + (0.5 * dt) * k2)
         k4 = rhs(rho + dt * k3)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rho = 0.5 * (rho + rho.conj().T)
-        tr = np.trace(rho).real
+        rho = 0.5 * (rho + _adjoint(rho))
+        tr = np.einsum("nii->", rho).real
         if abs(tr - 1.0) > 1e-12:
             rho = rho / tr
         steps = n + 1
@@ -203,12 +194,6 @@ def integrate(
     )
 
 
-def node_marginals(rho, internal_dim: int, num_nodes: int) -> np.ndarray:
-    """Population of each chain register: partial trace over the internal space."""
-    rho = as_matrix(rho)
-    if rho.shape != (internal_dim * num_nodes,) * 2:
-        raise ShapeError(
-            f"rho shape {rho.shape} does not factor as {internal_dim}·{num_nodes}"
-        )
-    diag = np.diagonal(rho).real
-    return diag.reshape(internal_dim, num_nodes).sum(axis=0)
+def node_marginals(rho) -> np.ndarray:
+    """Population of each chain register: the trace of its block."""
+    return BlockState(rho).probabilities()

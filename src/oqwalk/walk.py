@@ -17,6 +17,7 @@ geometric stationary distribution.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -89,6 +90,43 @@ def bath_to_rates(bath: BathParams) -> ChainParams:
     return ChainParams(omega=(bath.nbar + 1.0) / (2.0 * bath.nbar + 1.0))
 
 
+def edge_arrays(num_nodes: int, dim: int, edges):
+    """Check (source, target, coin) triples and stack them as the src, dst,
+    coin and coin-dagger arrays the step kernel takes.
+
+    The edges are stored in scatter order: the k-th edge into each target,
+    counted in the given order, joins run k, and each run is sorted by
+    target.  ``step_blocks`` then makes one vectorized add per run, as many
+    as the largest in-degree, and each target still sums its terms in the
+    given order.  The coin stack is read-only.  Both models store their
+    edges this way.
+    """
+    if num_nodes < 1 or dim < 1:
+        raise DomainError("num_nodes and dim must be >= 1")
+    src, dst, coins, run = [], [], [], []
+    in_degree = Counter()
+    for s, d, op in edges:
+        s, d = int(s), int(d)
+        if not (0 <= s < num_nodes and 0 <= d < num_nodes):
+            raise DomainError(f"edge ({s}, {d}) out of range")
+        op = as_matrix(op)
+        if op.shape != (dim, dim):
+            raise ShapeError(
+                f"coin for edge ({s}, {d}) has shape {op.shape}, expected ({dim}, {dim})"
+            )
+        src.append(s)
+        dst.append(d)
+        coins.append(op)
+        run.append(in_degree[d])
+        in_degree[d] += 1
+    order = np.lexsort((dst, run))
+    b_ops = np.array(coins, dtype=np.complex128).reshape(-1, dim, dim)[order]
+    b_ops.flags.writeable = False
+    b_dag = np.ascontiguousarray(b_ops.conj().transpose(0, 2, 1))
+    src, dst = (np.array(nodes, dtype=np.int64)[order] for nodes in (src, dst))
+    return src, dst, b_ops, b_dag
+
+
 class OpenQuantumWalk:
     """Finite-graph walk defined by its keyed coin table.
 
@@ -103,39 +141,25 @@ class OpenQuantumWalk:
 
     Instances are immutable after construction and safe to share across
     threads.  The edge table is stored once, as stacked source, target and
-    coin arrays sorted by edge, which is the form the step kernel takes.
+    coin arrays in the scatter order of ``edge_arrays``, which is the form
+    the step kernel takes.
     """
 
     def __init__(self, num_nodes: int, dim: int, transitions):
-        if num_nodes < 1 or dim < 1:
-            raise DomainError("num_nodes and dim must be >= 1")
+        table = {(int(s), int(d)): op for (s, d), op in transitions.items()}
+        self._src, self._dst, self._b_ops, self._b_dag = edge_arrays(
+            num_nodes, dim, [(s, d, table[s, d]) for s, d in sorted(table)]
+        )
         self.num_nodes = int(num_nodes)
         self.dim = int(dim)
-        table = {}
-        for (src, dst), op in transitions.items():
-            src, dst = int(src), int(dst)
-            if not (0 <= src < num_nodes and 0 <= dst < num_nodes):
-                raise DomainError(f"edge ({src}, {dst}) out of range")
-            op = as_matrix(op)
-            if op.shape != (dim, dim):
-                raise ShapeError(
-                    f"coin for edge ({src}, {dst}) has shape {op.shape}, "
-                    f"expected ({dim}, {dim})"
-                )
-            table[(src, dst)] = op
-        edges = sorted(table)
-        self._src, self._dst = np.array(edges, dtype=np.int64).reshape(-1, 2).T
-        coins = [table[e] for e in edges]
-        self._b_ops = np.array(coins, dtype=np.complex128).reshape(-1, dim, dim)
-        self._b_ops.flags.writeable = False
-        self._b_dag = np.ascontiguousarray(self._b_ops.conj().transpose(0, 2, 1))
 
     @property
     def transitions(self) -> dict:
-        """Read-only views of the coins, keyed (source, target), in edge order."""
-        return {
+        """Read-only views of the coins, keyed (source, target), in key order."""
+        table = {
             (int(s), int(d)): op for s, d, op in zip(self._src, self._dst, self._b_ops)
         }
+        return dict(sorted(table.items()))
 
     def __repr__(self):
         return (
@@ -208,8 +232,9 @@ class Violation(NamedTuple):
 
 def validate(walk: OpenQuantumWalk, tol: float = TOL.walk_norm) -> list[Violation]:
     """Check sum_i B†B = I at every source; violations are returned, not raised."""
-    gram = np.zeros((walk.num_nodes, walk.dim, walk.dim), dtype=np.complex128)
-    np.add.at(gram, walk._src, walk._b_dag @ walk._b_ops)
+    gram = _kernels.source_gram(
+        walk._b_ops, walk._b_dag, walk._src, walk._dst, walk.num_nodes
+    )
     eye = np.eye(walk.dim)
     out = []
     for j in range(walk.num_nodes):

@@ -212,10 +212,7 @@ def test_criterion_09_lindblad_cross_check():
     model = build_dqc_lindblad(single)
     psi0 = basis_state(1, "0")
     psi1 = H @ psi0
-    rho_star = 0.5 * (
-        np.kron(np.outer(psi0, psi0.conj()), np.diag([1.0, 0.0]))
-        + np.kron(np.outer(psi1, psi1.conj()), np.diag([0.0, 1.0]))
-    )
+    rho_star = 0.5 * np.stack([np.outer(psi0, psi0.conj()), np.outer(psi1, psi1.conj())])
     rhs_norm = np.linalg.norm(lindblad_rhs(model, rho_star))
     assert rhs_norm < 1e-10
 
@@ -226,21 +223,17 @@ def test_criterion_09_lindblad_cross_check():
     circuit = toffoli13()
     big = build_dqc_lindblad(circuit)
     psi = basis_state(3, "110")
-    node0 = np.zeros(big.num_nodes)
-    node0[0] = 1.0
-    rho0 = np.kron(np.outer(psi, psi.conj()), np.diag(node0)).astype(complex)
+    rho0 = BlockState.pure(big.num_nodes, big.dim, 0, psi).blocks
     start = time.perf_counter()
     result = integrate(big, rho0, dt=0.4, stop_tol=2e-6, max_time=400.0)
     elapsed = time.perf_counter() - start
     assert result.stationary
-    marginals = node_marginals(result.rho, big.internal_dim, big.num_nodes)
+    marginals = node_marginals(result.rho)
     deviation = np.abs(marginals - 1.0 / big.num_nodes).max()
     assert deviation < 1e-4
     assert elapsed < 60.0, f"integration took {elapsed:.1f}s"
     # terminal-register conditional state reproduces the circuit output
-    idx = [s * big.num_nodes + (big.num_nodes - 1) for s in range(big.internal_dim)]
-    block = result.rho[np.ix_(idx, idx)]
-    block = block / np.trace(block).real
+    block = result.rho[-1] / np.trace(result.rho[-1]).real
     target = circuit_product(circuit) @ psi
     fidelity = float((target.conj() @ block @ target).real)
     assert fidelity >= 1 - 1e-4

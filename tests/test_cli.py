@@ -195,8 +195,18 @@ class TestLindbladCommand:
         circ.write_text("qubits 2\n")
         assert main(["lindblad", "--circuit", str(circ)]) == 2
 
-    def test_capacity_exceeded(self, capsys):
-        assert main(["lindblad", "--circuit", "qft4"]) == 2
+    def test_qft4_relaxes_to_uniform_registers(self, tmp_path):
+        # 17 registers of 16-dimensional blocks
+        out = tmp_path / "lb.csv"
+        code = main([
+            "lindblad", "--circuit", "qft4", "--dt", "0.4", "--stop-tol", "2e-6",
+            "--out", str(out),
+        ])
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert lines[-1].endswith(",true")
+        finals = [float(line.split(",")[2]) for line in lines[-19:-2]]
+        assert max(abs(p - 1.0 / 17) for p in finals) < 1e-4
 
 
 class TestLoadCircuit:

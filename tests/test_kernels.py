@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from oqwalk import _kernels
+from oqwalk.circuits import BUILTIN_CIRCUITS, Circuit, Gate
 from oqwalk.linalg import trace_norm
+from oqwalk.walk import ChainParams, build_dqc_chain, edge_arrays
 
 
 def random_edge_problem(rng, num_nodes=5, dim=4, num_edges=9):
@@ -35,6 +37,12 @@ def reference_step(b_ops, b_dag, src, dst, blocks):
     return out
 
 
+def scatter_add_step(b_ops, b_dag, src, dst, blocks):
+    out = np.zeros_like(blocks)
+    np.add.at(out, dst, b_ops @ blocks[src] @ b_dag)
+    return out
+
+
 class TestStepKernels:
     def test_numpy_path_matches_reference(self):
         rng = np.random.default_rng(0)
@@ -52,22 +60,70 @@ class TestStepKernels:
             got, reference_step(b_ops, b_dag, src, dst, blocks), atol=1e-13
         )
 
+    @pytest.mark.parametrize("circuit", ["toffoli", "qft4", "deep"])
+    @pytest.mark.parametrize("omega", [0.5, 0.8])
+    def test_chain_step_is_bitwise_scatter_add(self, circuit, omega):
+        # the step's CSV bytes rest on this exact equality with an
+        # edge-by-edge scatter-add over the edges in (source, target) order
+        if circuit == "deep":  # one qubit, 3000 slices: many nodes, small blocks
+            circuit = Circuit(1, ((Gate("H", (1,)),), (Gate("T", (1,)),)) * 1500)
+        else:
+            circuit = BUILTIN_CIRCUITS[circuit]()
+        walk = build_dqc_chain(circuit, ChainParams(omega))
+        rng = np.random.default_rng(5)
+        n, d = walk.num_nodes, walk.dim
+        blocks = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+        key = np.lexsort((walk._dst, walk._src))
+        edges = (walk._b_ops[key], walk._b_dag[key], walk._src[key], walk._dst[key])
+        assert np.array_equal(
+            _kernels.step_blocks(walk._b_ops, walk._b_dag, walk._src, walk._dst, blocks),
+            scatter_add_step(*edges, blocks),
+        )
+
+    def test_scatter_order_keeps_each_targets_edges_in_order(self):
+        # edge_arrays puts the k-th edge into each target in run k, each run
+        # sorted by target: as many runs as the largest in-degree
+        rng = np.random.default_rng(6)
+        pairs = [tuple(p) for p in rng.integers(0, 6, size=(40, 2)).tolist()]
+        tagged = [(s, t, np.full((2, 2), k)) for k, (s, t) in enumerate(pairs)]
+        src, dst, b_ops, _ = edge_arrays(6, 2, tagged)
+        assert np.count_nonzero(dst[1:] <= dst[:-1]) + 1 == np.bincount(dst).max()
+        tags = b_ops[:, 0, 0].real.astype(int).tolist()
+        assert [pairs[k] for k in tags] == list(zip(src.tolist(), dst.tolist()))
+        for target in range(6):
+            assert [k for k in tags if pairs[k][1] == target] == [
+                k for k, (_, t) in enumerate(pairs) if t == target
+            ]
+
+    def test_random_edges_are_bitwise_scatter_add(self):
+        rng = np.random.default_rng(7)
+        args = random_edge_problem(rng, num_nodes=6, num_edges=40)
+        b_ops, _, src, dst, blocks = args
+        src2, dst2, ops2, dag2 = edge_arrays(6, 4, zip(src, dst, b_ops))
+        expected = scatter_add_step(*args)
+        assert np.array_equal(_kernels.step_blocks(*args), expected)
+        assert np.array_equal(_kernels.step_blocks(ops2, dag2, src2, dst2, blocks), expected)
+
 
 class TestLindbladKernels:
     def test_paths_agree(self):
+        # the block generator against a per-jump, per-node reference loop,
+        # on an edge table with repeated and unsorted (src, dst) pairs
         rng = np.random.default_rng(3)
-        k, d = 4, 6
-        l_ops = np.ascontiguousarray(
-            rng.normal(size=(k, d, d)) + 1j * rng.normal(size=(k, d, d))
-        )
-        l_dag = np.ascontiguousarray(l_ops.conj().transpose(0, 2, 1))
-        damp = 0.5 * np.einsum("kij,kjl->il", l_dag, l_ops)
-        rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        rho = rho + rho.conj().T
-        expected = -(damp @ rho + rho @ damp)
-        for j in range(k):  # per-jump reference loop
-            expected += l_ops[j] @ rho @ l_dag[j]
-        got = _kernels.lindblad_rhs_kernel(l_ops, l_dag, damp, rho)
+        b_ops, b_dag, src, dst, blocks = random_edge_problem(rng, num_edges=12)
+        blocks = blocks + blocks.conj().transpose(0, 2, 1)
+        gram = np.zeros_like(blocks)
+        for e in range(len(src)):
+            gram[src[e]] += b_dag[e] @ b_ops[e]
+        got_gram = _kernels.source_gram(b_ops, b_dag, src, dst, blocks.shape[0])
+        assert np.allclose(got_gram, gram, atol=1e-12)
+        g = -0.5 * gram
+        g_dag = np.ascontiguousarray(g.conj().transpose(0, 2, 1))
+        expected = g @ blocks + blocks @ g_dag
+        for e in range(len(src)):
+            expected[dst[e]] += b_ops[e] @ blocks[src[e]] @ b_dag[e]
+        jump = _kernels.step_blocks(b_ops, b_dag, src, dst, blocks)
+        got = _kernels.lindblad_rhs_kernel(jump, g, g_dag, blocks)
         assert np.allclose(got, expected, atol=1e-12)
 
 

@@ -1,8 +1,11 @@
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
-from oqwalk.circuits import Circuit, Gate, basis_state, qft, toffoli13
-from oqwalk.errors import CapacityError, DomainError, ShapeError
+from dense_lindblad import dense_chain_jumps, dense_rhs, embed_blocks, node_block
+from oqwalk.circuits import Circuit, Gate, basis_state, embed_single, qft, toffoli13
+from oqwalk.errors import DomainError, ShapeError
 from oqwalk.lindblad import (
     LindbladModel,
     build_dqc_lindblad,
@@ -10,67 +13,92 @@ from oqwalk.lindblad import (
     lindblad_rhs,
     node_marginals,
 )
+from oqwalk.walk import BlockState
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+LOWER = np.array([[0, 1], [0, 0]], dtype=complex)
 
 
 def single_gate_circuit():
     return Circuit(1, ((Gate("H", (1,)),),), name="h1")
 
 
-def node_projector(t, num_nodes):
-    p = np.zeros((num_nodes, num_nodes), dtype=complex)
-    p[t, t] = 1.0
-    return p
-
-
 def chain_mixture(unitaries, psi0, num_nodes):
-    """Uniform mixture of partial computations, one term per register."""
-    rho = np.zeros((len(psi0) * num_nodes,) * 2, dtype=complex)
+    """Uniform mixture of partial computations, one block per register."""
+    blocks = np.zeros((num_nodes, len(psi0), len(psi0)), dtype=complex)
     psi = psi0
     for t in range(num_nodes):
-        rho += np.kron(np.outer(psi, psi.conj()), node_projector(t, num_nodes))
+        blocks[t] = np.outer(psi, psi.conj()) / num_nodes
         if t < len(unitaries):
             psi = unitaries[t] @ psi
-    return rho / num_nodes
+    return blocks
+
+
+def start_state(model, bits, node=0):
+    psi = basis_state(len(bits), bits)
+    return BlockState.pure(model.num_nodes, model.dim, node, psi).blocks
+
+
+def edge_table(model):
+    """(source, target) -> the coins of that pair's edges, in emission order."""
+    table = defaultdict(list)
+    for s, d, op in zip(model._src.tolist(), model._dst.tolist(), model._b_ops):
+        table[s, d].append(op)
+    return table
+
+
+def random_block_state(rng, num_nodes, dim):
+    a = rng.normal(size=(num_nodes, dim, dim)) + 1j * rng.normal(size=(num_nodes, dim, dim))
+    blocks = a @ a.conj().transpose(0, 2, 1)
+    return blocks / np.einsum("nii->", blocks).real
 
 
 class TestBuildModel:
     def test_single_gate_jump_form(self):
         model = build_dqc_lindblad(single_gate_circuit())
-        assert model.dim == 4
-        assert len(model.jumps) == 1
-        hop = np.zeros((2, 2))
-        hop[1, 0] = 1.0
-        expected = np.kron(H, hop) + np.kron(H.conj().T, hop.T)
-        assert np.allclose(model.jumps[0], expected, atol=1e-15)
+        assert (model.num_nodes, model.dim) == (2, 2)
+        table = edge_table(model)
+        assert sorted(table) == [(0, 1), (1, 0)]
+        assert np.allclose(table[0, 1], [H], atol=1e-15)
+        assert np.allclose(table[1, 0], [H.conj().T], atol=1e-15)
 
     def test_one_jump_per_slice(self):
+        # each slice's jump is one forward and one backward edge
         model = build_dqc_lindblad(toffoli13())
-        assert len(model.jumps) == 13
-        assert model.dim == 8 * 14
+        assert (model.num_nodes, model.dim) == (14, 8)
+        pairs = list(zip(model._src.tolist(), model._dst.tolist()))
+        assert sorted(pairs) == sorted(
+            p for t in range(1, 14) for p in ((t - 1, t), (t, t - 1))
+        )
 
     def test_register_jumps_are_hermitian(self):
-        model = build_dqc_lindblad(toffoli13())
-        for l in model.jumps:
-            assert np.linalg.norm(l - l.conj().T) < 1e-12
+        # the backward coin is the adjoint of the forward one, so each jump
+        # U ⊗ |t⟩⟨t−1| + U† ⊗ |t−1⟩⟨t| is Hermitian
+        table = edge_table(build_dqc_lindblad(toffoli13()))
+        for t in range(1, 14):
+            assert np.array_equal(table[t, t - 1][0], table[t - 1, t][0].conj().T)
 
     def test_reset_jumps_added_per_qubit(self):
         base = build_dqc_lindblad(toffoli13())
         with_reset = build_dqc_lindblad(toffoli13(), include_reset=True)
-        assert len(with_reset.jumps) == len(base.jumps) + 3
+        assert len(with_reset._src) == len(base._src) + 3
+        assert (0, 0) not in edge_table(base)
+        lowers = [embed_single(LOWER, q, 3) for q in (1, 2, 3)]
+        assert np.array_equal(edge_table(with_reset)[0, 0], lowers)
 
     def test_reset_jumps_act_only_in_register_zero(self):
         model = build_dqc_lindblad(single_gate_circuit(), include_reset=True)
-        reset = model.jumps[-1]
-        # lowering |1><0|-conjugate on the qubit, projected onto node 0
-        hop0 = node_projector(0, 2)
-        lower = np.array([[0, 1], [0, 0]], dtype=complex)
-        assert np.allclose(reset, np.kron(lower, hop0), atol=1e-15)
+        table = edge_table(model)
+        assert sorted(table) == [(0, 0), (0, 1), (1, 0)]
+        assert np.array_equal(table[0, 0], [LOWER])
 
-    def test_capacity_cap(self):
-        with pytest.raises(CapacityError):
-            build_dqc_lindblad(qft(4))  # 16 * 17 = 272 > 256
+    def test_qft4_builds_without_dimension_cap(self):
+        # 17 registers of 16-dimensional blocks, past the old dense cap of 256
+        circuit = qft(4)
+        model = build_dqc_lindblad(circuit, include_reset=True)
+        assert (model.num_nodes, model.dim) == (circuit.depth + 1, 16)
+        assert len(model._src) == 2 * circuit.depth + 4
+        assert model._g.shape == (circuit.depth + 1, 16, 16)
 
     def test_empty_circuit_rejected(self):
         with pytest.raises(DomainError):
@@ -78,9 +106,39 @@ class TestBuildModel:
 
     def test_model_shape_validation(self):
         with pytest.raises(ShapeError):
-            LindbladModel([np.eye(2), np.eye(3)])
-        with pytest.raises(ShapeError):
-            LindbladModel([])
+            LindbladModel(1, 2, [(0, 0, np.eye(2)), (0, 0, np.eye(3))])
+        with pytest.raises(DomainError):
+            LindbladModel(2, 2, [(0, 2, np.eye(2))])
+        with pytest.raises(DomainError):
+            LindbladModel(0, 2, [])
+
+
+class TestDenseOracle:
+    """The block model against the kron-assembled dense master equation."""
+
+    @pytest.mark.parametrize("include_reset", [False, True])
+    def test_block_rhs_matches_dense_rhs(self, include_reset):
+        rng = np.random.default_rng(11)
+        circuit = toffoli13()
+        model = build_dqc_lindblad(circuit, include_reset=include_reset)
+        jumps = dense_chain_jumps(circuit, include_reset)
+        for _ in range(3):
+            blocks = random_block_state(rng, model.num_nodes, model.dim)
+            got = embed_blocks(lindblad_rhs(model, blocks))
+            expected = dense_rhs(jumps, embed_blocks(blocks))
+            assert np.abs(got - expected).max() < 1e-12
+
+    @pytest.mark.parametrize("include_reset", [False, True])
+    def test_dense_rhs_keeps_inter_node_blocks_zero(self, include_reset):
+        rng = np.random.default_rng(12)
+        circuit = toffoli13()
+        num_nodes = circuit.depth + 1
+        blocks = random_block_state(rng, num_nodes, 8)
+        out = dense_rhs(dense_chain_jumps(circuit, include_reset), embed_blocks(blocks))
+        for i in range(num_nodes):
+            for j in range(num_nodes):
+                if i != j:
+                    assert not node_block(out, i, j, num_nodes).any(), (i, j)
 
 
 class TestRhs:
@@ -100,49 +158,51 @@ class TestRhs:
         assert np.linalg.norm(lindblad_rhs(model, rho_star)) < 1e-10
 
     def test_amplitude_damping_by_hand(self):
-        model = LindbladModel([np.array([[0.0, 1.0], [0.0, 0.0]])])
-        rhs = lindblad_rhs(model, np.diag([0.0, 1.0]).astype(complex))
-        assert np.allclose(rhs, np.diag([1.0, -1.0]), atol=1e-14)
+        # a one-node model is the dense generator of its jumps
+        model = LindbladModel(1, 2, [(0, 0, LOWER)])
+        rhs = lindblad_rhs(model, np.diag([0.0, 1.0])[None])
+        assert np.allclose(rhs, np.diag([1.0, -1.0])[None], atol=1e-14)
 
     def test_traceless_and_hermitian_on_random_states(self):
         rng = np.random.default_rng(0)
-        model = build_dqc_lindblad(single_gate_circuit())
+        model = build_dqc_lindblad(single_gate_circuit(), include_reset=True)
         for _ in range(10):
-            a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            rho = a @ a.conj().T
-            rho /= np.trace(rho).real
-            out = lindblad_rhs(model, rho)
-            assert abs(np.trace(out)) < 1e-10
-            assert np.linalg.norm(out - out.conj().T) < 1e-10
+            out = lindblad_rhs(model, random_block_state(rng, 2, 2))
+            assert abs(np.einsum("nii->", out)) < 1e-10
+            assert np.linalg.norm(out - out.conj().transpose(0, 2, 1)) < 1e-10
 
     def test_input_validation(self):
         model = build_dqc_lindblad(single_gate_circuit())
         with pytest.raises(ShapeError):
-            lindblad_rhs(model, np.eye(3))
+            lindblad_rhs(model, np.eye(4) / 4)  # a dense state is not blocks
+        with pytest.raises(ShapeError):
+            lindblad_rhs(model, np.stack([np.eye(3) / 6] * 2))
         with pytest.raises(DomainError):
-            lindblad_rhs(model, np.eye(4))  # trace 4
-        skew = np.eye(4, dtype=complex) / 4
-        skew[0, 1] = 1j
+            lindblad_rhs(model, np.stack([np.eye(2)] * 2))  # trace 4
+        skew = np.stack([np.eye(2, dtype=complex) / 4] * 2)
+        skew[0, 0, 1] = 1j
         with pytest.raises(DomainError):
             lindblad_rhs(model, skew)
+        nan = np.stack([np.eye(2) / 4] * 2)
+        nan[1, 0, 1] = nan[1, 1, 0] = np.nan
+        with pytest.raises(DomainError):
+            lindblad_rhs(model, nan)
 
 
 class TestIntegrate:
     def test_single_gate_relaxes_to_uniform_registers(self):
         model = build_dqc_lindblad(single_gate_circuit())
-        psi0 = basis_state(1, "0")
-        rho0 = np.kron(np.outer(psi0, psi0.conj()), node_projector(0, 2))
-        result = integrate(model, rho0, dt=0.01, stop_tol=1e-9, max_time=50.0)
+        result = integrate(model, start_state(model, "0"), dt=0.01, stop_tol=1e-9,
+                           max_time=50.0)
         assert result.stationary
-        marginals = node_marginals(result.rho, 2, 2)
-        assert np.abs(marginals - 0.5).max() < 1e-6
+        assert np.abs(node_marginals(result.rho) - 0.5).max() < 1e-6
         # full state matches the uniform mixture
-        rho_star = chain_mixture([H], psi0, 2)
+        rho_star = chain_mixture([H], basis_state(1, "0"), 2)
         assert np.abs(result.rho - rho_star).max() < 1e-6
 
     def test_zero_jump_model_is_inert(self):
-        model = LindbladModel([], dim=2)
-        rho0 = np.diag([0.25, 0.75]).astype(complex)
+        model = LindbladModel(1, 2, [])
+        rho0 = np.diag([0.25, 0.75]).astype(complex)[None]
         result = integrate(model, rho0, dt=0.1, stop_tol=1e-12, max_time=5.0)
         assert result.stationary
         assert result.steps == 0
@@ -150,15 +210,14 @@ class TestIntegrate:
 
     def test_trajectory_stays_physical(self):
         model = build_dqc_lindblad(single_gate_circuit())
-        psi0 = basis_state(1, "0")
-        rho0 = np.kron(np.outer(psi0, psi0.conj()), node_projector(0, 2))
         seen = []
 
         def observer(t, rho):
-            seen.append((t, np.trace(rho).real, np.linalg.norm(rho - rho.conj().T)))
+            herm = np.linalg.norm(rho - rho.conj().transpose(0, 2, 1))
+            seen.append((t, np.einsum("nii->", rho).real, herm))
 
         integrate(
-            model, rho0, dt=0.01, stop_tol=1e-9, max_time=30.0,
+            model, start_state(model, "0"), dt=0.01, stop_tol=1e-9, max_time=30.0,
             observer=observer, observe_every=1.0,
         )
         assert len(seen) > 3
@@ -171,10 +230,9 @@ class TestIntegrate:
         model = build_dqc_lindblad(single_gate_circuit())
         final = []
         for bits, node in [("0", 0), ("1", 1)]:
-            psi = basis_state(1, bits)
-            rho0 = np.kron(np.outer(psi, psi.conj()), node_projector(node, 2))
+            rho0 = start_state(model, bits, node)
             res = integrate(model, rho0, dt=0.02, stop_tol=1e-10, max_time=100.0)
-            final.append(node_marginals(res.rho, 2, 2))
+            final.append(node_marginals(res.rho))
         assert np.abs(final[0] - final[1]).max() < 1e-8
 
     def test_reset_jumps_keep_mixture_stationary_for_zero_input(self):
@@ -185,35 +243,32 @@ class TestIntegrate:
         assert np.linalg.norm(lindblad_rhs(model, rho_star)) < 1e-10
 
     def test_rejects_bad_dt(self):
-        model = LindbladModel([], dim=2)
+        model = LindbladModel(1, 2, [])
         with pytest.raises(DomainError):
-            integrate(model, np.eye(2) / 2, dt=0.0)
+            integrate(model, np.eye(2)[None] / 2, dt=0.0)
 
     def test_matches_balanced_walk_marginals(self):
         # continuous-time stationary registers are uniform, exactly what the
         # discrete walk gives at omega = 1/2: the two models tie together
-        from oqwalk.walk import BlockState, ChainParams, run_until_converged, two_node_gate_walk
+        from oqwalk.walk import ChainParams, run_until_converged, two_node_gate_walk
 
         model = build_dqc_lindblad(single_gate_circuit())
-        psi0 = basis_state(1, "0")
-        rho0 = np.kron(np.outer(psi0, psi0.conj()), node_projector(0, 2))
+        rho0 = start_state(model, "0")
         res = integrate(model, rho0, dt=0.01, stop_tol=1e-9, max_time=50.0)
-        continuous = node_marginals(res.rho, 2, 2)
+        continuous = node_marginals(res.rho)
 
         walk = two_node_gate_walk(H, ChainParams(0.5))
-        report = run_until_converged(
-            walk, BlockState.pure(2, 2, 0, psi0), tol=1e-10
-        )
+        report = run_until_converged(walk, BlockState(rho0), tol=1e-10)
         assert np.abs(continuous - report.history[-1]).max() < 1e-6
 
 
 class TestNodeMarginals:
-    def test_ordering_internal_then_node(self):
-        # population on internal basis 1, node 2 of a 2x3 factorization
-        rho = np.zeros((6, 6), dtype=complex)
-        rho[1 * 3 + 2, 1 * 3 + 2] = 1.0
-        assert np.allclose(node_marginals(rho, 2, 3), [0.0, 0.0, 1.0])
+    def test_traces_of_node_blocks(self):
+        # population on internal basis 1 at node 2 of three nodes
+        blocks = np.zeros((3, 2, 2), dtype=complex)
+        blocks[2, 1, 1] = 1.0
+        assert np.allclose(node_marginals(blocks), [0.0, 0.0, 1.0])
 
     def test_shape_guard(self):
         with pytest.raises(ShapeError):
-            node_marginals(np.eye(5), 2, 3)
+            node_marginals(np.eye(6))
