@@ -2,9 +2,11 @@
 
 Subcommands: ``validate`` (circuit and walk normalization report), ``run``
 (single walk to steady state, per-step CSV), ``sweep`` (ω grid, one summary
-row per value), ``lindblad`` (continuous-time cross-check).  All numeric CSV
-fields are printed with 17 significant digits and LF line endings, so output
-is byte-stable for a fixed configuration.
+row per value), ``lindblad`` (continuous-time cross-check).  Each subcommand
+accepts only the options it reads; ``lindblad`` integrates the unit-rate
+master equation, so it takes no ω, ``--tol`` or ``--max-steps``.  All numeric
+CSV fields are printed with 17 significant digits and LF line endings, so
+output is byte-stable for a fixed configuration.
 
 Exit codes: 0 success, 1 numerical non-convergence, 2 input error.
 """
@@ -15,7 +17,6 @@ import argparse
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -37,26 +38,8 @@ EXIT_OK = 0
 EXIT_NUMERIC = 1
 EXIT_INPUT = 2
 
-_DEFAULT_INPUTS = {"toffoli": "110", "qft3": "000", "qft4": "0000"}
+_DEFAULT_INPUTS = {"toffoli": "110"}
 _DEFAULT_TOLS = {"qft4": 1e-5}
-
-
-@dataclass
-class RunConfig:
-    """Resolved options for one subcommand invocation."""
-
-    circuit: str
-    omegas: list[float] = field(default_factory=lambda: [0.5])
-    tol: float | None = None
-    max_steps: int = 100_000
-    input_bits: str | None = None
-    out: str | None = None
-    # lindblad-only knobs
-    dt: float = 0.01
-    stop_tol: float = 1e-8
-    max_time: float = 500.0
-    record_every: float = 1.0
-    include_reset: bool = False
 
 
 def fmt(x: float) -> str:
@@ -88,6 +71,13 @@ def parse_omega_spec(spec: str) -> list[float]:
     return values
 
 
+def _single_omega(spec: str) -> float:
+    omegas = parse_omega_spec(spec)
+    if len(omegas) != 1:
+        raise DomainError(f"omega must be a single value, got grid {spec!r}; use sweep")
+    return omegas[0]
+
+
 def load_circuit(name_or_path: str) -> Circuit:
     """Built-in name, otherwise a path to a circuit text file."""
     if name_or_path in BUILTIN_CIRCUITS:
@@ -101,51 +91,50 @@ def load_circuit(name_or_path: str) -> Circuit:
     return parse_circuit(path.read_text(encoding="utf-8"), name=path.stem)
 
 
-def _resolve_input(cfg: RunConfig, circuit: Circuit) -> str:
-    bits = cfg.input_bits
+def _input_state(args: argparse.Namespace, circuit: Circuit) -> np.ndarray:
+    bits = args.input_bits
     if bits is None:
-        bits = _DEFAULT_INPUTS.get(cfg.circuit, "0" * circuit.num_qubits)
-    if len(bits) != circuit.num_qubits:
-        raise DomainError(
-            f"input {bits!r} has {len(bits)} bits, circuit has {circuit.num_qubits} qubits"
-        )
-    return bits
+        bits = _DEFAULT_INPUTS.get(args.circuit, "0" * circuit.num_qubits)
+    return basis_state(circuit.num_qubits, bits)
 
 
-def _resolve_tol(cfg: RunConfig) -> float:
-    if cfg.tol is not None:
-        if not (np.isfinite(cfg.tol) and cfg.tol > 0):
-            raise DomainError(f"tol must be finite and positive, got {cfg.tol}")
-        return cfg.tol
-    return _DEFAULT_TOLS.get(cfg.circuit, 1e-7)
+def _resolve_tol(circuit: str, tol: float | None) -> float:
+    return _DEFAULT_TOLS.get(circuit, 1e-7) if tol is None else tol
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.out is None or cfg.out == "-":
+def _emit(out: str | None, text: str) -> None:
+    if out is None or out == "-":
         sys.stdout.write(text)
     else:
-        Path(cfg.out).write_bytes(text.encode("utf-8"))
+        Path(out).write_bytes(text.encode("utf-8"))
 
 
-def _single_run(circuit: Circuit, omega: float, tol: float, cfg: RunConfig, bits: str):
-    params = wk.ChainParams(omega)
-    chain = wk.build_dqc_chain(circuit, params)
-    psi0 = basis_state(circuit.num_qubits, bits)
-    init = wk.BlockState.pure(chain.num_nodes, chain.dim, 0, psi0)
+def _walk_job(args: argparse.Namespace):
+    """The per-ω walk of ``run`` and ``sweep``: ω -> ConvergenceReport."""
+    circuit = load_circuit(args.circuit)
+    psi0 = _input_state(args, circuit)
     target = circuit_product(circuit) @ psi0
-    return wk.run_until_converged(
-        chain, init, tol=tol, max_steps=cfg.max_steps, target_state=target
-    )
+    tol = _resolve_tol(args.circuit, args.tol)
+
+    def job(omega: float) -> wk.ConvergenceReport:
+        chain = wk.build_dqc_chain(circuit, wk.ChainParams(omega))
+        init = wk.BlockState.pure(chain.num_nodes, chain.dim, 0, psi0)
+        return wk.run_until_converged(
+            chain, init, tol=tol, max_steps=args.max_steps, target_state=target
+        )
+
+    return job
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_validate(cfg: RunConfig) -> int:
-    circuit = load_circuit(cfg.circuit)
+def cmd_validate(args: argparse.Namespace) -> int:
+    omega = _single_omega(args.omega)
+    circuit = load_circuit(args.circuit)
     lines = [
-        f"circuit: {circuit.name or cfg.circuit} "
+        f"circuit: {circuit.name or args.circuit} "
         f"({circuit.num_qubits} qubits, {circuit.depth} slices)"
     ]
     unis = circuit_unitaries(circuit)
@@ -153,7 +142,6 @@ def cmd_validate(cfg: RunConfig) -> int:
         frobenius(u.conj().T @ u - np.eye(u.shape[0])) for u in unis
     )
     lines.append(f"max slice unitarity residual: {uni_residual:.3e}")
-    omega = cfg.omegas[0] if len(cfg.omegas) == 1 else 0.5
     chain = wk.build_dqc_chain(circuit, wk.ChainParams(omega))
     violations = wk.validate(chain, tol=0.0)  # collect raw residuals
     norm_residual = max((v.residual for v in violations), default=0.0)
@@ -162,17 +150,13 @@ def cmd_validate(cfg: RunConfig) -> int:
     )
     ok = uni_residual <= 1e-10 and norm_residual <= 1e-10
     lines.append("OK" if ok else "FAIL")
-    print("\n".join(lines))
+    _emit(args.out, "\n".join(lines) + "\n")
     return EXIT_OK if ok else EXIT_NUMERIC
 
 
-def cmd_run(cfg: RunConfig) -> int:
-    if len(cfg.omegas) != 1:
-        raise DomainError("run takes a single omega; use sweep for grids")
-    circuit = load_circuit(cfg.circuit)
-    bits = _resolve_input(cfg, circuit)
-    tol = _resolve_tol(cfg)
-    report = _single_run(circuit, cfg.omegas[0], tol, cfg, bits)
+def cmd_run(args: argparse.Namespace) -> int:
+    omega = _single_omega(args.omega)
+    report = _walk_job(args)(omega)
 
     rows = ["step,node,probability"]
     for n, dist in enumerate(report.history):
@@ -183,26 +167,17 @@ def cmd_run(cfg: RunConfig) -> int:
         f"{report.steps},{fmt(report.final_detection)},"
         f"{fmt(report.final_fidelity)},{str(report.converged).lower()}"
     )
-    _emit(cfg, "\n".join(rows) + "\n")
+    _emit(args.out, "\n".join(rows) + "\n")
     return EXIT_OK if report.converged else EXIT_NUMERIC
 
 
 def _sweep_workers() -> int:
-    env = os.environ.get("OQW_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
     return min(8, os.cpu_count() or 1)
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    circuit = load_circuit(cfg.circuit)
-    bits = _resolve_input(cfg, circuit)
-    tol = _resolve_tol(cfg)
-    omegas = sorted(cfg.omegas)
-
-    def job(omega: float):
-        return _single_run(circuit, omega, tol, cfg, bits)
-
+def cmd_sweep(args: argparse.Namespace) -> int:
+    omegas = sorted(parse_omega_spec(args.omega))
+    job = _walk_job(args)
     with ThreadPoolExecutor(max_workers=_sweep_workers()) as pool:
         reports = list(pool.map(job, omegas))
 
@@ -214,15 +189,14 @@ def cmd_sweep(cfg: RunConfig) -> int:
             f"{fmt(omega)},{report.steps},{fmt(report.final_detection)},"
             f"{str(report.converged).lower()}"
         )
-    _emit(cfg, "\n".join(rows) + "\n")
+    _emit(args.out, "\n".join(rows) + "\n")
     return EXIT_OK if all_converged else EXIT_NUMERIC
 
 
-def cmd_lindblad(cfg: RunConfig) -> int:
-    circuit = load_circuit(cfg.circuit)
-    bits = _resolve_input(cfg, circuit)
-    model = lb.build_dqc_lindblad(circuit, include_reset=cfg.include_reset)
-    psi0 = basis_state(circuit.num_qubits, bits)
+def cmd_lindblad(args: argparse.Namespace) -> int:
+    circuit = load_circuit(args.circuit)
+    psi0 = _input_state(args, circuit)
+    model = lb.build_dqc_lindblad(circuit, include_reset=args.include_reset)
     rho0 = wk.BlockState.pure(model.num_nodes, model.dim, 0, psi0).blocks
 
     samples: list[tuple[float, np.ndarray]] = []
@@ -233,11 +207,11 @@ def cmd_lindblad(cfg: RunConfig) -> int:
     result = lb.integrate(
         model,
         rho0,
-        dt=cfg.dt,
-        stop_tol=cfg.stop_tol,
-        max_time=cfg.max_time,
+        dt=args.dt,
+        stop_tol=args.stop_tol,
+        max_time=args.max_time,
         observer=observer,
-        observe_every=cfg.record_every,
+        observe_every=args.record_every,
     )
     rows = ["time,node,probability"]
     for t, marg in samples:
@@ -247,7 +221,7 @@ def cmd_lindblad(cfg: RunConfig) -> int:
     deviation = float(np.abs(samples[-1][1] - uniform).max())
     rows.append("max_deviation_from_uniform,stationary")
     rows.append(f"{fmt(deviation)},{str(result.stationary).lower()}")
-    _emit(cfg, "\n".join(rows) + "\n")
+    _emit(args.out, "\n".join(rows) + "\n")
     return EXIT_OK if result.stationary else EXIT_NUMERIC
 
 
@@ -261,60 +235,41 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Open quantum walk simulator for dissipative circuit chains.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    validate, run, sweep, lindblad = (
+        sub.add_parser(name) for name in ("validate", "run", "sweep", "lindblad")
+    )
+    for p, fn in ((validate, cmd_validate), (run, cmd_run),
+                  (sweep, cmd_sweep), (lindblad, cmd_lindblad)):
+        p.set_defaults(func=fn)
         p.add_argument("--circuit", required=True, help="built-in name or file path")
-        p.add_argument("--omega", default="0.5", help="value or start:stop:step grid")
+    for p in (validate, run, sweep):
+        p.add_argument("--omega", default="0.5",
+                       help="value, or start:stop:step grid (sweep only)")
+    for p in (run, sweep):
         p.add_argument("--tol", type=float, default=None,
                        help="convergence tolerance (default 1e-7; 1e-5 for qft4)")
         p.add_argument("--max-steps", type=int, default=100_000)
+    for p in (run, sweep, lindblad):
         p.add_argument("--input", dest="input_bits", default=None,
                        help="input bitstring (defaults per circuit)")
+    for p in (validate, run, sweep, lindblad):
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
-    for name, fn in [
-        ("validate", cmd_validate),
-        ("run", cmd_run),
-        ("sweep", cmd_sweep),
-        ("lindblad", cmd_lindblad),
-    ]:
-        p = sub.add_parser(name)
-        common(p)
-        p.set_defaults(func=fn)
-
-    lp = sub.choices["lindblad"]
-    lp.add_argument("--dt", type=float, default=0.01, help="integrator step size")
-    lp.add_argument("--stop-tol", type=float, default=1e-8,
-                    help="stationarity threshold on the generator norm")
-    lp.add_argument("--max-time", type=float, default=500.0)
-    lp.add_argument("--record-every", type=float, default=1.0,
-                    help="sampling interval for the CSV trajectory")
-    lp.add_argument("--include-reset", action="store_true",
-                    help="add the per-qubit reset jumps at register 0")
+    lindblad.add_argument("--dt", type=float, default=0.01, help="integrator step size")
+    lindblad.add_argument("--stop-tol", type=float, default=1e-8,
+                          help="stationarity threshold on the generator norm")
+    lindblad.add_argument("--max-time", type=float, default=500.0)
+    lindblad.add_argument("--record-every", type=float, default=1.0,
+                          help="sampling interval for the CSV trajectory")
+    lindblad.add_argument("--include-reset", action="store_true",
+                          help="add the per-qubit reset jumps at register 0")
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(
-        circuit=args.circuit,
-        omegas=parse_omega_spec(args.omega),
-        tol=args.tol,
-        max_steps=args.max_steps,
-        input_bits=args.input_bits,
-        out=args.out,
-    )
-    for name in ("dt", "stop_tol", "max_time", "record_every", "include_reset"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    return cfg
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        code = args.func(cfg)
+        return args.func(args)
     except (
         CircuitParseError,
         DomainError,
@@ -325,7 +280,6 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    return code
 
 
 if __name__ == "__main__":

@@ -154,8 +154,11 @@ def integrate(
                         ("observe_every", observe_every)):
         if not math.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value}")
-    if dt <= 0:
-        raise DomainError("dt must be positive")
+    for name, value in (("dt", dt), ("stop_tol", stop_tol), ("observe_every", observe_every)):
+        if value <= 0:
+            raise DomainError(f"{name} must be positive, got {value}")
+    if max_time < 0:
+        raise DomainError(f"max_time must be non-negative, got {max_time}")
     rho = _checked_blocks(model, rho0, "rho0")
     rho = 0.5 * (rho + _adjoint(rho))
     rhs = lambda r: _rhs(model, r)

@@ -372,8 +372,8 @@ def run_until_converged(
     last node) and ``final_fidelity`` is the overlap of that node's
     normalized block with ``target_state`` (NaN when no target is supplied).
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tol must be finite and positive, got {tol}")
     if max_steps < 1:
         raise DomainError(f"max_steps must be >= 1, got {max_steps}")
     validate_state(init)

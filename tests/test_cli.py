@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oqwalk import cli
-from oqwalk.cli import RunConfig, fmt, main, parse_omega_spec
+from oqwalk.cli import fmt, main, parse_omega_spec
 
 
 def read_run_csv(path):
@@ -63,6 +63,21 @@ class TestValidateCommand:
 
     def test_missing_file(self, capsys):
         assert main(["validate", "--circuit", "no_such_thing"]) == 2
+
+    def test_out_writes_the_report(self, tmp_path, capsys):
+        out = tmp_path / "report.txt"
+        assert main(["validate", "--circuit", "toffoli", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 4
+        assert "13 slices" in lines[0]
+        assert lines[-1] == "OK"
+        assert capsys.readouterr().out == ""
+
+    def test_grid_rejected(self, capsys):
+        assert main(["validate", "--circuit", "toffoli", "--omega", "0.5:0.9:0.1"]) == 2
+        captured = capsys.readouterr()
+        assert "omega" in captured.err
+        assert captured.out == ""
 
 
 class TestRunCommand:
@@ -149,16 +164,6 @@ class TestSweepCommand:
         assert int(row[1]) == summary["steps"]
         assert float(row[2]) == summary["detection"]
 
-    def test_respects_thread_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("OQW_THREADS", "2")
-        out = tmp_path / "sweep.csv"
-        code = main([
-            "sweep", "--circuit", "qft3", "--omega", "0.6:0.9:0.1",
-            "--out", str(out),
-        ])
-        assert code == 0
-        assert len(out.read_text().splitlines()) == 5
-
     def test_nonconverged_cell_sets_exit_code(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = main([
@@ -222,11 +227,28 @@ class TestLoadCircuit:
         assert c.name == "c"
 
 
-def test_run_config_defaults():
-    cfg = RunConfig(circuit="qft4")
-    assert cli._resolve_tol(cfg) == 1e-5
-    cfg2 = RunConfig(circuit="toffoli")
-    assert cli._resolve_tol(cfg2) == 1e-7
+def test_resolve_tol_defaults():
+    assert cli._resolve_tol("qft4", None) == 1e-5
+    assert cli._resolve_tol("toffoli", None) == 1e-7
+    assert cli._resolve_tol("qft4", 3e-4) == 3e-4
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("validate", "--tol"),
+        ("validate", "--max-steps"),
+        ("validate", "--input"),
+        ("lindblad", "--omega"),
+        ("lindblad", "--tol"),
+        ("lindblad", "--max-steps"),
+    ],
+)
+def test_option_the_command_does_not_read_is_rejected(command, option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--circuit", "toffoli", option, "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -240,6 +262,10 @@ def test_run_config_defaults():
         (["lindblad", "--circuit", "toffoli", "--max-time", "inf"], "max_time"),
         (["lindblad", "--circuit", "toffoli", "--dt", "nan"], "dt"),
         (["lindblad", "--circuit", "toffoli", "--record-every", "inf"], "observe_every"),
+        (["lindblad", "--circuit", "toffoli", "--max-time", "-5"], "max_time"),
+        (["lindblad", "--circuit", "toffoli", "--stop-tol", "-1"], "stop_tol"),
+        (["lindblad", "--circuit", "toffoli", "--record-every", "0"], "observe_every"),
+        (["lindblad", "--circuit", "toffoli", "--record-every", "-1"], "observe_every"),
     ],
 )
 def test_non_finite_or_empty_input_is_an_input_error(argv, named, tmp_path, capsys):

@@ -349,6 +349,12 @@ class TestRunUntilConverged:
         assert not report.converged
         assert report.steps == 5
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_rejects_non_finite_tol(self, tol):
+        walk = OpenQuantumWalk(1, 2, {(0, 0): np.eye(2)})
+        with pytest.raises(DomainError, match="tol"):
+            run_until_converged(walk, BlockState.pure(1, 2, 0, PSI), tol=tol)
+
     def test_history_rows_are_distributions(self):
         walk = build_dqc_chain(qft(3), ChainParams(0.7))
         init = BlockState.pure(walk.num_nodes, walk.dim, 0, basis_state(3, "000"))
