@@ -27,7 +27,7 @@ import cmath
 import math
 import re
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -119,6 +119,16 @@ class Circuit:
     @property
     def depth(self) -> int:
         return len(self.slices)
+
+    @cached_property
+    def _unitaries(self) -> tuple[np.ndarray, ...]:
+        """Read-only [U_1 .. U_T], compiled on first use.  The circuit is
+        immutable, so every chain, product and model built from it shares
+        one compile."""
+        out = tuple(slice_unitary(s, self.num_qubits) for s in self.slices)
+        for u in out:
+            u.flags.writeable = False
+        return out
 
 
 def _check_slice(gates, num_qubits: int, where: str = "slice") -> None:
@@ -212,16 +222,17 @@ def slice_unitary(gates, num_qubits: int) -> np.ndarray:
 
 
 def circuit_unitaries(circuit: Circuit) -> list[np.ndarray]:
-    """[U_1 .. U_T], one unitary per slice."""
-    return [slice_unitary(s, circuit.num_qubits) for s in circuit.slices]
+    """[U_1 .. U_T], one unitary per slice: a new list of the circuit's
+    read-only compiled slices."""
+    return list(circuit._unitaries)
 
 
 def circuit_product(circuit: Circuit) -> np.ndarray:
-    """U_T · U_{T-1} · ... · U_1."""
+    """U_T · U_{T-1} · ... · U_1, as a new writeable array."""
     us = circuit_unitaries(circuit)
     if not us:
         return np.eye(2**circuit.num_qubits, dtype=np.complex128)
-    return reduce(lambda acc, u: u @ acc, us)
+    return reduce(lambda acc, u: u @ acc, us[1:], us[0].copy())
 
 
 def basis_state(num_qubits: int, bits: str) -> np.ndarray:

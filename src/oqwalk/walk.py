@@ -364,9 +364,12 @@ def run_until_converged(
     """Iterate the walk until consecutive states differ by less than tol.
 
     The distance is the summed per-block trace norm, which upper-bounds any
-    measurement-probability change.  The node distribution is recorded every
-    step; exhausting ``max_steps`` yields ``converged=False`` rather than an
-    exception.
+    measurement-probability change.  It is computed only on steps where the
+    change of the node distribution does not already exceed ``tol``: that
+    change bounds the distance from below, so on the other steps the run
+    cannot converge, and the result is the same as computing it every step.
+    The node distribution is recorded every step; exhausting ``max_steps``
+    yields ``converged=False`` rather than an exception.
 
     ``final_detection`` is the population of ``target_node`` (default: the
     last node) and ``final_fidelity`` is the overlap of that node's
@@ -382,6 +385,19 @@ def run_until_converged(
     if not 0 <= target_node < walk.num_nodes:
         raise DomainError(f"target node {target_node} out of range")
 
+    # |Tr Δρ_n| ≤ ‖Δρ_n‖₁ for each block, so the population change
+    # ``moved`` = Σ_n |Δp_n| bounds the trace-norm distance from below, and a
+    # step whose ``moved`` exceeds tol by ``margin`` cannot converge.  The
+    # margin covers rounding.  Absolute part: each trace sums d diagonal
+    # entries of a PSD block, and those entries total 1 over all blocks, so
+    # the traces of both states err by at most 2dε in all.  Relative part:
+    # eigvalsh is backward stable, so its sum of |eigenvalues| errs by a
+    # small polynomial in d times ε relative to ‖Δρ‖₁, and the sums over N
+    # nodes by N·ε; for any dense d and N both lie far below 1e-6.
+    # So with ``margin`` = tol·1e-6 + 64dε every skipped step would have
+    # computed a distance of at least tol: the decision, the step count, the
+    # history and the final state are those of computing it every step.
+    margin = tol * 1e-6 + 64 * walk.dim * np.finfo(np.float64).eps
     history = [init.probabilities()]
     prev = init
     converged = False
@@ -393,13 +409,13 @@ def run_until_converged(
             raise ArithmeticError(
                 f"trace drifted to {probs.sum()} at step {n}; walk is not trace preserving"
             )
+        moved = float(np.abs(probs - history[-1]).sum())
         history.append(probs)
         steps = n
-        if block_diff_norm(cur, prev) < tol:
-            converged = True
-            prev = cur
-            break
+        converged = moved <= tol + margin and block_diff_norm(cur, prev) < tol
         prev = cur
+        if converged:
+            break
 
     final_detection = float(history[-1][target_node])
     if target_state is not None and final_detection > TOL.zero_probability:

@@ -175,6 +175,26 @@ class TestBuiltinCircuits:
         c = Circuit(1, ((Gate("H", (1,)),), (Gate("H", (1,)),)))
         assert np.allclose(circuit_product(c), np.eye(2), atol=1e-15)
 
+    @pytest.mark.parametrize("name", sorted(BUILTIN_CIRCUITS))
+    def test_compiled_once_read_only_and_equal_to_a_fresh_compile(self, name):
+        circuit = BUILTIN_CIRCUITS[name]()
+        first, second = circuit_unitaries(circuit), circuit_unitaries(circuit)
+        assert first is not second
+        assert all(a is b for a, b in zip(first, second))
+        fresh = [slice_unitary(s, circuit.num_qubits) for s in circuit.slices]
+        assert len(first) == len(fresh)
+        for u, v in zip(first, fresh):
+            assert not u.flags.writeable
+            assert np.array_equal(u, v)
+        with pytest.raises(ValueError):
+            first[0][0, 0] = 0.0
+
+    def test_product_of_one_slice_is_a_writeable_copy(self):
+        c = Circuit(1, ((Gate("H", (1,)),),))
+        product = circuit_product(c)
+        assert product.flags.writeable
+        assert product is not circuit_unitaries(c)[0]
+
     def test_single_slice_unitaries(self):
         c = Circuit(1, ((Gate("H", (1,)),),))
         us = circuit_unitaries(c)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oqwalk import cli
+from oqwalk import circuits, cli
 from oqwalk.cli import fmt, main, parse_omega_spec
 
 
@@ -130,6 +130,23 @@ class TestRunCommand:
         assert summary["converged"] == "false"
         assert summary["steps"] == 3
 
+    def test_trace_drift_is_a_numeric_failure(self, tmp_path, monkeypatch, capsys):
+        build = cli.wk.build_dqc_chain
+
+        def leaky_chain(circuit, params):
+            chain = build(circuit, params)
+            coins = {edge: 1.01 * op for edge, op in chain.transitions.items()}
+            return cli.wk.OpenQuantumWalk(chain.num_nodes, chain.dim, coins)
+
+        monkeypatch.setattr(cli.wk, "build_dqc_chain", leaky_chain)
+        code = main([
+            "run", "--circuit", "toffoli", "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: trace drifted")
+        assert "Traceback" not in err
+
     def test_input_length_checked(self, tmp_path, capsys):
         code = main([
             "run", "--circuit", "toffoli", "--omega", "0.5", "--input", "11",
@@ -163,6 +180,22 @@ class TestSweepCommand:
         _, summary = read_run_csv(run_out)
         assert int(row[1]) == summary["steps"]
         assert float(row[2]) == summary["detection"]
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--omega", "0.5:0.95:0.05"],
+        ["validate"],
+    ])
+    def test_compiles_each_slice_once(self, argv, tmp_path, monkeypatch):
+        compiles = []
+        compile_slice = circuits.slice_unitary
+
+        def counted(gates, num_qubits):
+            compiles.append(gates)
+            return compile_slice(gates, num_qubits)
+
+        monkeypatch.setattr(circuits, "slice_unitary", counted)
+        assert main([*argv, "--circuit", "toffoli", "--out", str(tmp_path / "x")]) == 0
+        assert len(compiles) == circuits.toffoli13().depth
 
     def test_nonconverged_cell_sets_exit_code(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -4,6 +4,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from oqwalk import _kernels
 from oqwalk.circuits import BUILTIN_CIRCUITS, Circuit, Gate
@@ -134,6 +137,33 @@ class TestStackedTraceNorm:
         stack = stack + stack.conj().transpose(0, 2, 1)
         expected = sum(trace_norm(m) for m in stack)
         assert _kernels.stacked_trace_norm(stack) == pytest.approx(expected, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        parts=st.integers(1, 5).flatmap(
+            lambda n: st.integers(1, 6).flatmap(
+                lambda d: hnp.arrays(
+                    np.float64, (2, n, d, d), elements=st.floats(-1.0, 1.0, width=32)
+                )
+            )
+        ),
+        definite=st.booleans(),
+    )
+    def test_traces_bound_it_from_below(self, parts, definite):
+        # the bound run_until_converged skips steps by: Σ|Tr Δ_n| ≤ Σ‖Δ_n‖₁,
+        # with equality when each block is semidefinite
+        a = parts[0] + 1j * parts[1]
+        if definite:
+            signs = np.where(np.arange(a.shape[0]) % 2, -1.0, 1.0)[:, None, None]
+            diff = signs * (a @ a.conj().transpose(0, 2, 1))
+        else:
+            diff = a + a.conj().transpose(0, 2, 1)
+        diagonal = np.einsum("nii->ni", diff).real
+        traces = np.abs(diagonal.sum(axis=1)).sum()
+        norm = _kernels.stacked_trace_norm(diff)
+        # the rounding margin of run_until_converged, whose diagonals total 2
+        rounding = 64 * diff.shape[1] * np.finfo(float).eps * np.abs(diagonal).sum() / 2
+        assert traces <= norm * (1 + 1e-6) + rounding
 
 
 def test_fresh_import_runs_numpy_only():

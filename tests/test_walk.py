@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oqwalk import _kernels
 from oqwalk.circuits import (
     Circuit,
     Gate,
@@ -443,3 +444,97 @@ class TestBlockState:
         # orthogonal node labels: blocks differ by two unit-trace projectors
         assert block_diff_norm(a, b) == pytest.approx(2.0, abs=1e-12)
         assert trace_norm(a.blocks[0] - b.blocks[0]) == pytest.approx(1.0)
+
+
+def reference_run(walk, init, tol, max_steps=100_000):
+    """The convergence loop with the trace-norm distance computed every step."""
+    history = [init.probabilities()]
+    prev = init
+    for n in range(1, max_steps + 1):
+        cur = step(walk, prev)
+        history.append(cur.probabilities())
+        done = block_diff_norm(cur, prev) < tol
+        prev = cur
+        if done:
+            return n, True, np.array(history), prev
+    return max_steps, False, np.array(history), prev
+
+
+def settled_population_walk(rng, num_nodes=3, dim=4, angle=0.4):
+    """A complete-graph walk with coins √q_i·U_{j→i}: every source hops to i
+    with probability q_i, so the node populations settle after one step,
+    while the random unitaries near I go on mixing the internal states."""
+    q = rng.dirichlet(np.ones(num_nodes))
+    table = {}
+    for j in range(num_nodes):
+        for i in range(num_nodes):
+            a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            lam, vec = np.linalg.eigh(a + a.conj().T)
+            u = (vec * np.exp(1j * angle * lam)) @ vec.conj().T
+            table[(j, i)] = math.sqrt(q[i]) * u
+    return OpenQuantumWalk(num_nodes, dim, table)
+
+
+def random_mixed_state(rng, num_nodes, dim):
+    a = rng.normal(size=(num_nodes, dim, dim)) + 1j * rng.normal(size=(num_nodes, dim, dim))
+    blocks = a @ a.conj().transpose(0, 2, 1)
+    return BlockState(blocks / np.einsum("nii->", blocks).real)
+
+
+class TestTraceNormSkip:
+    """run_until_converged computes the trace-norm distance only where the
+    population change leaves convergence in doubt; the result must be that
+    of computing it every step, bit for bit."""
+
+    def run_counted(self, monkeypatch, walk, init, tol):
+        calls = []
+        kernel = _kernels.stacked_trace_norm
+
+        def counted(diff):
+            calls.append(1)
+            return kernel(diff)
+
+        with monkeypatch.context() as m:
+            m.setattr(_kernels, "stacked_trace_norm", counted)
+            report = run_until_converged(walk, init, tol=tol)
+        return report, len(calls)
+
+    def assert_same(self, report, walk, init, tol):
+        steps, converged, history, final = reference_run(walk, init, tol)
+        assert (report.steps, report.converged) == (steps, converged)
+        assert np.array_equal(report.history, history)
+        assert np.array_equal(report.final_state.blocks, final.blocks)
+
+    @pytest.mark.parametrize("tol", [1e-5, 1e-7, 1e-12])
+    @pytest.mark.parametrize("omega", [0.5, 0.8, 0.95])
+    @pytest.mark.parametrize("make, bits", [(toffoli13, "110"), (lambda: qft(4), "0000")])
+    def test_chain_matches_reference_and_skips_eigendecompositions(
+        self, monkeypatch, make, bits, omega, tol
+    ):
+        circuit = make()
+        walk = build_dqc_chain(circuit, ChainParams(omega))
+        init = BlockState.pure(
+            walk.num_nodes, walk.dim, 0, basis_state(circuit.num_qubits, bits)
+        )
+        report, calls = self.run_counted(monkeypatch, walk, init, tol)
+        assert report.converged
+        # block t is p_t·V_t ρ0 V_t†, so the population change is the
+        # trace-norm distance and only the converging step needs it; near
+        # the rounding floor, noise in the coherences makes a few more
+        # steps doubtful (up to 13 of 1526 for qft4 at ω = 0.5, tol 1e-12)
+        if tol >= 1e-7:
+            assert calls == 1
+        else:
+            assert calls < report.steps / 4
+        self.assert_same(report, walk, init, tol)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_settled_populations_match_reference(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        walk = settled_population_walk(rng)
+        init = random_mixed_state(rng, walk.num_nodes, walk.dim)
+        report, calls = self.run_counted(monkeypatch, walk, init, 1e-12)
+        assert report.converged
+        # every step after the first leaves convergence in doubt
+        assert calls >= report.steps - 1 > 10
+        self.assert_same(report, walk, init, 1e-12)
