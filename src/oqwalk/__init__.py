@@ -22,9 +22,8 @@ from .circuits import (
     toffoli13,
     toffoli_matrix,
 )
-from .config import TOL, Tolerances
+from .config import TOL
 from .errors import (
-    CapacityError,
     CircuitError,
     CircuitParseError,
     DomainError,
@@ -32,13 +31,11 @@ from .errors import (
 )
 from .lindblad import LindbladModel, build_dqc_lindblad, integrate, lindblad_rhs
 from .walk import (
-    BathParams,
     BlockState,
     ChainParams,
     ConvergenceReport,
     OpenQuantumWalk,
     analytic_chain_steady,
-    bath_to_rates,
     build_dqc_chain,
     classical_marginal_step,
     conditional_state,

@@ -1,4 +1,4 @@
-"""Gate library, qubit embedding, built-in circuits, and the text format.
+"""Gate library, slice compiler, built-in circuits, and the text format.
 
 Conventions
 -----------
@@ -32,14 +32,13 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .errors import CircuitError, CircuitParseError, DomainError
-from .linalg import kron
 
 __all__ = [
     "Gate",
     "Circuit",
+    "MAX_QUBITS",
     "gate_matrix",
-    "embed",
-    "embed_single",
+    "apply_on_qubits",
     "slice_unitary",
     "circuit_unitaries",
     "circuit_product",
@@ -59,8 +58,13 @@ _PARAMETRIC = ("P", "CP")
 
 _H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2.0)
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-_P0 = np.diag([1.0, 0.0]).astype(np.complex128)
-_P1 = np.diag([0.0, 1.0]).astype(np.complex128)
+_CNOT = np.array(
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=np.complex128
+)
+
+#: Every engine stores dense 2^n x 2^n operators, so a circuit is capped at
+#: 12 qubits (dimension 4096).
+MAX_QUBITS = 12
 
 
 def _phase_matrix(theta: float) -> np.ndarray:
@@ -109,9 +113,13 @@ class Circuit:
     name: str = ""
 
     def __post_init__(self):
-        if self.num_qubits < 1:
-            raise CircuitError("num_qubits must be >= 1")
+        if not 1 <= self.num_qubits <= MAX_QUBITS:
+            raise CircuitError(
+                f"a circuit has 1 to {MAX_QUBITS} qubits, got {self.num_qubits}"
+            )
         slices = tuple(tuple(s) for s in self.slices)
+        if not slices:
+            raise CircuitError("a circuit has at least one slice")
         for t, gates in enumerate(slices):
             _check_slice(gates, self.num_qubits, where=f"slice {t + 1}")
         object.__setattr__(self, "slices", slices)
@@ -167,7 +175,7 @@ def gate_matrix(kind: str, theta: float | None = None) -> np.ndarray:
     if kind == "CNOT":
         if theta is not None:
             raise DomainError("CNOT takes no phase angle")
-        return kron(_P0, np.eye(2)) + kron(_P1, _X)
+        return _CNOT.copy()
     if kind == "CP":
         _need_theta(kind, theta)
         return np.diag([1.0, 1.0, 1.0, cmath.exp(1j * theta)]).astype(np.complex128)
@@ -179,45 +187,30 @@ def _need_theta(kind, theta):
         raise DomainError(f"{kind} requires a finite phase angle")
 
 
-def embed_single(op: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
-    """Place a 2x2 operator on one qubit, identity elsewhere."""
-    if not 1 <= qubit <= num_qubits:
-        raise DomainError(f"qubit {qubit} out of range 1..{num_qubits}")
-    left = np.eye(2 ** (qubit - 1), dtype=np.complex128)
-    right = np.eye(2 ** (num_qubits - qubit), dtype=np.complex128)
-    return kron(kron(left, op), right)
+def apply_on_qubits(op: np.ndarray, qubits, mat: np.ndarray) -> np.ndarray:
+    """The 2^k x 2^k ``op`` applied to the k ``qubits`` of the row index of
+    ``mat``, which has 2^n rows; the first of ``qubits`` is the most
+    significant bit of ``op``'s index.
 
-
-def embed(gate: Gate, num_qubits: int) -> np.ndarray:
-    """Expand a gate to the full 2^n x 2^n unitary.
-
-    Controlled gates are assembled as P0 ⊗ I + P1 ⊗ V with the projectors
-    placed on the control wire, which works for any (control, target) pair,
-    adjacent or not.
+    Equal to (``op`` embedded in the n-qubit register) @ ``mat``, but each
+    entry costs one 2^k-term sum on the reshaped qubit axes.
     """
-    if any(q > num_qubits for q in gate.qubits):
-        raise DomainError(
-            f"gate {gate.kind} {gate.qubits} exceeds qubit count {num_qubits}"
-        )
-    if gate.kind in _SINGLE_KINDS:
-        return embed_single(gate_matrix(gate.kind, gate.theta), gate.qubits[0], num_qubits)
-    control, target = gate.qubits
-    if gate.kind == "CNOT":
-        v = _X
-    else:
-        v = _phase_matrix(gate.theta)
-    return embed_single(_P0, control, num_qubits) + embed_single(
-        _P1, control, num_qubits
-    ) @ embed_single(v, target, num_qubits)
+    k, n = len(qubits), mat.shape[0].bit_length() - 1
+    axes = [q - 1 for q in qubits]
+    tensor = mat.reshape((2,) * n + (-1,))
+    out = np.tensordot(
+        op.reshape((2,) * 2 * k), tensor, axes=(list(range(k, 2 * k)), axes)
+    )
+    return np.moveaxis(out, list(range(k)), axes).reshape(mat.shape)
 
 
 def slice_unitary(gates, num_qubits: int) -> np.ndarray:
-    """Product of the embedded gates of one slice (order irrelevant: disjoint)."""
-    gates = tuple(gates)
-    _check_slice(gates, num_qubits)
+    """The gates of one slice applied to the identity (order irrelevant:
+    disjoint).  The slice is checked as a one-slice circuit."""
+    (gates,) = Circuit(num_qubits, (gates,)).slices
     out = np.eye(2**num_qubits, dtype=np.complex128)
     for g in gates:
-        out = embed(g, num_qubits) @ out
+        out = apply_on_qubits(gate_matrix(g.kind, g.theta), g.qubits, out)
     return out
 
 
@@ -230,8 +223,6 @@ def circuit_unitaries(circuit: Circuit) -> list[np.ndarray]:
 def circuit_product(circuit: Circuit) -> np.ndarray:
     """U_T · U_{T-1} · ... · U_1, as a new writeable array."""
     us = circuit_unitaries(circuit)
-    if not us:
-        return np.eye(2**circuit.num_qubits, dtype=np.complex128)
     return reduce(lambda acc, u: u @ acc, us[1:], us[0].copy())
 
 
@@ -348,7 +339,7 @@ def _render_phase(theta: float) -> str:
     return repr(theta)
 
 
-def _parse_gate(token: str, num_qubits: int, line_no: int) -> Gate:
+def _parse_gate(token: str, line_no: int) -> Gate:
     parts = token.split()
     name = parts[0]
     if name not in _SINGLE_KINDS + _TWO_KINDS:
@@ -365,18 +356,15 @@ def _parse_gate(token: str, num_qubits: int, line_no: int) -> Gate:
         raise CircuitParseError(line_no, f"bad qubit index in {token!r}") from None
     theta = _parse_phase(parts[-1], line_no) if name in _PARAMETRIC else None
     try:
-        gate = Gate(name, qubits, theta)
+        return Gate(name, qubits, theta)
     except CircuitError as exc:
         raise CircuitParseError(line_no, str(exc)) from None
-    if any(q > num_qubits for q in gate.qubits):
-        raise CircuitParseError(
-            line_no, f"qubit out of range 1..{num_qubits} in {token!r}"
-        )
-    return gate
 
 
 def parse_circuit(text: str, name: str = "") -> Circuit:
-    """Parse the line-oriented circuit format; errors carry line numbers."""
+    """Parse the line-oriented circuit format; errors carry line numbers,
+    and a qubit count or depth outside the limits of ``Circuit`` is an
+    error of the header line."""
     num_qubits = None
     slices: list[tuple[Gate, ...]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -387,14 +375,12 @@ def parse_circuit(text: str, name: str = "") -> Circuit:
             m = re.match(r"^qubits\s+(\d+)$", line)
             if not m:
                 raise CircuitParseError(line_no, "expected 'qubits <n>' header")
-            num_qubits = int(m.group(1))
-            if num_qubits < 1:
-                raise CircuitParseError(line_no, "qubit count must be >= 1")
+            num_qubits, header_line = int(m.group(1)), line_no
             continue
         tokens = [t.strip() for t in line.split(";")]
         if any(not t for t in tokens):
             raise CircuitParseError(line_no, "empty gate between ';' separators")
-        gates = tuple(_parse_gate(t, num_qubits, line_no) for t in tokens)
+        gates = tuple(_parse_gate(t, line_no) for t in tokens)
         try:
             _check_slice(gates, num_qubits)
         except CircuitError as exc:
@@ -402,7 +388,10 @@ def parse_circuit(text: str, name: str = "") -> Circuit:
         slices.append(gates)
     if num_qubits is None:
         raise CircuitParseError(1, "missing 'qubits <n>' header")
-    return Circuit(num_qubits, tuple(slices), name=name)
+    try:
+        return Circuit(num_qubits, tuple(slices), name=name)
+    except CircuitError as exc:
+        raise CircuitParseError(header_line, str(exc)) from None
 
 
 def render_circuit(circuit: Circuit) -> str:

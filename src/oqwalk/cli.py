@@ -31,7 +31,7 @@ from .circuits import (
     circuit_unitaries,
     parse_circuit,
 )
-from .errors import CapacityError, CircuitParseError, DomainError, ShapeError
+from .errors import DomainError
 from .linalg import frobenius
 
 EXIT_OK = 0
@@ -270,14 +270,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (
-        CircuitParseError,
-        DomainError,
-        ShapeError,
-        CapacityError,
-        FileNotFoundError,
-        ValueError,
-    ) as exc:
+    except (ValueError, OSError) as exc:  # bad values, circuits and files
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ArithmeticError as exc:

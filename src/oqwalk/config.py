@@ -1,4 +1,4 @@
-"""Central numerical tolerances and size caps.
+"""Central numerical tolerances.
 
 Every tolerance used by the library lives in one frozen record so that tests
 and library code agree on what "Hermitian enough" or "unitary enough" means.
@@ -26,6 +26,3 @@ class Tolerances:
 
 
 TOL = Tolerances()
-
-#: Dense storage only; refuse to build matrices beyond this dimension.
-MAX_DENSE_DIM = 4096

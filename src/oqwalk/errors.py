@@ -9,10 +9,6 @@ class DomainError(ValueError):
     """Input is outside the mathematical domain of the operation."""
 
 
-class CapacityError(ValueError):
-    """Requested object exceeds the dense desk-scale size caps."""
-
-
 class CircuitError(ValueError):
     """Invalid gate, slice, or circuit structure."""
 

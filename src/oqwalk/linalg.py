@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import MAX_DENSE_DIM, TOL
-from .errors import CapacityError, DomainError, ShapeError
+from .config import TOL
+from .errors import DomainError, ShapeError
 
 __all__ = [
     "as_matrix",
-    "kron",
     "dagger",
     "frobenius",
     "trace_norm",
@@ -33,18 +32,6 @@ def as_matrix(a) -> np.ndarray:
     if not np.isfinite(m).all():
         raise DomainError("matrix contains NaN or Inf entries")
     return m
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product a ⊗ b."""
-    a, b = as_matrix(a), as_matrix(b)
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
-    if max(rows, cols) > MAX_DENSE_DIM:
-        raise CapacityError(
-            f"kron result {rows}x{cols} exceeds dense cap {MAX_DENSE_DIM}"
-        )
-    return np.kron(a, b)
 
 
 def dagger(a) -> np.ndarray:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .circuits import Circuit, circuit_unitaries, embed_single
+from .circuits import Circuit, apply_on_qubits, circuit_unitaries
 from .errors import DomainError, ShapeError
 from .linalg import frobenius
 from .walk import BlockState, edge_arrays
@@ -77,16 +77,14 @@ def build_dqc_lindblad(circuit: Circuit, include_reset: bool = False) -> Lindbla
     Slice t gives the edges (t−1 → t, U_t) and (t → t−1, U_t†);
     ``include_reset`` adds one (0 → 0) edge per qubit, lowering that qubit.
     """
-    big_t = circuit.depth
-    if big_t < 1:
-        raise DomainError("circuit must have at least one slice")
+    big_t, n = circuit.depth, circuit.num_qubits
     edges = []
     for t, u in enumerate(circuit_unitaries(circuit), start=1):
         edges += [(t - 1, t, u), (t, t - 1, u.conj().T)]
     if include_reset:
-        for q in range(1, circuit.num_qubits + 1):
-            edges.append((0, 0, embed_single(_LOWER, q, circuit.num_qubits)))
-    return LindbladModel(big_t + 1, 2**circuit.num_qubits, edges)
+        eye = np.eye(2**n, dtype=np.complex128)
+        edges += [(0, 0, apply_on_qubits(_LOWER, (q,), eye)) for q in range(1, n + 1)]
+    return LindbladModel(big_t + 1, 2**n, edges)
 
 
 def _adjoint(blocks) -> np.ndarray:

@@ -31,7 +31,6 @@ from .linalg import as_matrix, dagger, frobenius, is_hermitian, is_unitary, psd_
 
 __all__ = [
     "ChainParams",
-    "BathParams",
     "OpenQuantumWalk",
     "BlockState",
     "Violation",
@@ -42,7 +41,6 @@ __all__ = [
     "two_node_gate_walk",
     "classical_marginal_step",
     "analytic_chain_steady",
-    "bath_to_rates",
     "run_until_converged",
     "conditional_state",
     "block_diff_norm",
@@ -65,29 +63,6 @@ class ChainParams:
     @property
     def lam(self) -> float:
         return 1.0 - self.omega
-
-
-@dataclass(frozen=True)
-class BathParams:
-    """Thermal bath behind the chain weights: emission rate γ, occupation n."""
-
-    gamma: float
-    nbar: float
-
-    def __post_init__(self):
-        if not self.gamma > 0:
-            raise DomainError("gamma must be positive")
-        if self.nbar < 0:
-            raise DomainError("nbar must be non-negative")
-
-
-def bath_to_rates(bath: BathParams) -> ChainParams:
-    """Normalize the bath rates ω ∝ γ(n+1), λ ∝ γn so that λ + ω = 1.
-
-    γ cancels in the ratio; n = 0 gives the absorbing ω = 1 sweep and
-    n → ∞ approaches the unbiased ω = 1/2 chain.
-    """
-    return ChainParams(omega=(bath.nbar + 1.0) / (2.0 * bath.nbar + 1.0))
 
 
 def edge_arrays(num_nodes: int, dim: int, edges):
@@ -265,8 +240,6 @@ def build_dqc_chain(circuit: Circuit, params: ChainParams) -> OpenQuantumWalk:
     node 0 backs onto itself with √λ·I and node T self-loops with √ω·I, so
     every source satisfies the normalization exactly.
     """
-    if circuit.depth < 1:
-        raise DomainError("circuit must have at least one slice")
     return _chain_walk(circuit_unitaries(circuit), params)
 
 

@@ -9,7 +9,7 @@ or kernels, so it is an independent oracle for the block model.
 
 import numpy as np
 
-from oqwalk.circuits import circuit_unitaries, embed_single
+from oqwalk.circuits import circuit_unitaries
 
 LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -30,8 +30,9 @@ def dense_chain_jumps(circuit, include_reset=False):
         hop = node_op(t, t - 1, num_nodes)
         jumps.append(np.kron(u, hop) + np.kron(u.conj().T, hop.T))
     if include_reset:
-        for q in range(1, circuit.num_qubits + 1):
-            lower = embed_single(LOWER, q, circuit.num_qubits)
+        n = circuit.num_qubits
+        for q in range(1, n + 1):
+            lower = np.kron(np.kron(np.eye(2 ** (q - 1)), LOWER), np.eye(2 ** (n - q)))
             jumps.append(np.kron(lower, node_op(0, 0, num_nodes)))
     return jumps
 

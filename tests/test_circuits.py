@@ -1,17 +1,20 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oqwalk.circuits import (
     BUILTIN_CIRCUITS,
+    MAX_QUBITS,
     Circuit,
     Gate,
     basis_state,
     circuit_product,
     circuit_unitaries,
     dft_matrix,
-    embed,
     gate_matrix,
     parse_circuit,
     qft,
@@ -21,12 +24,12 @@ from oqwalk.circuits import (
     toffoli_matrix,
 )
 from oqwalk.errors import CircuitError, CircuitParseError, DomainError
-from oqwalk.linalg import is_unitary, kron
+from oqwalk.linalg import is_unitary
 
 
 def embed_oracle(gate: Gate, num_qubits: int) -> np.ndarray:
     """Brute-force embedding: enumerate basis states and apply the gate matrix
-    to the extracted bits.  Independent of the kron-placement code path."""
+    to the extracted bits.  Independent of the tensor-axis compile path."""
     local = gate_matrix(gate.kind, gate.theta)
     k = len(gate.qubits)
     dim = 2**num_qubits
@@ -46,6 +49,33 @@ def embed_oracle(gate: Gate, num_qubits: int) -> np.ndarray:
                 b_out = (b_out & ~(1 << s)) | (bit << s)
             out[b_out, b] += amp
     return out
+
+
+SINGLE_KINDS = ("H", "X", "S", "Sdg", "T", "Tdg", "R", "P")
+PHASES = st.sampled_from([math.pi, -math.pi / 2, math.pi / 4, -math.pi / 8]) | (
+    st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def random_slice(draw, num_qubits):
+    """Disjoint gates over a random subset of the qubits, at least one gate."""
+    free = draw(st.permutations(range(1, num_qubits + 1)))
+    gates = []
+    while free and (not gates or draw(st.booleans())):
+        kind = draw(st.sampled_from(SINGLE_KINDS + ("CNOT", "CP") * (len(free) > 1)))
+        arity = 1 if kind in SINGLE_KINDS else 2
+        qubits, free = tuple(free[:arity]), free[arity:]
+        theta = draw(PHASES) if kind in ("P", "CP") else None
+        gates.append(Gate(kind, qubits, theta))
+    return tuple(gates)
+
+
+@st.composite
+def random_circuit(draw, max_qubits=6):
+    """1 to max_qubits qubits, 1 to 6 random slices."""
+    n = draw(st.integers(1, max_qubits))
+    return Circuit(n, tuple(draw(st.lists(random_slice(n), min_size=1, max_size=6))))
 
 
 class TestGateMatrix:
@@ -86,21 +116,23 @@ class TestGateMatrix:
 
 
 class TestEmbed:
+    """A one-gate slice is the gate embedded in the full register."""
+
     def test_cnot_2_3_matches_tensor_expansion(self):
         # I ⊗ |0><0| ⊗ I + I ⊗ |1><1| ⊗ X
         x = gate_matrix("X")
-        expected = kron(np.eye(2), kron(np.diag([1.0, 0.0]), np.eye(2))) + kron(
-            np.eye(2), kron(np.diag([0.0, 1.0]), x)
-        )
-        got = embed(Gate("CNOT", (2, 3)), 3)
+        p0, p1, eye = np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.eye(2)
+        expected = np.kron(eye, np.kron(p0, eye)) + np.kron(eye, np.kron(p1, x))
+        got = slice_unitary([Gate("CNOT", (2, 3))], 3)
         assert np.allclose(got, expected, atol=1e-15)
 
     def test_single_qubit_trivial(self):
-        assert np.allclose(embed(Gate("H", (1,)), 1), gate_matrix("H"), atol=1e-15)
+        got = slice_unitary([Gate("H", (1,))], 1)
+        assert np.allclose(got, gate_matrix("H"), atol=1e-15)
 
     def test_cphase_nonadjacent_against_enumeration(self):
         g = Gate("CP", (3, 1), math.pi / 2)
-        assert np.allclose(embed(g, 3), embed_oracle(g, 3), atol=1e-14)
+        assert np.allclose(slice_unitary([g], 3), embed_oracle(g, 3), atol=1e-14)
 
     @pytest.mark.parametrize(
         "gate,n",
@@ -116,17 +148,17 @@ class TestEmbed:
         ],
     )
     def test_against_enumeration_oracle(self, gate, n):
-        assert np.allclose(embed(gate, n), embed_oracle(gate, n), atol=1e-14)
+        assert np.allclose(slice_unitary([gate], n), embed_oracle(gate, n), atol=1e-14)
 
     def test_out_of_range(self):
-        with pytest.raises(DomainError):
-            embed(Gate("H", (3,)), 2)
+        with pytest.raises(CircuitError):
+            slice_unitary([Gate("H", (3,))], 2)
 
 
 class TestSliceUnitary:
     def test_disjoint_single_qubit_gates(self):
         got = slice_unitary([Gate("T", (2,)), Gate("T", (3,))], 3)
-        expected = embed(Gate("T", (2,)), 3) @ embed(Gate("T", (3,)), 3)
+        expected = embed_oracle(Gate("T", (2,)), 3) @ embed_oracle(Gate("T", (3,)), 3)
         assert np.allclose(got, expected, atol=1e-15)
 
     def test_empty_slice_rejected(self):
@@ -135,12 +167,49 @@ class TestSliceUnitary:
 
     def test_cnot_and_hadamard_matches_kron(self):
         got = slice_unitary([Gate("CNOT", (1, 2)), Gate("H", (3,))], 3)
-        expected = kron(gate_matrix("CNOT"), gate_matrix("H"))
+        expected = np.kron(gate_matrix("CNOT"), gate_matrix("H"))
         assert np.allclose(got, expected, atol=1e-15)
 
     def test_overlapping_qubits(self):
         with pytest.raises(CircuitError):
             slice_unitary([Gate("H", (1,)), Gate("CNOT", (1, 2))], 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), random_slice(n))))
+    def test_equals_the_product_of_enumerated_embeddings(self, case):
+        n, gates = case
+        expected = reduce(lambda acc, g: embed_oracle(g, n) @ acc, gates, np.eye(2**n))
+        assert np.abs(slice_unitary(gates, n) - expected).max() <= 1e-14
+
+
+class TestCircuitLimits:
+    """``Circuit`` holds every shape limit: 1..MAX_QUBITS qubits, >= 1 slice."""
+
+    def test_largest_register_is_accepted(self):
+        assert Circuit(MAX_QUBITS, ((Gate("H", (MAX_QUBITS,)),),)).num_qubits == 12
+
+    @pytest.mark.parametrize("n", [0, MAX_QUBITS + 1, 40])
+    def test_qubit_count_outside_the_limit(self, n):
+        with pytest.raises(CircuitError, match="1 to 12 qubits"):
+            Circuit(n, ((Gate("H", (1,)),),))
+
+    def test_no_slices(self):
+        with pytest.raises(CircuitError, match="at least one slice"):
+            Circuit(2, ())
+
+    def test_slice_unitary_checks_the_register_first(self):
+        with pytest.raises(CircuitError, match="1 to 12 qubits"):
+            slice_unitary([Gate("H", (1,))], MAX_QUBITS + 1)
+
+    @pytest.mark.parametrize(
+        "text, match, header_line",
+        [("qubits 13\nH 13\n", "1 to 12 qubits", 1),
+         ("# c\nqubits 2\n", "at least one slice", 2)],
+    )
+    def test_parse_reports_the_header_line(self, text, match, header_line):
+        with pytest.raises(CircuitParseError, match=match) as err:
+            parse_circuit(text)
+        assert err.value.line_no == header_line
 
 
 class TestBuiltinCircuits:
@@ -272,6 +341,11 @@ class TestParse:
     def test_cp_normalizes_order(self):
         c = parse_circuit("qubits 3\nCP 3 1 pi/2\n")
         assert c.slices[0][0].qubits == (1, 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_circuit())
+    def test_round_trip_of_random_circuits(self, circuit):
+        assert parse_circuit(render_circuit(circuit)) == circuit
 
     @pytest.mark.parametrize("name", sorted(BUILTIN_CIRCUITS))
     def test_round_trip(self, name):

@@ -284,6 +284,13 @@ def test_option_the_command_does_not_read_is_rejected(command, option, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+CIRCUIT_FILES = {
+    "40": "qubits 40\nH 1\n",
+    "13": "qubits 13\nH 13\n",
+    "empty": "# no slices\nqubits 3\n",
+}
+
+
 @pytest.mark.parametrize(
     "argv, named",
     [
@@ -299,10 +306,29 @@ def test_option_the_command_does_not_read_is_rejected(command, option, capsys):
         (["lindblad", "--circuit", "toffoli", "--stop-tol", "-1"], "stop_tol"),
         (["lindblad", "--circuit", "toffoli", "--record-every", "0"], "observe_every"),
         (["lindblad", "--circuit", "toffoli", "--record-every", "-1"], "observe_every"),
+        (["run", "--circuit", "@40"], "1 to 12 qubits"),
+        (["validate", "--circuit", "@13"], "1 to 12 qubits"),
+        (["lindblad", "--circuit", "@13"], "1 to 12 qubits"),
+        (["validate", "--circuit", "@empty"], "at least one slice"),
+        (["run", "--circuit", "@dir"], "directory"),
     ],
 )
 def test_non_finite_or_empty_input_is_an_input_error(argv, named, tmp_path, capsys):
+    # "@name" stands for a circuit file of CIRCUIT_FILES, "@dir" for a directory
+    for name, text in CIRCUIT_FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+    (tmp_path / "dir").mkdir()
     out = tmp_path / "x.csv"
     assert main([*argv, "--out", str(out)]) == 2
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_unwritable_out_is_an_input_error(tmp_path, capsys):
+    argv = ["run", "--circuit", "qft3", "--omega", "1.0", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from oqwalk.errors import CapacityError, DomainError
+from oqwalk.errors import DomainError
 from oqwalk.linalg import (
     dagger,
     is_unitary,
-    kron,
     psd_check,
     trace_norm,
 )
@@ -21,36 +20,6 @@ def random_matrix(rng, n):
 def random_hermitian(rng, n):
     a = random_matrix(rng, n)
     return a + a.conj().T
-
-
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_diagonal(self):
-        got = kron(np.diag([1.0, 2.0]), np.eye(2))
-        assert np.array_equal(got, np.diag([1.0, 1.0, 2.0, 2.0]))
-
-    def test_entry_formula_oracle(self):
-        # independent oracle: build kron(|0><0|, X) entry by entry
-        a = np.diag([1.0, 0.0]).astype(complex)
-        expected = np.zeros((4, 4), dtype=complex)
-        for i1 in range(2):
-            for j1 in range(2):
-                for i2 in range(2):
-                    for j2 in range(2):
-                        expected[i1 * 2 + i2, j1 * 2 + j2] = a[i1, j1] * X[i2, j2]
-        assert np.array_equal(kron(a, X), expected)
-
-    def test_associative_on_integers(self):
-        rng = np.random.default_rng(0)
-        a, b, c = (rng.integers(-3, 4, (2, 2)).astype(complex) for _ in range(3))
-        assert np.array_equal(kron(kron(a, b), c), kron(a, kron(b, c)))
-
-    def test_size_cap(self):
-        big = np.eye(128)
-        with pytest.raises(CapacityError):
-            kron(big, np.eye(64))
 
 
 class TestDagger:
@@ -123,8 +92,8 @@ class TestIsUnitary:
 
     def test_cnot_on_middle_and_last_qubit(self):
         # I ⊗ |0><0| ⊗ I + I ⊗ |1><1| ⊗ X on three qubits
-        u6 = kron(np.eye(2), kron(np.diag([1.0, 0.0]), np.eye(2))) + kron(
-            np.eye(2), kron(np.diag([0.0, 1.0]), X)
+        u6 = np.kron(np.eye(2), np.kron(np.diag([1.0, 0.0]), np.eye(2))) + np.kron(
+            np.eye(2), np.kron(np.diag([0.0, 1.0]), X)
         )
         assert is_unitary(u6, 1e-12)
 
