@@ -33,12 +33,14 @@ from .lindblad import LindbladModel, build_dqc_lindblad, integrate, lindblad_rhs
 from .walk import (
     BlockState,
     ChainParams,
+    ChainWalk,
     ConvergenceReport,
     OpenQuantumWalk,
     analytic_chain_steady,
     build_dqc_chain,
     classical_marginal_step,
     conditional_state,
+    run_chain,
     run_until_converged,
     step,
     two_node_gate_walk,

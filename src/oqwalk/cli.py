@@ -38,6 +38,9 @@ EXIT_OK = 0
 EXIT_NUMERIC = 1
 EXIT_INPUT = 2
 
+#: Largest ``start:stop:step`` grid; each point is one walk run.
+MAX_GRID_POINTS = 10_000
+
 _DEFAULT_INPUTS = {"toffoli": "110"}
 _DEFAULT_TOLS = {"qft4": 1e-5}
 
@@ -57,7 +60,13 @@ def parse_omega_spec(spec: str) -> list[float]:
             raise ValueError("grid step must be positive")
         if not np.isfinite(stop - start):
             raise ValueError("grid bounds must be finite")
-        n = int(round((stop - start) / step_size))
+        intervals = (stop - start) / step_size
+        # round(intervals) + 1 points; checked before the list is built
+        if not intervals < MAX_GRID_POINTS - 0.5:  # also rejects inf
+            raise ValueError(
+                f"omega grid {spec!r} is too fine; at most {MAX_GRID_POINTS} points"
+            )
+        n = int(round(intervals))
         # snap accumulated float error so grid points equal the user's literals
         values = [round(start + k * step_size, 12) for k in range(n + 1)]
         values = [v for v in values if v <= stop + 1e-12]
@@ -118,9 +127,8 @@ def _walk_job(args: argparse.Namespace):
 
     def job(omega: float) -> wk.ConvergenceReport:
         chain = wk.build_dqc_chain(circuit, wk.ChainParams(omega))
-        init = wk.BlockState.pure(chain.num_nodes, chain.dim, 0, psi0)
-        return wk.run_until_converged(
-            chain, init, tol=tol, max_steps=args.max_steps, target_state=target
+        return wk.run_chain(
+            chain, psi0, tol=tol, max_steps=args.max_steps, target_state=target
         )
 
     return job

@@ -11,14 +11,16 @@ forward hops apply the next gate with amplitude √ω and whose backward hops
 undo the previous gate with amplitude √λ, λ = 1 − ω.  Because every coin is
 a scalar multiple of a unitary, node populations follow a classical
 birth-death chain, which this module also provides, together with its
-geometric stationary distribution.
+geometric stationary distribution.  ``run_chain`` is the one place that uses
+this structure: it iterates the populations as a walk with 1×1 coins and
+applies the circuit to the input state once.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -37,11 +39,13 @@ __all__ = [
     "ConvergenceReport",
     "validate",
     "step",
+    "ChainWalk",
     "build_dqc_chain",
     "two_node_gate_walk",
     "classical_marginal_step",
     "analytic_chain_steady",
     "run_until_converged",
+    "run_chain",
     "conditional_state",
     "block_diff_norm",
 ]
@@ -143,6 +147,17 @@ class OpenQuantumWalk:
         )
 
 
+def _unit_vector(psi, dim: int) -> np.ndarray:
+    """psi as a normalized complex vector of dimension dim."""
+    psi = np.asarray(psi, dtype=np.complex128).reshape(-1)
+    if psi.shape[0] != dim:
+        raise ShapeError(f"psi has dimension {psi.shape[0]}, expected {dim}")
+    norm = np.linalg.norm(psi)
+    if norm == 0:
+        raise DomainError("psi must be non-zero")
+    return psi / norm
+
+
 class BlockState:
     """Walker state: one unnormalized density block per node, stacked (N, d, d)."""
 
@@ -157,13 +172,7 @@ class BlockState:
     @classmethod
     def pure(cls, num_nodes: int, dim: int, node: int, psi) -> "BlockState":
         """All population at one node, in the pure internal state psi."""
-        psi = np.asarray(psi, dtype=np.complex128).reshape(-1)
-        if psi.shape[0] != dim:
-            raise ShapeError(f"psi has dimension {psi.shape[0]}, expected {dim}")
-        norm = np.linalg.norm(psi)
-        if norm == 0:
-            raise DomainError("psi must be non-zero")
-        psi = psi / norm
+        psi = _unit_vector(psi, dim)
         if not 0 <= node < num_nodes:
             raise DomainError(f"node {node} out of range")
         blocks = np.zeros((num_nodes, dim, dim), dtype=np.complex128)
@@ -232,7 +241,30 @@ def step(walk: OpenQuantumWalk, state: BlockState) -> BlockState:
     return BlockState(new)
 
 
-def build_dqc_chain(circuit: Circuit, params: ChainParams) -> OpenQuantumWalk:
+class ChainWalk(OpenQuantumWalk):
+    """The (T+1)-node chain walk over U_1..U_T described in build_dqc_chain.
+
+    It is an ordinary ``OpenQuantumWalk`` with the same edge table; it also
+    keeps the ``params`` and the ``unitaries`` it was built from, which
+    ``run_chain`` reads.
+    """
+
+    def __init__(self, unitaries, params: ChainParams):
+        self.params = params
+        self.unitaries = tuple(unitaries)
+        big_t = len(self.unitaries)
+        dim = self.unitaries[0].shape[0]
+        sqrt_w = math.sqrt(params.omega)
+        sqrt_l = math.sqrt(params.lam)
+        eye = np.eye(dim, dtype=np.complex128)
+        table = {(0, 0): sqrt_l * eye, (big_t, big_t): sqrt_w * eye}
+        for t, u in enumerate(self.unitaries, start=1):
+            table[(t - 1, t)] = sqrt_w * u
+            table[(t, t - 1)] = sqrt_l * dagger(u)
+        super().__init__(big_t + 1, dim, table)
+
+
+def build_dqc_chain(circuit: Circuit, params: ChainParams) -> ChainWalk:
     """Compile a circuit into its dissipative chain walk.
 
     Nodes 0..T are time registers.  Interior node t hops forward applying
@@ -240,29 +272,15 @@ def build_dqc_chain(circuit: Circuit, params: ChainParams) -> OpenQuantumWalk:
     node 0 backs onto itself with √λ·I and node T self-loops with √ω·I, so
     every source satisfies the normalization exactly.
     """
-    return _chain_walk(circuit_unitaries(circuit), params)
+    return ChainWalk(circuit_unitaries(circuit), params)
 
 
-def two_node_gate_walk(u, params: ChainParams) -> OpenQuantumWalk:
+def two_node_gate_walk(u, params: ChainParams) -> ChainWalk:
     """The elementary single-gate walk on two nodes."""
     u = as_matrix(u)
     if not is_unitary(u, 1e-10):
         raise DomainError("coin matrix must be unitary within 1e-10")
-    return _chain_walk([u], params)
-
-
-def _chain_walk(unitaries, params: ChainParams) -> OpenQuantumWalk:
-    """The (T+1)-node chain walk over U_1..U_T described in build_dqc_chain."""
-    big_t = len(unitaries)
-    dim = unitaries[0].shape[0]
-    sqrt_w = math.sqrt(params.omega)
-    sqrt_l = math.sqrt(params.lam)
-    eye = np.eye(dim, dtype=np.complex128)
-    table = {(0, 0): sqrt_l * eye, (big_t, big_t): sqrt_w * eye}
-    for t, u in enumerate(unitaries, start=1):
-        table[(t - 1, t)] = sqrt_w * u
-        table[(t, t - 1)] = sqrt_l * dagger(u)
-    return OpenQuantumWalk(big_t + 1, dim, table)
+    return ChainWalk([u], params)
 
 
 def classical_marginal_step(params: ChainParams, big_t: int, p) -> np.ndarray:
@@ -391,18 +409,60 @@ def run_until_converged(
             break
 
     final_detection = float(history[-1][target_node])
-    if target_state is not None and final_detection > TOL.zero_probability:
-        psi = np.asarray(target_state, dtype=np.complex128).reshape(-1)
-        rho = conditional_state(prev, target_node)
-        final_fidelity = float((psi.conj() @ rho @ psi).real)
-    else:
-        # undefined without a target, or when no probability has arrived yet
-        final_fidelity = math.nan
     return ConvergenceReport(
         steps=steps,
         converged=converged,
         history=np.array(history),
         final_detection=final_detection,
-        final_fidelity=final_fidelity,
+        final_fidelity=_fidelity(prev, target_node, final_detection, target_state),
         final_state=prev,
+    )
+
+
+def _fidelity(state: BlockState, node: int, detection: float, target_state) -> float:
+    """Overlap of the normalized block at node with target_state."""
+    if target_state is None or detection <= TOL.zero_probability:
+        # undefined without a target, or when no probability has arrived yet
+        return math.nan
+    psi = np.asarray(target_state, dtype=np.complex128).reshape(-1)
+    rho = conditional_state(state, node)
+    return float((psi.conj() @ rho @ psi).real)
+
+
+def run_chain(
+    chain: ChainWalk,
+    psi0,
+    tol: float = 1e-7,
+    max_steps: int = 100_000,
+    target_state=None,
+) -> ConvergenceReport:
+    """``run_until_converged`` of a chain walk started in psi0 at node 0,
+    computed in the history-state frame.
+
+    Every coin is a scalar times a unitary, so block t of the state after
+    any number of steps is p_t · v_t v_t†, with v_t = U_t···U_1 ψ0/‖ψ0‖ and
+    p the node populations, and the trace-norm distance between two steps
+    is Σ_t |Δp_t|.  The populations are therefore iterated by the same
+    engine on the chain with 1×1 coins, which keeps its history, stopping
+    rule, drift check and ``max_steps``, and the final state is lifted once
+    to the lab frame.  ``final_state``, ``final_detection`` and
+    ``final_fidelity`` are those of the lifted state, at the last node.
+    Within rounding (see ``run_until_converged``) the report equals that of
+    ``run_until_converged`` on the chain itself.
+    """
+    big_t = chain.num_nodes - 1
+    v = _unit_vector(psi0, chain.dim)
+    populations = ChainWalk([np.ones((1, 1))] * big_t, chain.params)
+    init = BlockState.pure(chain.num_nodes, 1, 0, [1.0])
+    report = run_until_converged(populations, init, tol=tol, max_steps=max_steps)
+    vecs = [v]
+    for u in chain.unitaries:
+        vecs.append(u @ vecs[-1])
+    vecs = np.array(vecs)
+    p = report.history[-1]
+    final = BlockState(p[:, None, None] * vecs[:, :, None] * vecs[:, None, :].conj())
+    return replace(
+        report,
+        final_fidelity=_fidelity(final, big_t, report.final_detection, target_state),
+        final_state=final,
     )

@@ -1,8 +1,20 @@
+import json
+import re
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from oqwalk import circuits, cli
-from oqwalk.cli import fmt, main, parse_omega_spec
+from oqwalk.cli import MAX_GRID_POINTS, fmt, main, parse_omega_spec
+
+#: The walk entries that the benchmark records and checks its outputs against.
+WALK_REFERENCE = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "reference.json").read_text(
+        encoding="utf-8"
+    )
+)["walk"]
 
 
 def read_run_csv(path):
@@ -37,6 +49,11 @@ class TestOmegaSpec:
     def test_rejects_malformed(self):
         with pytest.raises(ValueError):
             parse_omega_spec("0.5:0.9")
+
+    def test_grid_point_limit(self):
+        assert len(parse_omega_spec("0.0001:1:0.0001")) == MAX_GRID_POINTS
+        with pytest.raises(ValueError, match="at most"):
+            parse_omega_spec("0.0001:1:0.00009999")
 
 
 def test_fmt_uses_17_significant_digits():
@@ -131,14 +148,8 @@ class TestRunCommand:
         assert summary["steps"] == 3
 
     def test_trace_drift_is_a_numeric_failure(self, tmp_path, monkeypatch, capsys):
-        build = cli.wk.build_dqc_chain
-
-        def leaky_chain(circuit, params):
-            chain = build(circuit, params)
-            coins = {edge: 1.01 * op for edge, op in chain.transitions.items()}
-            return cli.wk.OpenQuantumWalk(chain.num_nodes, chain.dim, coins)
-
-        monkeypatch.setattr(cli.wk, "build_dqc_chain", leaky_chain)
+        # λ + ω = 1.02: every backward hop leaks weight into the walk
+        monkeypatch.setattr(cli.wk.ChainParams, "lam", property(lambda s: 1.02 - s.omega))
         code = main([
             "run", "--circuit", "toffoli", "--out", str(tmp_path / "x.csv"),
         ])
@@ -325,6 +336,42 @@ def test_non_finite_or_empty_input_is_an_input_error(argv, named, tmp_path, caps
     assert err.startswith("error:") and named in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("step", ["1e-12", "1e-320"])
+def test_too_fine_grid_is_an_input_error_before_it_is_built(step, tmp_path, capsys):
+    # at step 1e-320 the point count overflows to inf; at 1e-12 it is 4.5e11
+    out = tmp_path / "x.csv"
+    tracemalloc.start()
+    try:
+        code = main(["sweep", "--circuit", "qft3", "--omega", f"0.5:0.95:{step}",
+                     "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"at most {MAX_GRID_POINTS} points" in err
+    assert "Traceback" not in err
+    assert peak < 1 << 20
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", sorted(WALK_REFERENCE))
+def test_run_reproduces_the_recorded_walk_reference(key, tmp_path):
+    # node populations do not depend on the gates: any circuit of depth T will do
+    depth, omega, tol = re.fullmatch(r"T=(\d+) omega=(\S+) tol=(\S+)", key).groups()
+    circuit = tmp_path / "chain.txt"
+    circuit.write_text("qubits 1\n" + "H 1\n" * int(depth))
+    out = tmp_path / "run.csv"
+    code = main(["run", "--circuit", str(circuit), "--omega", omega, "--tol", tol,
+                 "--out", str(out)])
+    expected = WALK_REFERENCE[key]
+    assert code == (0 if expected["converged"] else 1)
+    _, summary = read_run_csv(out)
+    assert summary["steps"] == expected["steps"]
+    assert summary["converged"] == str(expected["converged"]).lower()
+    assert abs(summary["detection"] - expected["final_detection"]) <= 1e-9
 
 
 def test_unwritable_out_is_an_input_error(tmp_path, capsys):
