@@ -1,4 +1,8 @@
-"""Gate library, slice compiler, built-in circuits, and the text format.
+"""Gate table, slice compiler, built-in circuits, and the text format.
+
+``GATES`` states each gate kind once: its qubit count, whether it takes a
+phase angle, and its matrix.  ``Gate`` checks a gate against it and is the
+only place that does; the parser and the compiler read the same table.
 
 Conventions
 -----------
@@ -18,7 +22,9 @@ The text format (UTF-8, line oriented)::
     CNOT 1 3
     T 2 ; T 3          # one slice, two disjoint gates
 
-Phases are ``pi``-fractions like ``pi/2``, ``-pi/4`` or decimal radians.
+Phases are ``pi``, ``pi/N`` for a positive integer N, either negated
+(``-pi/4``), or decimal radians; any other phase literal is an error of its
+line.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,7 +44,7 @@ __all__ = [
     "Gate",
     "Circuit",
     "MAX_QUBITS",
-    "gate_matrix",
+    "GATES",
     "apply_on_qubits",
     "slice_unitary",
     "circuit_unitaries",
@@ -52,23 +59,40 @@ __all__ = [
     "BUILTIN_CIRCUITS",
 ]
 
-_SINGLE_KINDS = ("H", "X", "S", "Sdg", "T", "Tdg", "R", "P")
-_TWO_KINDS = ("CNOT", "CP")
-_PARAMETRIC = ("P", "CP")
-
-_H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2.0)
-_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-_CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=np.complex128
-)
-
 #: Every engine stores dense 2^n x 2^n operators, so a circuit is capped at
 #: 12 qubits (dimension 4096).
 MAX_QUBITS = 12
 
 
-def _phase_matrix(theta: float) -> np.ndarray:
+def _phase(theta: float) -> np.ndarray:
     return np.array([[1.0, 0.0], [0.0, cmath.exp(1j * theta)]], dtype=np.complex128)
+
+
+class GateKind(NamedTuple):
+    """A row of ``GATES``."""
+
+    num_qubits: int
+    takes_theta: bool
+    matrix: Callable[[float | None], np.ndarray]
+
+
+#: The gate set: each kind's qubit count, whether it takes a phase angle, and
+#: its 2x2 or 4x4 (control ⊗ target) unitary as a function of that angle.
+GATES = {
+    "H": GateKind(1, False, lambda _: np.array([[1, 1], [1, -1]], dtype=np.complex128)
+                  / math.sqrt(2.0)),
+    "X": GateKind(1, False, lambda _: np.array([[0, 1], [1, 0]], dtype=np.complex128)),
+    "S": GateKind(1, False, lambda _: _phase(math.pi / 2)),
+    "Sdg": GateKind(1, False, lambda _: _phase(-math.pi / 2)),
+    "T": GateKind(1, False, lambda _: _phase(math.pi / 4)),
+    "Tdg": GateKind(1, False, lambda _: _phase(-math.pi / 4)),
+    "R": GateKind(1, False, lambda _: _phase(math.pi / 8)),
+    "P": GateKind(1, True, _phase),
+    "CNOT": GateKind(2, False, lambda _: np.array(
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=np.complex128)),
+    "CP": GateKind(2, True, lambda theta: np.diag(
+        [1.0, 1.0, 1.0, cmath.exp(1j * theta)]).astype(np.complex128)),
+}
 
 
 @dataclass(frozen=True)
@@ -84,9 +108,9 @@ class Gate:
     theta: float | None = None
 
     def __post_init__(self):
-        if self.kind not in _SINGLE_KINDS + _TWO_KINDS:
+        if self.kind not in GATES:
             raise CircuitError(f"unknown gate kind {self.kind!r}")
-        arity = 1 if self.kind in _SINGLE_KINDS else 2
+        arity, takes_theta, _ = GATES[self.kind]
         qubits = tuple(int(q) for q in self.qubits)
         if len(qubits) != arity:
             raise CircuitError(f"{self.kind} takes {arity} qubit(s), got {qubits}")
@@ -94,7 +118,7 @@ class Gate:
             raise CircuitError(f"{self.kind} qubits must be distinct, got {qubits}")
         if any(q < 1 for q in qubits):
             raise CircuitError(f"qubit indices are 1-based, got {qubits}")
-        if self.kind in _PARAMETRIC:
+        if takes_theta:
             if self.theta is None or not math.isfinite(self.theta):
                 raise CircuitError(f"{self.kind} requires a finite phase angle")
         elif self.theta is not None:
@@ -102,6 +126,10 @@ class Gate:
         if self.kind == "CP":
             qubits = tuple(sorted(qubits))
         object.__setattr__(self, "qubits", qubits)
+
+    def matrix(self) -> np.ndarray:
+        """The gate's 2x2, or 4x4 control ⊗ target, unitary."""
+        return GATES[self.kind].matrix(self.theta)
 
 
 @dataclass(frozen=True)
@@ -154,39 +182,6 @@ def _check_slice(gates, num_qubits: int, where: str = "slice") -> None:
         used.update(g.qubits)
 
 
-def gate_matrix(kind: str, theta: float | None = None) -> np.ndarray:
-    """The 2x2 (single-qubit) or 4x4 (controlled, control ⊗ target) unitary."""
-    fixed = {
-        "H": _H,
-        "X": _X,
-        "S": _phase_matrix(math.pi / 2),
-        "Sdg": _phase_matrix(-math.pi / 2),
-        "T": _phase_matrix(math.pi / 4),
-        "Tdg": _phase_matrix(-math.pi / 4),
-        "R": _phase_matrix(math.pi / 8),
-    }
-    if kind in fixed:
-        if theta is not None:
-            raise DomainError(f"{kind} takes no phase angle")
-        return fixed[kind].copy()
-    if kind == "P":
-        _need_theta(kind, theta)
-        return _phase_matrix(theta)
-    if kind == "CNOT":
-        if theta is not None:
-            raise DomainError("CNOT takes no phase angle")
-        return _CNOT.copy()
-    if kind == "CP":
-        _need_theta(kind, theta)
-        return np.diag([1.0, 1.0, 1.0, cmath.exp(1j * theta)]).astype(np.complex128)
-    raise DomainError(f"unknown gate kind {kind!r}")
-
-
-def _need_theta(kind, theta):
-    if theta is None or not math.isfinite(theta):
-        raise DomainError(f"{kind} requires a finite phase angle")
-
-
 def apply_on_qubits(op: np.ndarray, qubits, mat: np.ndarray) -> np.ndarray:
     """The 2^k x 2^k ``op`` applied to the k ``qubits`` of the row index of
     ``mat``, which has 2^n rows; the first of ``qubits`` is the most
@@ -210,7 +205,7 @@ def slice_unitary(gates, num_qubits: int) -> np.ndarray:
     (gates,) = Circuit(num_qubits, (gates,)).slices
     out = np.eye(2**num_qubits, dtype=np.complex128)
     for g in gates:
-        out = apply_on_qubits(gate_matrix(g.kind, g.theta), g.qubits, out)
+        out = apply_on_qubits(g.matrix(), g.qubits, out)
     return out
 
 
@@ -321,13 +316,13 @@ _PI_FRACTION = re.compile(r"^(-)?pi(?:/(\d+))?$")
 
 def _parse_phase(token: str, line_no: int) -> float:
     m = _PI_FRACTION.match(token)
-    if m:
-        value = math.pi / int(m.group(2)) if m.group(2) else math.pi
-        return -value if m.group(1) else value
     try:
-        return float(token)
-    except ValueError:
+        if m is None:
+            return float(token)
+        value = math.pi / int(m.group(2)) if m.group(2) else math.pi
+    except (ValueError, ArithmeticError):  # pi/0, or N too long or too large
         raise CircuitParseError(line_no, f"bad phase literal {token!r}") from None
+    return -value if m.group(1) else value
 
 
 def _render_phase(theta: float) -> str:
@@ -340,21 +335,18 @@ def _render_phase(theta: float) -> str:
 
 
 def _parse_gate(token: str, line_no: int) -> Gate:
-    parts = token.split()
-    name = parts[0]
-    if name not in _SINGLE_KINDS + _TWO_KINDS:
+    name, *args = token.split()
+    if name not in GATES:
         raise CircuitParseError(line_no, f"unknown gate {name!r}")
-    n_qubits = 1 if name in _SINGLE_KINDS else 2
-    n_args = n_qubits + (1 if name in _PARAMETRIC else 0)
-    if len(parts) != 1 + n_args:
-        raise CircuitParseError(
-            line_no, f"{name} expects {n_args} argument(s), got {len(parts) - 1}"
-        )
+    n_qubits, takes_theta, _ = GATES[name]
+    n_args = n_qubits + takes_theta
+    if len(args) != n_args:
+        raise CircuitParseError(line_no, f"{name} expects {n_args} argument(s), got {len(args)}")
     try:
-        qubits = tuple(int(p) for p in parts[1 : 1 + n_qubits])
+        qubits = tuple(int(p) for p in args[:n_qubits])
     except ValueError:
         raise CircuitParseError(line_no, f"bad qubit index in {token!r}") from None
-    theta = _parse_phase(parts[-1], line_no) if name in _PARAMETRIC else None
+    theta = _parse_phase(args[-1], line_no) if takes_theta else None
     try:
         return Gate(name, qubits, theta)
     except CircuitError as exc:

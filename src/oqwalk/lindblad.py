@@ -157,6 +157,9 @@ def integrate(
             raise DomainError(f"{name} must be positive, got {value}")
     if max_time < 0:
         raise DomainError(f"max_time must be non-negative, got {max_time}")
+    for name, count in (("max_time/dt", max_time / dt), ("observe_every/dt", observe_every / dt)):
+        if not math.isfinite(count):
+            raise DomainError(f"{name} must be a finite step count, got {count}")
     rho = _checked_blocks(model, rho0, "rho0")
     rho = 0.5 * (rho + _adjoint(rho))
     rhs = lambda r: _rhs(model, r)

@@ -349,7 +349,6 @@ def run_until_converged(
     init: BlockState,
     tol: float = 1e-7,
     max_steps: int = 100_000,
-    target_node: int | None = None,
     target_state=None,
 ) -> ConvergenceReport:
     """Iterate the walk until consecutive states differ by less than tol.
@@ -362,19 +361,15 @@ def run_until_converged(
     The node distribution is recorded every step; exhausting ``max_steps``
     yields ``converged=False`` rather than an exception.
 
-    ``final_detection`` is the population of ``target_node`` (default: the
-    last node) and ``final_fidelity`` is the overlap of that node's
-    normalized block with ``target_state`` (NaN when no target is supplied).
+    ``final_detection`` is the population of the last node and
+    ``final_fidelity`` is the overlap of that node's normalized block with
+    ``target_state`` (NaN when no target is supplied).
     """
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tol must be finite and positive, got {tol}")
     if max_steps < 1:
         raise DomainError(f"max_steps must be >= 1, got {max_steps}")
     validate_state(init)
-    if target_node is None:
-        target_node = walk.num_nodes - 1
-    if not 0 <= target_node < walk.num_nodes:
-        raise DomainError(f"target node {target_node} out of range")
 
     # |Tr Δρ_n| ≤ ‖Δρ_n‖₁ for each block, so the population change
     # ``moved`` = Σ_n |Δp_n| bounds the trace-norm distance from below, and a
@@ -408,13 +403,14 @@ def run_until_converged(
         if converged:
             break
 
-    final_detection = float(history[-1][target_node])
+    last = walk.num_nodes - 1
+    final_detection = float(history[-1][last])
     return ConvergenceReport(
         steps=steps,
         converged=converged,
         history=np.array(history),
         final_detection=final_detection,
-        final_fidelity=_fidelity(prev, target_node, final_detection, target_state),
+        final_fidelity=_fidelity(prev, last, final_detection, target_state),
         final_state=prev,
     )
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oqwalk.circuits import (
     BUILTIN_CIRCUITS,
+    GATES,
     MAX_QUBITS,
     Circuit,
     Gate,
@@ -15,7 +16,6 @@ from oqwalk.circuits import (
     circuit_product,
     circuit_unitaries,
     dft_matrix,
-    gate_matrix,
     parse_circuit,
     qft,
     render_circuit,
@@ -30,7 +30,7 @@ from oqwalk.linalg import is_unitary
 def embed_oracle(gate: Gate, num_qubits: int) -> np.ndarray:
     """Brute-force embedding: enumerate basis states and apply the gate matrix
     to the extracted bits.  Independent of the tensor-axis compile path."""
-    local = gate_matrix(gate.kind, gate.theta)
+    local = gate.matrix()
     k = len(gate.qubits)
     dim = 2**num_qubits
     out = np.zeros((dim, dim), dtype=complex)
@@ -51,7 +51,7 @@ def embed_oracle(gate: Gate, num_qubits: int) -> np.ndarray:
     return out
 
 
-SINGLE_KINDS = ("H", "X", "S", "Sdg", "T", "Tdg", "R", "P")
+SINGLE_KINDS = tuple(k for k, row in GATES.items() if row.num_qubits == 1)
 PHASES = st.sampled_from([math.pi, -math.pi / 2, math.pi / 4, -math.pi / 8]) | (
     st.floats(allow_nan=False, allow_infinity=False)
 )
@@ -66,7 +66,7 @@ def random_slice(draw, num_qubits):
         kind = draw(st.sampled_from(SINGLE_KINDS + ("CNOT", "CP") * (len(free) > 1)))
         arity = 1 if kind in SINGLE_KINDS else 2
         qubits, free = tuple(free[:arity]), free[arity:]
-        theta = draw(PHASES) if kind in ("P", "CP") else None
+        theta = draw(PHASES) if GATES[kind].takes_theta else None
         gates.append(Gate(kind, qubits, theta))
     return tuple(gates)
 
@@ -78,41 +78,82 @@ def random_circuit(draw, max_qubits=6):
     return Circuit(n, tuple(draw(st.lists(random_slice(n), min_size=1, max_size=6))))
 
 
-class TestGateMatrix:
-    def test_s_gate(self):
-        assert np.allclose(gate_matrix("S"), np.diag([1, 1j]), atol=1e-15)
+R2 = 1 / math.sqrt(2.0)
 
-    def test_r_gate(self):
-        assert np.allclose(
-            gate_matrix("R"), np.diag([1, np.exp(1j * np.pi / 8)]), atol=1e-15
-        )
+#: Every kind of the gate table with a sample gate and its literal matrix.
+LITERAL_MATRICES = [
+    (Gate("H", (1,)), [[R2, R2], [R2, -R2]]),
+    (Gate("X", (1,)), [[0, 1], [1, 0]]),
+    (Gate("S", (1,)), np.diag([1, 1j])),
+    (Gate("Sdg", (1,)), np.diag([1, -1j])),
+    (Gate("T", (1,)), np.diag([1, R2 + R2 * 1j])),
+    (Gate("Tdg", (1,)), np.diag([1, R2 - R2 * 1j])),
+    (Gate("R", (1,)), np.diag([1, math.cos(math.pi / 8) + 1j * math.sin(math.pi / 8)])),
+    (Gate("P", (1,), 0.3), np.diag([1, math.cos(0.3) + 1j * math.sin(0.3)])),
+    (Gate("CNOT", (1, 2)), [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
+    (Gate("CP", (1, 2), math.pi / 2), np.diag([1, 1, 1, 1j])),
+]
+
+
+class TestGateMatrix:
+    def test_literals_cover_the_gate_table(self):
+        assert sorted(g.kind for g, _ in LITERAL_MATRICES) == sorted(GATES)
+
+    @pytest.mark.parametrize(
+        "gate, expected", LITERAL_MATRICES, ids=[g.kind for g, _ in LITERAL_MATRICES]
+    )
+    def test_matrix_of_every_kind(self, gate, expected):
+        got = gate.matrix()
+        assert got.dtype == np.complex128
+        assert got.shape == (2 ** len(gate.qubits),) * 2
+        assert np.allclose(got, expected, rtol=0, atol=1e-15)
 
     def test_hadamard_squares_to_identity(self):
-        h = gate_matrix("H")
+        h = Gate("H", (1,)).matrix()
         assert np.allclose(h @ h, np.eye(2), atol=1e-15)
 
     def test_t_and_tdg_cancel(self):
         assert np.allclose(
-            gate_matrix("T") @ gate_matrix("Tdg"), np.eye(2), atol=1e-15
+            Gate("T", (1,)).matrix() @ Gate("Tdg", (1,)).matrix(), np.eye(2), atol=1e-15
         )
 
-    def test_cnot_layout(self):
-        expected = np.eye(4)[:, [0, 1, 3, 2]]
-        assert np.allclose(gate_matrix("CNOT"), expected, atol=1e-15)
+    def test_each_call_returns_a_new_array(self):
+        gate = Gate("H", (1,))
+        first = gate.matrix()
+        first[0, 0] = 0.0
+        assert gate.matrix()[0, 0] == R2
 
-    def test_cphase_diagonal(self):
-        got = gate_matrix("CP", math.pi / 2)
-        assert np.allclose(got, np.diag([1, 1, 1, 1j]), atol=1e-15)
 
-    def test_unknown_kind(self):
-        with pytest.raises(DomainError):
-            gate_matrix("Y")
+class TestGateChecks:
+    """``Gate`` is the one validator of a gate; each bad gate is a CircuitError."""
 
-    def test_theta_arity(self):
-        with pytest.raises(DomainError):
-            gate_matrix("P")
-        with pytest.raises(DomainError):
-            gate_matrix("H", 0.5)
+    @pytest.mark.parametrize(
+        "kind, qubits, theta, match",
+        [
+            ("Y", (1,), None, "unknown gate kind 'Y'"),
+            ("cnot", (1, 2), None, "unknown gate kind 'cnot'"),
+            ("P", (1,), None, "P requires a finite phase angle"),
+            ("CP", (1, 2), None, "CP requires a finite phase angle"),
+            ("P", (1,), math.nan, "P requires a finite phase angle"),
+            ("P", (1,), -math.inf, "P requires a finite phase angle"),
+            ("CP", (1, 2), math.inf, "CP requires a finite phase angle"),
+            ("H", (1,), 0.5, "H takes no phase angle"),
+            ("T", (1,), 0.0, "T takes no phase angle"),
+            ("CNOT", (1, 2), math.pi, "CNOT takes no phase angle"),
+            ("H", (1, 2), None, r"H takes 1 qubit\(s\), got \(1, 2\)"),
+            ("P", (), 0.1, r"P takes 1 qubit\(s\), got \(\)"),
+            ("CNOT", (1,), None, r"CNOT takes 2 qubit\(s\), got \(1,\)"),
+            ("CP", (1, 2, 3), 0.1, r"CP takes 2 qubit\(s\)"),
+            ("CNOT", (2, 2), None, "CNOT qubits must be distinct"),
+            ("CP", (3, 3), 0.1, "CP qubits must be distinct"),
+            ("H", (0,), None, "qubit indices are 1-based"),
+            ("CNOT", (0, 1), None, "qubit indices are 1-based"),
+            ("CP", (2, -1), 0.1, "qubit indices are 1-based"),
+        ],
+    )
+    def test_bad_gate_is_a_circuit_error(self, kind, qubits, theta, match):
+        with pytest.raises(CircuitError, match=match):
+            Gate(kind, qubits, theta)
 
 
 class TestEmbed:
@@ -120,7 +161,7 @@ class TestEmbed:
 
     def test_cnot_2_3_matches_tensor_expansion(self):
         # I ⊗ |0><0| ⊗ I + I ⊗ |1><1| ⊗ X
-        x = gate_matrix("X")
+        x = Gate("X", (1,)).matrix()
         p0, p1, eye = np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.eye(2)
         expected = np.kron(eye, np.kron(p0, eye)) + np.kron(eye, np.kron(p1, x))
         got = slice_unitary([Gate("CNOT", (2, 3))], 3)
@@ -128,7 +169,7 @@ class TestEmbed:
 
     def test_single_qubit_trivial(self):
         got = slice_unitary([Gate("H", (1,))], 1)
-        assert np.allclose(got, gate_matrix("H"), atol=1e-15)
+        assert np.allclose(got, Gate("H", (1,)).matrix(), atol=1e-15)
 
     def test_cphase_nonadjacent_against_enumeration(self):
         g = Gate("CP", (3, 1), math.pi / 2)
@@ -167,7 +208,7 @@ class TestSliceUnitary:
 
     def test_cnot_and_hadamard_matches_kron(self):
         got = slice_unitary([Gate("CNOT", (1, 2)), Gate("H", (3,))], 3)
-        expected = np.kron(gate_matrix("CNOT"), gate_matrix("H"))
+        expected = np.kron(Gate("CNOT", (1, 2)).matrix(), Gate("H", (1,)).matrix())
         assert np.allclose(got, expected, atol=1e-15)
 
     def test_overlapping_qubits(self):
@@ -268,7 +309,7 @@ class TestBuiltinCircuits:
         c = Circuit(1, ((Gate("H", (1,)),),))
         us = circuit_unitaries(c)
         assert len(us) == 1
-        assert np.allclose(us[0], gate_matrix("H"), atol=1e-15)
+        assert np.allclose(us[0], Gate("H", (1,)).matrix(), atol=1e-15)
 
 
 class TestDftMatrix:
@@ -276,7 +317,7 @@ class TestDftMatrix:
         assert np.allclose(dft_matrix(1), [[1.0]])
 
     def test_two_point_is_hadamard(self):
-        assert np.allclose(dft_matrix(2), gate_matrix("H"), atol=1e-15)
+        assert np.allclose(dft_matrix(2), Gate("H", (1,)).matrix(), atol=1e-15)
 
     def test_unitary_at_eight(self):
         assert is_unitary(dft_matrix(8), 1e-12)
@@ -337,6 +378,27 @@ class TestParse:
     def test_bad_phase(self):
         with pytest.raises(CircuitParseError):
             parse_circuit("qubits 2\nP 1 half\n")
+
+    @pytest.mark.parametrize(
+        "gate",
+        ["CP 1 2 pi/0", "P 2 -pi/00", f"P 1 pi/{'9' * 400}", f"CP 2 1 -pi/{'7' * 5000}",
+         "P 1 pi/2.5", "P 1 pi/-2", "P 1 2pi", "P 1 pi/"],
+    )
+    def test_phase_literal_outside_the_format_is_an_error_of_its_line(self, gate):
+        with pytest.raises(CircuitParseError, match="bad phase literal") as err:
+            parse_circuit(f"qubits 2\nH 1\n{gate}\n")
+        assert err.value.line_no == 3
+
+    @pytest.mark.parametrize(
+        "gate, match",
+        [("P 1 nan", "P requires a finite phase angle"),
+         ("CP 1 2 1e400", "CP requires a finite phase angle"),
+         ("H 0", "qubit indices are 1-based"),
+         ("CNOT 2 2", "CNOT qubits must be distinct")],
+    )
+    def test_gate_checks_are_errors_of_their_line(self, gate, match):
+        with pytest.raises(CircuitParseError, match=f"line 2: {match}"):
+            parse_circuit(f"qubits 2\n{gate}\n")
 
     def test_cp_normalizes_order(self):
         c = parse_circuit("qubits 3\nCP 3 1 pi/2\n")

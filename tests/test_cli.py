@@ -1,11 +1,15 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oqwalk
 from oqwalk import circuits, cli
 from oqwalk.cli import MAX_GRID_POINTS, fmt, main, parse_omega_spec
 
@@ -299,6 +303,10 @@ CIRCUIT_FILES = {
     "40": "qubits 40\nH 1\n",
     "13": "qubits 13\nH 13\n",
     "empty": "# no slices\nqubits 3\n",
+    "pi0": "qubits 2\nCP 1 2 pi/0\n",
+    "pi00": "qubits 2\nH 1\nP 2 -pi/00\n",
+    "nines": f"qubits 1\nP 1 pi/{'9' * 400}\n",
+    "digits": f"qubits 1\nH 1\nP 1 pi/{'7' * 5000}\n",
 }
 
 
@@ -322,6 +330,14 @@ CIRCUIT_FILES = {
         (["lindblad", "--circuit", "@13"], "1 to 12 qubits"),
         (["validate", "--circuit", "@empty"], "at least one slice"),
         (["run", "--circuit", "@dir"], "directory"),
+        (["validate", "--circuit", "@pi0"], "line 2: bad phase literal"),
+        (["validate", "--circuit", "@pi00"], "line 3: bad phase literal"),
+        (["validate", "--circuit", "@nines"], "line 2: bad phase literal"),
+        (["validate", "--circuit", "@digits"], "line 3: bad phase literal"),
+        (["lindblad", "--circuit", "toffoli", "--dt", "1e-10", "--max-time", "1e308"],
+         "max_time/dt"),
+        (["lindblad", "--circuit", "toffoli", "--dt", "1e-300", "--record-every", "1e300",
+          "--max-time", "0"], "observe_every/dt"),
     ],
 )
 def test_non_finite_or_empty_input_is_an_input_error(argv, named, tmp_path, capsys):
@@ -379,3 +395,22 @@ def test_unwritable_out_is_an_input_error(tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_module_entry_point(tmp_path):
+    # ``python -m oqwalk`` in a fresh interpreter, on an uninstalled checkout
+    src = str(Path(oqwalk.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+    def oqw(*argv):
+        return subprocess.run([sys.executable, "-m", "oqwalk", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    ok = oqw("validate", "--circuit", "toffoli")
+    assert ok.returncode == 0, ok.stderr
+    assert ok.stdout and not ok.stderr
+    missing = oqw("validate", "--circuit", str(tmp_path / "missing.txt"))
+    assert missing.returncode == 2
+    assert missing.stderr.startswith("error:")
+    assert "Traceback" not in missing.stderr
