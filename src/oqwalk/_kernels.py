@@ -16,19 +16,18 @@ def step_blocks(b_ops, b_dag, src, dst, blocks):
     """Apply one CP-map step to the stacked density blocks:
     out[i] = sum over edges e with dst[e] == i of B_e ρ_src[e] B_e†.
 
-    Targets may repeat and come in any order.  The edges are added in runs
-    of strictly increasing target, one vectorized add per run, so the cost
-    is linear in the number of edges and each target sums its terms in edge
-    order, bit for bit as an edge-by-edge scatter-add does.  Edges in the
-    scatter order of ``walk.edge_arrays`` form as many runs as the largest
-    in-degree; other orders may form up to one run per edge.
+    Targets may repeat and come in any order.  The terms are scattered by
+    one ``np.add.at`` on the flattened output, entry k of edge e going to
+    dst[e]·d² + k (numpy's fast ``ufunc.at`` path is 1-D only), so each
+    target sums its terms in edge order from zeros, bit for bit as an
+    edge-by-edge scatter-add does.
     """
     terms = b_ops @ blocks[src] @ b_dag
-    out = np.zeros(blocks.shape, dtype=terms.dtype)
-    cuts = [0, *(np.flatnonzero(dst[1:] <= dst[:-1]) + 1).tolist(), len(dst)]
-    for start, stop in zip(cuts, cuts[1:]):
-        out[dst[start:stop]] += terms[start:stop]
-    return out
+    d2 = blocks.shape[1] * blocks.shape[2]
+    out = np.zeros(blocks.size, dtype=terms.dtype)
+    index = (dst[:, None] * d2 + np.arange(d2)).reshape(-1)
+    np.add.at(out, index, terms.reshape(-1))
+    return out.reshape(blocks.shape)
 
 
 def source_gram(b_ops, b_dag, src, dst, num_nodes):

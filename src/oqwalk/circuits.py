@@ -311,18 +311,20 @@ def toffoli_matrix() -> np.ndarray:
 # Text format
 # ---------------------------------------------------------------------------
 
-_PI_FRACTION = re.compile(r"^(-)?pi(?:/(\d+))?$")
+_PI_FRACTION = re.compile(r"^(-)?pi(?:/([0-9]+))?$")
 
 
 def _parse_phase(token: str, line_no: int) -> float:
     m = _PI_FRACTION.match(token)
     try:
-        if m is None:
+        if m:
+            value = math.pi / int(m.group(2)) if m.group(2) else math.pi
+            return -value if m.group(1) else value
+        if token.isascii() and "_" not in token:  # float() also reads 1_5 and ５
             return float(token)
-        value = math.pi / int(m.group(2)) if m.group(2) else math.pi
     except (ValueError, ArithmeticError):  # pi/0, or N too long or too large
-        raise CircuitParseError(line_no, f"bad phase literal {token!r}") from None
-    return -value if m.group(1) else value
+        pass
+    raise CircuitParseError(line_no, f"bad phase literal {token!r}")
 
 
 def _render_phase(theta: float) -> str:
@@ -342,10 +344,9 @@ def _parse_gate(token: str, line_no: int) -> Gate:
     n_args = n_qubits + takes_theta
     if len(args) != n_args:
         raise CircuitParseError(line_no, f"{name} expects {n_args} argument(s), got {len(args)}")
-    try:
-        qubits = tuple(int(p) for p in args[:n_qubits])
-    except ValueError:
-        raise CircuitParseError(line_no, f"bad qubit index in {token!r}") from None
+    if not all(p.isascii() and p.isdigit() for p in args[:n_qubits]):
+        raise CircuitParseError(line_no, f"bad qubit index in {token!r}")
+    qubits = tuple(int(p) for p in args[:n_qubits])
     theta = _parse_phase(args[-1], line_no) if takes_theta else None
     try:
         return Gate(name, qubits, theta)
@@ -364,7 +365,7 @@ def parse_circuit(text: str, name: str = "") -> Circuit:
         if not line:
             continue
         if num_qubits is None:
-            m = re.match(r"^qubits\s+(\d+)$", line)
+            m = re.match(r"^qubits\s+([0-9]+)$", line)
             if not m:
                 raise CircuitParseError(line_no, "expected 'qubits <n>' header")
             num_qubits, header_line = int(m.group(1)), line_no

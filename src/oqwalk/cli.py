@@ -14,7 +14,6 @@ Exit codes: 0 success, 1 numerical non-convergence, 2 input error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -180,7 +179,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _sweep_workers() -> int:
-    return min(8, os.cpu_count() or 1)
+    """One: the per-ω walk holds the GIL, so a second thread only contends
+    for it."""
+    return 1
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -20,7 +20,6 @@ __all__ = [
     "trace_norm",
     "is_hermitian",
     "is_unitary",
-    "psd_check",
 ]
 
 
@@ -70,15 +69,6 @@ def is_unitary(a, tol: float = TOL.unitary) -> bool:
     a = as_matrix(a)
     gram = a.conj().T @ a
     return frobenius(gram - np.eye(gram.shape[0])) <= tol
-
-
-def psd_check(a, tol: float = TOL.psd) -> bool:
-    """True iff the minimum eigenvalue of a Hermitian matrix is ≥ −tol."""
-    a = as_matrix(a)
-    _require_square(a)
-    if not is_hermitian(a):
-        raise DomainError("psd_check requires a Hermitian matrix")
-    return bool(np.linalg.eigvalsh(a)[0] >= -tol)
 
 
 def _require_square(a: np.ndarray) -> None:

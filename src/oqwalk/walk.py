@@ -19,7 +19,6 @@ applies the circuit to the input state once.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -29,7 +28,7 @@ from . import _kernels
 from .circuits import Circuit, circuit_unitaries
 from .config import TOL
 from .errors import DomainError, ShapeError
-from .linalg import as_matrix, dagger, frobenius, is_hermitian, is_unitary, psd_check
+from .linalg import as_matrix, dagger, frobenius, is_unitary
 
 __all__ = [
     "ChainParams",
@@ -70,40 +69,32 @@ class ChainParams:
 
 
 def edge_arrays(num_nodes: int, dim: int, edges):
-    """Check (source, target, coin) triples and stack them as the src, dst,
-    coin and coin-dagger arrays the step kernel takes.
-
-    The edges are stored in scatter order: the k-th edge into each target,
-    counted in the given order, joins run k, and each run is sorted by
-    target.  ``step_blocks`` then makes one vectorized add per run, as many
-    as the largest in-degree, and each target still sums its terms in the
-    given order.  The coin stack is read-only.  Both models store their
-    edges this way.
+    """Check (source, target, coin) triples and stack them, in the given
+    order, as the src, dst, coin and coin-dagger arrays the step kernel
+    takes.  The coin stack is read-only.  Both models store their edges
+    this way.
     """
     if num_nodes < 1 or dim < 1:
         raise DomainError("num_nodes and dim must be >= 1")
-    src, dst, coins, run = [], [], [], []
-    in_degree = Counter()
+    src, dst, coins = [], [], []
     for s, d, op in edges:
         s, d = int(s), int(d)
         if not (0 <= s < num_nodes and 0 <= d < num_nodes):
             raise DomainError(f"edge ({s}, {d}) out of range")
-        op = as_matrix(op)
-        if op.shape != (dim, dim):
+        if np.shape(op) != (dim, dim):
             raise ShapeError(
-                f"coin for edge ({s}, {d}) has shape {op.shape}, expected ({dim}, {dim})"
+                f"coin for edge ({s}, {d}) has shape {np.shape(op)}, expected ({dim}, {dim})"
             )
         src.append(s)
         dst.append(d)
         coins.append(op)
-        run.append(in_degree[d])
-        in_degree[d] += 1
-    order = np.lexsort((dst, run))
-    b_ops = np.array(coins, dtype=np.complex128).reshape(-1, dim, dim)[order]
+    b_ops = np.array(coins, dtype=np.complex128).reshape(-1, dim, dim)
+    if not np.isfinite(b_ops).all():
+        e = int(np.argmin(np.isfinite(b_ops).all(axis=(1, 2))))
+        raise DomainError(f"coin for edge ({src[e]}, {dst[e]}) contains NaN or Inf entries")
     b_ops.flags.writeable = False
     b_dag = np.ascontiguousarray(b_ops.conj().transpose(0, 2, 1))
-    src, dst = (np.array(nodes, dtype=np.int64)[order] for nodes in (src, dst))
-    return src, dst, b_ops, b_dag
+    return np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64), b_ops, b_dag
 
 
 class OpenQuantumWalk:
@@ -119,9 +110,9 @@ class OpenQuantumWalk:
         Mapping (source, target) -> dim x dim coin operator.
 
     Instances are immutable after construction and safe to share across
-    threads.  The edge table is stored once, as stacked source, target and
-    coin arrays in the scatter order of ``edge_arrays``, which is the form
-    the step kernel takes.
+    threads.  The edge table is stored once, in key order, as the stacked
+    source, target and coin arrays of ``edge_arrays``, which is the form the
+    step kernel takes.
     """
 
     def __init__(self, num_nodes: int, dim: int, transitions):
@@ -196,15 +187,27 @@ class BlockState:
 
 
 def validate_state(state: BlockState, tol: float = TOL.trace) -> None:
-    """Raise unless the block state is Hermitian, PSD, and unit total trace."""
+    """Raise unless every block is finite, Hermitian and PSD and the total
+    trace is 1; a bad block is named by its index.
+
+    The skew of the whole stack bounds the skew of each block, so the blocks
+    are searched one by one only when the stack's skew exceeds the
+    Hermitian tolerance, and positivity is one batched ``eigvalsh``.
+    """
+    blocks = state.blocks
+    finite = np.isfinite(blocks).all(axis=(1, 2))
+    if not finite.all():
+        raise DomainError(f"block {int(np.argmin(finite))} contains NaN or Inf entries")
     if abs(state.total_trace() - 1.0) > tol:
         raise DomainError(f"total trace {state.total_trace()} is not 1")
-    for i in range(state.num_nodes):
-        b = state.blocks[i]
-        if not is_hermitian(b):
-            raise DomainError(f"block {i} is not Hermitian")
-        if not psd_check(b):
-            raise DomainError(f"block {i} is not positive semidefinite")
+    skew = blocks - blocks.conj().transpose(0, 2, 1)
+    if frobenius(skew) > TOL.hermitian:
+        for i, block_skew in enumerate(skew):
+            if frobenius(block_skew) > TOL.hermitian:
+                raise DomainError(f"block {i} is not Hermitian")
+    negative = np.linalg.eigvalsh(blocks)[:, 0] < -TOL.psd
+    if negative.any():
+        raise DomainError(f"block {int(np.argmax(negative))} is not positive semidefinite")
 
 
 class Violation(NamedTuple):

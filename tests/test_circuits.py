@@ -369,7 +369,8 @@ class TestParse:
     @pytest.mark.parametrize(
         "literal,value",
         [("pi/2", math.pi / 2), ("-pi/4", -math.pi / 4), ("pi/8", math.pi / 8),
-         ("pi", math.pi), ("0.3", 0.3), ("-1.5", -1.5)],
+         ("pi", math.pi), ("0.3", 0.3), ("-1.5", -1.5), ("1e-05", 1e-05), ("+.5", 0.5),
+         ("2.", 2.0), ("-1.5E2", -150.0)],
     )
     def test_phase_literals(self, literal, value):
         c = parse_circuit(f"qubits 2\nP 1 {literal}\n")
@@ -382,7 +383,9 @@ class TestParse:
     @pytest.mark.parametrize(
         "gate",
         ["CP 1 2 pi/0", "P 2 -pi/00", f"P 1 pi/{'9' * 400}", f"CP 2 1 -pi/{'7' * 5000}",
-         "P 1 pi/2.5", "P 1 pi/-2", "P 1 2pi", "P 1 pi/"],
+         "P 1 pi/2.5", "P 1 pi/-2", "P 1 2pi", "P 1 pi/",
+         # float() and int() also read "_" separators and non-ASCII digits
+         "P 2 1_5.5", "CP 1 2 pi/\u0664", "P 1 \uff15", "P 1 0.\u0665", "P 1 -pi/1_6"],
     )
     def test_phase_literal_outside_the_format_is_an_error_of_its_line(self, gate):
         with pytest.raises(CircuitParseError, match="bad phase literal") as err:
@@ -399,6 +402,22 @@ class TestParse:
     def test_gate_checks_are_errors_of_their_line(self, gate, match):
         with pytest.raises(CircuitParseError, match=f"line 2: {match}"):
             parse_circuit(f"qubits 2\n{gate}\n")
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [("qubits \u0661\u0662\nH 1\n", "line 1: expected 'qubits <n>' header"),
+         ("qubits 1_2\nH 1\n", "line 1: expected 'qubits <n>' header"),
+         ("qubits \uff12\nH 1\n", "line 1: expected 'qubits <n>' header"),
+         ("qubits 12\nH 1_0\n", "line 2: bad qubit index in 'H 1_0'"),
+         ("qubits 12\nH \u0661\n", "line 2: bad qubit index"),
+         ("qubits 12\nCNOT 1 \u00b2\n", "line 2: bad qubit index"),
+         ("qubits 12\nH +1\n", "line 2: bad qubit index"),
+         ("qubits 12\nH -1\n", "line 2: bad qubit index")],
+    )
+    def test_counts_and_indices_are_ascii_digits(self, text, match):
+        # int() also reads "_" separators, signs and non-ASCII digits
+        with pytest.raises(CircuitParseError, match=match):
+            parse_circuit(text)
 
     def test_cp_normalizes_order(self):
         c = parse_circuit("qubits 3\nCP 3 1 pi/2\n")

@@ -196,6 +196,19 @@ class TestSweepCommand:
         assert int(row[1]) == summary["steps"]
         assert float(row[2]) == summary["detection"]
 
+    @pytest.mark.parametrize("circuit", ["toffoli", "qft3"])
+    def test_every_grid_row_is_the_summary_of_its_run(self, circuit, tmp_path, capsys):
+        # steps, final_detection and converged byte for byte, whatever the
+        # number of threads the grid cells run on
+        assert main(["sweep", "--circuit", circuit, "--omega", "0.5:0.95:0.05"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 10
+        for row in rows:
+            omega, steps, detection, converged = row.split(",")
+            assert main(["run", "--circuit", circuit, "--omega", omega]) == 0
+            summary = capsys.readouterr().out.splitlines()[-1].split(",")
+            assert [summary[0], summary[1], summary[3]] == [steps, detection, converged]
+
     @pytest.mark.parametrize("argv", [
         ["sweep", "--omega", "0.5:0.95:0.05"],
         ["validate"],
@@ -307,6 +320,11 @@ CIRCUIT_FILES = {
     "pi00": "qubits 2\nH 1\nP 2 -pi/00\n",
     "nines": f"qubits 1\nP 1 pi/{'9' * 400}\n",
     "digits": f"qubits 1\nH 1\nP 1 pi/{'7' * 5000}\n",
+    "arabic12": "qubits \u0661\u0662\nH 1\n",
+    "under10": "qubits 12\nH 1_0\n",
+    "under15": "qubits 2\nH 1\nP 2 1_5.5\n",
+    "pi4": "qubits 3\nCP 1 3 pi/\u0664\n",
+    "wide5": "qubits 1\nP 1 \uff15\n",
 }
 
 
@@ -334,6 +352,11 @@ CIRCUIT_FILES = {
         (["validate", "--circuit", "@pi00"], "line 3: bad phase literal"),
         (["validate", "--circuit", "@nines"], "line 2: bad phase literal"),
         (["validate", "--circuit", "@digits"], "line 3: bad phase literal"),
+        (["validate", "--circuit", "@arabic12"], "line 1: expected 'qubits <n>' header"),
+        (["run", "--circuit", "@under10"], "line 2: bad qubit index in 'H 1_0'"),
+        (["sweep", "--circuit", "@under15"], "line 3: bad phase literal '1_5.5'"),
+        (["lindblad", "--circuit", "@pi4"], "line 2: bad phase literal"),
+        (["validate", "--circuit", "@wide5"], "line 2: bad phase literal"),
         (["lindblad", "--circuit", "toffoli", "--dt", "1e-10", "--max-time", "1e308"],
          "max_time/dt"),
         (["lindblad", "--circuit", "toffoli", "--dt", "1e-300", "--record-every", "1e300",
@@ -343,7 +366,7 @@ CIRCUIT_FILES = {
 def test_non_finite_or_empty_input_is_an_input_error(argv, named, tmp_path, capsys):
     # "@name" stands for a circuit file of CIRCUIT_FILES, "@dir" for a directory
     for name, text in CIRCUIT_FILES.items():
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_text(text, encoding="utf-8")
     argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
     (tmp_path / "dir").mkdir()
     out = tmp_path / "x.csv"

@@ -83,20 +83,65 @@ class TestStepKernels:
             scatter_add_step(*edges, blocks),
         )
 
-    def test_scatter_order_keeps_each_targets_edges_in_order(self):
-        # edge_arrays puts the k-th edge into each target in run k, each run
-        # sorted by target: as many runs as the largest in-degree
-        rng = np.random.default_rng(6)
-        pairs = [tuple(p) for p in rng.integers(0, 6, size=(40, 2)).tolist()]
-        tagged = [(s, t, np.full((2, 2), k)) for k, (s, t) in enumerate(pairs)]
-        src, dst, b_ops, _ = edge_arrays(6, 2, tagged)
-        assert np.count_nonzero(dst[1:] <= dst[:-1]) + 1 == np.bincount(dst).max()
-        tags = b_ops[:, 0, 0].real.astype(int).tolist()
-        assert [pairs[k] for k in tags] == list(zip(src.tolist(), dst.tolist()))
-        for target in range(6):
-            assert [k for k in tags if pairs[k][1] == target] == [
-                k for k, (_, t) in enumerate(pairs) if t == target
-            ]
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_any_edge_order_is_bitwise_edge_by_edge_scatter_add(self, data):
+        # edges in any order, targets repeated or never hit, and -0.0
+        # entries planted in coins and blocks: each target must sum its
+        # terms in edge order from +0.0, as one add per edge does
+        n = data.draw(st.integers(1, 6), label="nodes")
+        d = data.draw(st.integers(1, 4), label="dim")
+        e = data.draw(st.integers(0, 24), label="edges")
+        nodes = hnp.arrays(np.int64, e, elements=st.integers(0, n - 1))
+        src, dst = data.draw(nodes, label="src"), data.draw(nodes, label="dst")
+        entries = st.sampled_from([-0.0, 0.0]) | st.floats(-2.0, 2.0, width=32)
+
+        def complex_stack(shape, label):
+            parts = data.draw(hnp.arrays(np.float64, (2, *shape), elements=entries),
+                              label=label)
+            out = np.empty(shape, dtype=np.complex128)
+            out.real, out.imag = parts
+            return out
+
+        b_ops = complex_stack((e, d, d), "coins")
+        b_dag = np.ascontiguousarray(b_ops.conj().transpose(0, 2, 1))
+        blocks = complex_stack((n, d, d), "blocks")
+        terms = b_ops @ blocks[src] @ b_dag
+        expected = np.zeros_like(blocks)
+        for k in range(e):
+            expected[dst[k]] += terms[k]
+        got = _kernels.step_blocks(b_ops, b_dag, src, dst, blocks)
+        assert got.shape == blocks.shape and got.dtype == blocks.dtype
+        assert got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 6), d=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_step_of_a_normalized_walk_is_trace_preserving_and_positive(self, n, d, seed):
+        # 1 to 3 out-edges per source, in shuffled order, each source's
+        # coins rescaled so that their sum of B†B is the identity
+        rng = np.random.default_rng(seed)
+
+        def gaussian(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        edges = []
+        for source in range(n):
+            coins = gaussian(rng.integers(1, 4), d, d)
+            gram = np.einsum("kji,kjl->il", coins.conj(), coins)
+            w, v = np.linalg.eigh(gram)
+            coins = coins @ (v / np.sqrt(w)) @ v.conj().T
+            edges += [(source, rng.integers(0, n), c) for c in coins]
+        shuffled = [edges[k] for k in rng.permutation(len(edges))]
+        src, dst, b_ops, b_dag = edge_arrays(n, d, shuffled)
+        gram = _kernels.source_gram(b_ops, b_dag, src, dst, n)
+        assert np.abs(gram - np.eye(d)).max() < 1e-12
+        a = gaussian(n, d, d)
+        blocks = a @ a.conj().transpose(0, 2, 1)
+        blocks /= np.einsum("nii->", blocks).real
+        out = _kernels.step_blocks(b_ops, b_dag, src, dst, blocks)
+        assert abs(np.einsum("nii->", out) - 1) < 1e-12
+        assert np.abs(out - out.conj().transpose(0, 2, 1)).max() < 1e-14
+        assert np.linalg.eigvalsh(out).min() >= -1e-12
 
     def test_random_edges_are_bitwise_scatter_add(self):
         rng = np.random.default_rng(7)

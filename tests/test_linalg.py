@@ -5,7 +5,6 @@ from oqwalk.errors import DomainError
 from oqwalk.linalg import (
     dagger,
     is_unitary,
-    psd_check,
     trace_norm,
 )
 
@@ -97,14 +96,3 @@ class TestIsUnitary:
         )
         assert is_unitary(u6, 1e-12)
 
-
-class TestPsdCheck:
-    def test_maximally_mixed(self):
-        assert psd_check(np.eye(2) / 2, 1e-10)
-
-    def test_negative_eigenvalue(self):
-        assert not psd_check(np.diag([1.0, -0.1]), 1e-10)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(DomainError):
-            psd_check(np.array([[0, 1], [0, 0]]))

@@ -13,7 +13,7 @@ from oqwalk.circuits import (
     toffoli13,
 )
 from oqwalk.errors import CircuitError, DomainError, ShapeError
-from oqwalk.linalg import dagger, psd_check, trace_norm
+from oqwalk.linalg import dagger, trace_norm
 from oqwalk.walk import (
     BlockState,
     ChainParams,
@@ -23,6 +23,7 @@ from oqwalk.walk import (
     build_dqc_chain,
     classical_marginal_step,
     conditional_state,
+    edge_arrays,
     run_until_converged,
     step,
     two_node_gate_walk,
@@ -149,9 +150,8 @@ class TestStep:
         for _ in range(100):
             state = step(walk, state)
         assert state.total_trace() == pytest.approx(1.0, abs=1e-10)
-        for i in range(walk.num_nodes):
-            hermitized = 0.5 * (state.blocks[i] + state.blocks[i].conj().T)
-            assert psd_check(hermitized, 1e-10)
+        hermitized = 0.5 * (state.blocks + state.blocks.conj().transpose(0, 2, 1))
+        assert np.linalg.eigvalsh(hermitized).min() >= -1e-10
 
 
 class TestTwoNodeRecursion:
@@ -369,6 +369,70 @@ class TestRunUntilConverged:
             assert fidelity >= 1 - 1e-8
             if node < circuit.depth:
                 psi = unitaries[node] @ psi
+
+    @pytest.mark.parametrize(
+        "node, value, match",
+        [(2, [[np.nan, 0.0], [0.0, 0.25]], "block 2 contains NaN or Inf entries"),
+         (1, [[0.25, np.inf], [0.0, 0.0]], "block 1 contains NaN or Inf entries"),
+         (1, [[0.25, 0.1], [0.0, 0.0]], "block 1 is not Hermitian"),
+         (2, [[0.125, 1e-9j], [1e-9j, 0.125]], "block 2 is not Hermitian"),
+         (1, [[0.35, 0.0], [0.0, -0.1]], "block 1 is not positive semidefinite"),
+         (2, [[0.125, 0.5], [0.5, 0.125]], "block 2 is not positive semidefinite")],
+    )
+    def test_rejects_a_bad_initial_state_and_names_the_first_bad_block(
+        self, node, value, match
+    ):
+        # every block has trace 1/4; node 3 repeats the fault, so the
+        # message must name the first one
+        walk = OpenQuantumWalk(4, 2, {(n, n): np.eye(2) for n in range(4)})
+        blocks = np.broadcast_to(np.eye(2) / 8, (4, 2, 2)).astype(complex)
+        blocks[node] = blocks[3] = value
+        with pytest.raises(DomainError, match=match):
+            run_until_converged(walk, BlockState(blocks))
+
+    @pytest.mark.parametrize("trace", [0.0, 0.9, 1 + 2e-10, 1e300])
+    def test_rejects_an_initial_state_of_non_unit_trace(self, trace):
+        walk = OpenQuantumWalk(2, 2, {(0, 0): np.eye(2), (1, 1): np.eye(2)})
+        blocks = np.zeros((2, 2, 2), dtype=complex)
+        blocks[1, 0, 0] = trace
+        with pytest.raises(DomainError, match="total trace .* is not 1"):
+            run_until_converged(walk, BlockState(blocks))
+
+    def test_accepts_skew_within_tolerance_on_every_block(self):
+        # each block's skew is below 1e-10 but the stack's is above it, so
+        # the per-block search runs and finds nothing
+        walk = OpenQuantumWalk(4, 2, {(n, n): np.eye(2) for n in range(4)})
+        blocks = np.broadcast_to(np.eye(2) / 8, (4, 2, 2)).astype(complex)
+        blocks[:, 0, 1] += 0.6e-10
+        assert run_until_converged(walk, BlockState(blocks)).converged
+
+
+class TestEdgeArrays:
+    def test_keeps_the_given_order(self):
+        edges = [(2, 0, np.eye(2)), (0, 1, 2 * np.eye(2)), (1, 0, 3 * np.eye(2))]
+        src, dst, b_ops, b_dag = edge_arrays(3, 2, edges)
+        assert src.tolist() == [2, 0, 1] and dst.tolist() == [0, 1, 0]
+        assert b_ops[:, 0, 0].tolist() == [1, 2, 3]
+        assert not b_ops.flags.writeable
+        assert np.array_equal(b_dag, b_ops.conj().transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_names_the_first_non_finite_coin(self, bad):
+        coin = np.eye(2, dtype=complex)
+        coin[1, 0] = bad
+        edges = [(0, 0, np.eye(2)), (0, 1, coin), (1, 1, np.eye(2)), (1, 0, coin)]
+        with pytest.raises(DomainError, match=r"coin for edge \(0, 1\) contains NaN or Inf"):
+            edge_arrays(2, 2, edges)
+
+    @pytest.mark.parametrize("coin", [np.eye(3), np.eye(2)[0], np.ones((2, 2, 1)), 1.0])
+    def test_names_the_first_coin_of_the_wrong_shape(self, coin):
+        edges = [(0, 0, np.eye(2)), (1, 0, coin), (1, 1, np.eye(3))]
+        with pytest.raises(ShapeError, match=r"coin for edge \(1, 0\) has shape"):
+            edge_arrays(2, 2, edges)
+
+    def test_names_the_first_edge_out_of_range(self):
+        with pytest.raises(DomainError, match=r"edge \(0, 2\) out of range"):
+            edge_arrays(2, 2, [(0, 0, np.eye(2)), (0, 2, np.eye(2)), (3, 0, np.eye(2))])
 
 
 class TestConditionalState:
