@@ -43,6 +43,7 @@ from .walk import (
     run_chain,
     run_until_converged,
     step,
+    sweep_chain,
     two_node_gate_walk,
     validate,
 )

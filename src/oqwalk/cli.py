@@ -117,22 +117,6 @@ def _emit(out: str | None, text: str) -> None:
         Path(out).write_bytes(text.encode("utf-8"))
 
 
-def _walk_job(args: argparse.Namespace):
-    """The per-ω walk of ``run`` and ``sweep``: ω -> ConvergenceReport."""
-    circuit = load_circuit(args.circuit)
-    psi0 = _input_state(args, circuit)
-    target = circuit_product(circuit) @ psi0
-    tol = _resolve_tol(args.circuit, args.tol)
-
-    def job(omega: float) -> wk.ConvergenceReport:
-        chain = wk.build_dqc_chain(circuit, wk.ChainParams(omega))
-        return wk.run_chain(
-            chain, psi0, tol=tol, max_steps=args.max_steps, target_state=target
-        )
-
-    return job
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -163,12 +147,22 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     omega = _single_omega(args.omega)
-    report = _walk_job(args)(omega)
+    circuit = load_circuit(args.circuit)
+    psi0 = _input_state(args, circuit)
+    report = wk.run_chain(
+        wk.build_dqc_chain(circuit, wk.ChainParams(omega)),
+        psi0,
+        tol=_resolve_tol(args.circuit, args.tol),
+        max_steps=args.max_steps,
+        target_state=circuit_product(circuit) @ psi0,
+    )
 
     rows = ["step,node,probability"]
-    for n, dist in enumerate(report.history):
-        for node, p in enumerate(dist):
-            rows.append(f"{n},{node},{fmt(p)}")
+    rows += [
+        f"{n},{node},{p:.17g}"
+        for n, dist in enumerate(report.history.tolist())
+        for node, p in enumerate(dist)
+    ]
     rows.append("steps_to_converge,final_detection,final_fidelity,converged")
     rows.append(
         f"{report.steps},{fmt(report.final_detection)},"
@@ -179,16 +173,19 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _sweep_workers() -> int:
-    """One: the per-ω walk holds the GIL, so a second thread only contends
-    for it."""
+    """One: the sweep is a single lockstep job."""
     return 1
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     omegas = sorted(parse_omega_spec(args.omega))
-    job = _walk_job(args)
+    circuit = load_circuit(args.circuit)
+    _input_state(args, circuit)  # checked only: populations do not depend on it
+    tol = _resolve_tol(args.circuit, args.tol)
     with ThreadPoolExecutor(max_workers=_sweep_workers()) as pool:
-        reports = list(pool.map(job, omegas))
+        reports = pool.submit(
+            wk.sweep_chain, circuit.depth, omegas, tol, args.max_steps
+        ).result()
 
     rows = ["omega,steps_to_converge,final_detection,converged"]
     all_converged = True

@@ -15,7 +15,6 @@ from .errors import DomainError, ShapeError
 
 __all__ = [
     "as_matrix",
-    "dagger",
     "frobenius",
     "trace_norm",
     "is_hermitian",
@@ -31,11 +30,6 @@ def as_matrix(a) -> np.ndarray:
     if not np.isfinite(m).all():
         raise DomainError("matrix contains NaN or Inf entries")
     return m
-
-
-def dagger(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.ascontiguousarray(as_matrix(a).conj().T)
 
 
 def frobenius(a) -> float:

@@ -43,6 +43,10 @@ __all__ = [
     "node_marginals",
 ]
 
+#: Largest RK4 step count ``ceil(max_time/dt)`` a run may plan; the default
+#: ``max_time`` and ``dt`` plan 50 000.
+MAX_RK4_STEPS = 1_000_000
+
 _LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
 
 
@@ -160,6 +164,11 @@ def integrate(
     for name, count in (("max_time/dt", max_time / dt), ("observe_every/dt", observe_every / dt)):
         if not math.isfinite(count):
             raise DomainError(f"{name} must be a finite step count, got {count}")
+    n_steps = math.ceil(max_time / dt)
+    if n_steps > MAX_RK4_STEPS:
+        raise DomainError(
+            f"max_time/dt = {max_time / dt:.17g} RK4 steps; at most {MAX_RK4_STEPS}"
+        )
     rho = _checked_blocks(model, rho0, "rho0")
     rho = 0.5 * (rho + _adjoint(rho))
     rhs = lambda r: _rhs(model, r)
@@ -167,7 +176,6 @@ def integrate(
     if observer is not None:
         observer(0.0, rho)
     stride = max(1, round(observe_every / dt))
-    n_steps = int(math.ceil(max_time / dt))
     stationary = False
     rhs_norm = math.nan
     steps = 0

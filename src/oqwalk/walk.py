@@ -11,9 +11,10 @@ forward hops apply the next gate with amplitude √ω and whose backward hops
 undo the previous gate with amplitude √λ, λ = 1 − ω.  Because every coin is
 a scalar multiple of a unitary, node populations follow a classical
 birth-death chain, which this module also provides, together with its
-geometric stationary distribution.  ``run_chain`` is the one place that uses
-this structure: it iterates the populations as a walk with 1×1 coins and
-applies the circuit to the input state once.
+geometric stationary distribution.  Two functions use this structure:
+``run_chain`` iterates the populations as a walk with 1×1 coins and applies
+the circuit to the input state once, and ``sweep_chain`` advances the
+populations of a whole ω grid in lockstep with the same arithmetic.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from . import _kernels
 from .circuits import Circuit, circuit_unitaries
 from .config import TOL
 from .errors import DomainError, ShapeError
-from .linalg import as_matrix, dagger, frobenius, is_unitary
+from .linalg import as_matrix, frobenius, is_unitary
 
 __all__ = [
     "ChainParams",
@@ -45,6 +46,8 @@ __all__ = [
     "analytic_chain_steady",
     "run_until_converged",
     "run_chain",
+    "SweepRow",
+    "sweep_chain",
     "conditional_state",
     "block_diff_norm",
 ]
@@ -263,7 +266,7 @@ class ChainWalk(OpenQuantumWalk):
         table = {(0, 0): sqrt_l * eye, (big_t, big_t): sqrt_w * eye}
         for t, u in enumerate(self.unitaries, start=1):
             table[(t - 1, t)] = sqrt_w * u
-            table[(t, t - 1)] = sqrt_l * dagger(u)
+            table[(t, t - 1)] = sqrt_l * u.conj().T
         super().__init__(big_t + 1, dim, table)
 
 
@@ -368,10 +371,7 @@ def run_until_converged(
     ``final_fidelity`` is the overlap of that node's normalized block with
     ``target_state`` (NaN when no target is supplied).
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise DomainError(f"tol must be finite and positive, got {tol}")
-    if max_steps < 1:
-        raise DomainError(f"max_steps must be >= 1, got {max_steps}")
+    _check_run_limits(tol, max_steps)
     validate_state(init)
 
     # |Tr Δρ_n| ≤ ‖Δρ_n‖₁ for each block, so the population change
@@ -416,6 +416,78 @@ def run_until_converged(
         final_fidelity=_fidelity(prev, last, final_detection, target_state),
         final_state=prev,
     )
+
+
+def _check_run_limits(tol: float, max_steps: int) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tol must be finite and positive, got {tol}")
+    if max_steps < 1:
+        raise DomainError(f"max_steps must be >= 1, got {max_steps}")
+
+
+class SweepRow(NamedTuple):
+    """The summary of one chain run of a sweep."""
+
+    steps: int
+    converged: bool
+    final_detection: float
+
+
+def sweep_chain(
+    big_t: int, omegas, tol: float = 1e-7, max_steps: int = 100_000
+) -> list[SweepRow]:
+    """``run_chain``'s steps, convergence and detection for every ω of a
+    grid, on a chain of T slices, with all K chains advanced in lockstep.
+
+    The node populations of the K chains are one (K, T+1) array, and each
+    row leaves it on the step where it converges or reaches ``max_steps``.
+    The arithmetic is that of the 1×1 engine, bit for bit: each term is
+    (√ω·p)·√ω or (√λ·p)·√λ, as the complex sandwich B ρ B† computes it;
+    every node sums exactly two terms, so their order cannot matter; and
+    the trace norm of a 1×1 block difference is |Δp|, so the distance is
+    ``moved`` = Σ_t |Δp_t| and a row converges when it is below ``tol``.
+    The drift check and ``max_steps`` are those of ``run_until_converged``.
+    Rows are returned in the order of ``omegas``.
+    """
+    _check_run_limits(tol, max_steps)
+    if big_t < 1:
+        raise DomainError(f"a chain has at least one slice, got {big_t}")
+    params = [ChainParams(w) for w in omegas]
+    # Node t receives p[sources[0, t]] with amplitude coef[k, 0, t] (the hop
+    # from t − 1, or node 0's self-loop) and p[sources[1, t]] with amplitude
+    # coef[k, 1, t] (the hop from t + 1, or node T's self-loop).
+    nodes = np.arange(big_t + 1)
+    sources = np.array([np.maximum(nodes - 1, 0), np.minimum(nodes + 1, big_t)])
+    sqrt_w = np.array([math.sqrt(c.omega) for c in params])
+    sqrt_l = np.array([math.sqrt(c.lam) for c in params])
+    coef = np.empty((len(params), 2, big_t + 1))
+    coef[:, 0], coef[:, 1] = sqrt_w[:, None], sqrt_l[:, None]
+    coef[:, 0, 0], coef[:, 1, -1] = sqrt_l, sqrt_w
+    rows = np.arange(len(params))
+    p = np.zeros((len(params), big_t + 1))
+    p[:, 0] = 1.0
+    out: list[SweepRow | None] = [None] * len(params)
+    for n in range(1, max_steps + 1):
+        if not len(rows):
+            break
+        terms = (coef * p[:, sources]) * coef
+        cur = terms[:, 0] + terms[:, 1]
+        totals = cur.sum(axis=1)
+        drifted = np.abs(totals - 1.0) > TOL.trace
+        if drifted.any():
+            raise ArithmeticError(
+                f"trace drifted to {totals[drifted.argmax()]} at step {n}; "
+                "walk is not trace preserving"
+            )
+        moved = np.abs(cur - p).sum(axis=1)
+        p = cur
+        converged = moved < tol
+        if converged.any() or n == max_steps:
+            done = converged | (n == max_steps)
+            for i in np.flatnonzero(done):
+                out[rows[i]] = SweepRow(n, bool(converged[i]), float(p[i, -1]))
+            rows, p, coef = rows[~done], p[~done], coef[~done]
+    return out
 
 
 def _fidelity(state: BlockState, node: int, detection: float, target_state) -> float:

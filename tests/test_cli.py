@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -198,8 +199,8 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("circuit", ["toffoli", "qft3"])
     def test_every_grid_row_is_the_summary_of_its_run(self, circuit, tmp_path, capsys):
-        # steps, final_detection and converged byte for byte, whatever the
-        # number of threads the grid cells run on
+        # steps, final_detection and converged byte for byte: the lockstep
+        # grid of sweep against run_chain at each omega
         assert main(["sweep", "--circuit", circuit, "--omega", "0.5:0.95:0.05"]) == 0
         rows = capsys.readouterr().out.splitlines()[1:]
         assert len(rows) == 10
@@ -209,11 +210,13 @@ class TestSweepCommand:
             summary = capsys.readouterr().out.splitlines()[-1].split(",")
             assert [summary[0], summary[1], summary[3]] == [steps, detection, converged]
 
-    @pytest.mark.parametrize("argv", [
-        ["sweep", "--omega", "0.5:0.95:0.05"],
-        ["validate"],
+    @pytest.mark.parametrize("argv, once", [
+        (["run", "--omega", "0.5"], True),
+        (["validate"], True),
+        (["sweep", "--omega", "0.5:0.95:0.05"], False),
     ])
-    def test_compiles_each_slice_once(self, argv, tmp_path, monkeypatch):
+    def test_compiles_each_slice_once(self, argv, once, tmp_path, monkeypatch):
+        # sweep prints no fidelity and reads only the depth: it compiles nothing
         compiles = []
         compile_slice = circuits.slice_unitary
 
@@ -223,7 +226,31 @@ class TestSweepCommand:
 
         monkeypatch.setattr(circuits, "slice_unitary", counted)
         assert main([*argv, "--circuit", "toffoli", "--out", str(tmp_path / "x")]) == 0
-        assert len(compiles) == circuits.toffoli13().depth
+        assert len(compiles) == (circuits.toffoli13().depth if once else 0)
+
+    @pytest.mark.parametrize("option", [
+        ["--tol", "nan"], ["--tol", "inf"], ["--tol", "0"], ["--tol", "-1"],
+        ["--max-steps", "0"], ["--max-steps", "-3"], ["--input", "11"],
+        ["--input", "11x"], ["--circuit", "no-such-circuit.txt"],
+    ])
+    def test_bad_input_is_the_input_error_of_run(self, option, tmp_path, capsys):
+        errors = []
+        for command in ("run", "sweep"):
+            out = tmp_path / f"{command}.csv"
+            argv = [command, "--circuit", "toffoli", "--omega", "0.5", *option]
+            assert main([*argv, "--out", str(out)]) == 2
+            errors.append(capsys.readouterr().err)
+            assert not out.exists()
+        assert errors[0].startswith("error:") and "Traceback" not in errors[0]
+        assert errors[1] == errors[0]
+
+    def test_trace_drift_is_a_numeric_failure(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli.wk.ChainParams, "lam", property(lambda s: 1.02 - s.omega))
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--circuit", "toffoli", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: trace drifted") and "Traceback" not in err
+        assert not out.exists()
 
     def test_nonconverged_cell_sets_exit_code(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -260,6 +287,18 @@ class TestLindbladCommand:
         circ = tmp_path / "empty.circ"
         circ.write_text("qubits 2\n")
         assert main(["lindblad", "--circuit", str(circ)]) == 2
+
+    def test_too_many_rk4_steps_is_an_input_error_before_any_step(self, tmp_path, capsys):
+        # 1e300 planned steps: without the bound this would run until killed
+        out = tmp_path / "lb.csv"
+        start = time.perf_counter()
+        code = main(["lindblad", "--circuit", "toffoli", "--dt", "1e-300",
+                     "--max-time", "1", "--out", str(out)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: max_time/dt") and "Traceback" not in err
+        assert not out.exists()
 
     def test_qft4_relaxes_to_uniform_registers(self, tmp_path):
         # 17 registers of 16-dimensional blocks

@@ -7,6 +7,7 @@ from dense_lindblad import dense_chain_jumps, dense_rhs, embed_blocks, node_bloc
 from oqwalk.circuits import Circuit, Gate, basis_state, qft, toffoli13
 from oqwalk.errors import CircuitError, DomainError, ShapeError
 from oqwalk.lindblad import (
+    MAX_RK4_STEPS,
     LindbladModel,
     build_dqc_lindblad,
     integrate,
@@ -249,6 +250,14 @@ class TestIntegrate:
         model = LindbladModel(1, 2, [])
         with pytest.raises(DomainError):
             integrate(model, np.eye(2)[None] / 2, dt=0.0)
+
+    def test_step_count_is_bounded(self):
+        model = LindbladModel(1, 2, [])
+        rho0 = np.eye(2)[None] / 2
+        # exactly the bound is planned, and the inert model stops at once
+        assert integrate(model, rho0, dt=1.0, max_time=MAX_RK4_STEPS).steps == 0
+        with pytest.raises(DomainError, match="max_time/dt"):
+            integrate(model, rho0, dt=1.0, max_time=MAX_RK4_STEPS + 0.5)
 
     def test_matches_balanced_walk_marginals(self):
         # continuous-time stationary registers are uniform, exactly what the

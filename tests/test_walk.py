@@ -13,7 +13,7 @@ from oqwalk.circuits import (
     toffoli13,
 )
 from oqwalk.errors import CircuitError, DomainError, ShapeError
-from oqwalk.linalg import dagger, trace_norm
+from oqwalk.linalg import trace_norm
 from oqwalk.walk import (
     BlockState,
     ChainParams,
@@ -106,7 +106,7 @@ class TestValidate:
             ket_bra = np.zeros((2, 2))
             ket_bra[i, j] = 1.0
             m = np.kron(b, ket_bra)
-            total += dagger(m) @ m
+            total += m.conj().T @ m
         assert np.allclose(total, np.eye(4), atol=1e-12)
 
 
