@@ -260,25 +260,28 @@ def toffoli13() -> Circuit:
 
 
 def qft(n: int) -> Circuit:
-    """Quantum Fourier transform circuit for 3 or 4 qubits.
+    """Quantum Fourier transform circuit on n qubits, 1 ≤ n ≤ 12.
 
     Hadamards and controlled phases in the textbook pattern, followed by the
-    bit-reversal swaps spelled out as three CNOT slices per swapped pair, so
-    the overall product equals the plain DFT matrix.
+    bit-reversal swaps of the pairs (j, n+1−j), j ≤ n/2, each spelled out as
+    three CNOT slices, so the overall product equals the plain DFT matrix.
+    The depth is n(n+1)/2 + 3⌊n/2⌋.
     """
-    if n not in (3, 4):
-        raise DomainError(f"qft is provided for 3 or 4 qubits, got {n}")
     g = Gate
-    slices: list[tuple[Gate, ...]] = []
-    for j in range(1, n + 1):
-        slices.append((g("H", (j,)),))
-        for k in range(j + 1, n + 1):
-            slices.append((g("CP", (k, j), math.pi / 2 ** (k - j)),))
-    for a, b in [(1, n)] + ([(2, 3)] if n == 4 else []):
-        slices.append((g("CNOT", (a, b)),))
-        slices.append((g("CNOT", (b, a)),))
-        slices.append((g("CNOT", (a, b)),))
-    return Circuit(n, tuple(slices), name=f"qft{n}")
+
+    def slices():
+        for j in range(1, n + 1):
+            yield (g("H", (j,)),)
+            for k in range(j + 1, n + 1):
+                yield (g("CP", (k, j), math.pi / 2 ** (k - j)),)
+        for a in range(1, n // 2 + 1):
+            b = n + 1 - a
+            yield (g("CNOT", (a, b)),)
+            yield (g("CNOT", (b, a)),)
+            yield (g("CNOT", (a, b)),)
+
+    # Circuit checks n before it reads a slice
+    return Circuit(n, slices(), name=f"qft{n}")
 
 
 BUILTIN_CIRCUITS = {

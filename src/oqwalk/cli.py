@@ -48,8 +48,21 @@ def fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _decimal(x: float) -> tuple[int, int]:
+    """The shortest decimal that reads back as x, as (m, e) with x = m·10^e."""
+    mantissa, _, exp = repr(x).partition("e")
+    whole, _, frac = mantissa.partition(".")
+    return int(whole + frac), int(exp or 0) - len(frac)
+
+
 def parse_omega_spec(spec: str) -> list[float]:
-    """A single value, or an inclusive ``start:stop:step`` grid."""
+    """A single value, or an inclusive ``start:stop:step`` grid.
+
+    Grid points are start + k·step ≤ stop, computed exactly on the decimals
+    of the three values (their literals, up to 15 significant digits) and
+    rounded once to a float, so each point is the float of the decimal it
+    names.
+    """
     parts = spec.split(":")
     if len(parts) == 1:
         values = [float(spec)]
@@ -59,16 +72,16 @@ def parse_omega_spec(spec: str) -> list[float]:
             raise ValueError("grid step must be positive")
         if not np.isfinite(stop - start):
             raise ValueError("grid bounds must be finite")
-        intervals = (stop - start) / step_size
-        # round(intervals) + 1 points; checked before the list is built
-        if not intervals < MAX_GRID_POINTS - 0.5:  # also rejects inf
+        # integers in units of 10^e: exact, and n is checked before the list is built
+        (a, ea), (b, eb), (s, es) = (_decimal(v) for v in (start, stop, step_size))
+        e = min(ea, eb, es, 0)
+        a, b, s = a * 10 ** (ea - e), b * 10 ** (eb - e), s * 10 ** (es - e)
+        n = (b - a) // s
+        if n >= MAX_GRID_POINTS:
             raise ValueError(
                 f"omega grid {spec!r} is too fine; at most {MAX_GRID_POINTS} points"
             )
-        n = int(round(intervals))
-        # snap accumulated float error so grid points equal the user's literals
-        values = [round(start + k * step_size, 12) for k in range(n + 1)]
-        values = [v for v in values if v <= stop + 1e-12]
+        values = [(a + k * s) / 10**-e for k in range(n + 1)]
     else:
         raise ValueError(f"bad omega spec {spec!r}; use x or start:stop:step")
     if not values:

@@ -16,8 +16,6 @@ from .errors import DomainError, ShapeError
 __all__ = [
     "as_matrix",
     "frobenius",
-    "trace_norm",
-    "is_hermitian",
     "is_unitary",
 ]
 
@@ -37,34 +35,9 @@ def frobenius(a) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
 
-def is_hermitian(a, tol: float = TOL.hermitian) -> bool:
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        return False
-    return frobenius(a - a.conj().T) <= tol
-
-
-def trace_norm(a) -> float:
-    """Sum of absolute eigenvalues of a Hermitian matrix.
-
-    This is the Schatten 1-norm restricted to Hermitian inputs, which is all
-    the walk code ever needs (differences of density blocks).  Raises
-    ``DomainError`` if the input is not Hermitian within the shared tolerance.
-    """
-    a = as_matrix(a)
-    _require_square(a)
-    if not is_hermitian(a):
-        raise DomainError("trace_norm requires a Hermitian matrix")
-    return float(np.abs(np.linalg.eigvalsh(a)).sum())
-
-
 def is_unitary(a, tol: float = TOL.unitary) -> bool:
     """True iff ‖a†a − I‖_F ≤ tol."""
     a = as_matrix(a)
     gram = a.conj().T @ a
     return frobenius(gram - np.eye(gram.shape[0])) <= tol
 
-
-def _require_square(a: np.ndarray) -> None:
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {a.shape}")

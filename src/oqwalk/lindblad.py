@@ -10,15 +10,24 @@ These jumps map a state that is block diagonal in the register index to one
 that is again block diagonal, and on such states the register jump acts
 exactly as its two edges (t−1 → t, U_t) and (t → t−1, U_t†) taken as
 separate jumps B ⊗ |i⟩⟨j|: the cross terms vanish.  So the model is stored
-as the walk's edge table and integrated on stacked (N, d, d) node blocks,
-with the generator of the continuous-time open quantum walk
+as an edge table on stacked (N, d, d) node blocks, with the generator of
+the continuous-time open quantum walk
 
     dρ_n/dt = Σ_{e: dst=n} B_e ρ_src B_e† − ½{K_n, ρ_n},
-    K_n = Σ_{e: src=n} B_e†B_e,
+    K_n = Σ_{e: src=n} B_e†B_e.
 
-whose jump term is the walk's step kernel.  A model with one node is a
-plain dense Lindblad generator.  The integrator is a fixed-step classical
-Runge-Kutta scheme.
+The model integrates in a frame of per-node unitaries W_n, on the blocks
+ρ̃_n = W_n† ρ_n W_n, where an edge's coin becomes W_dst† B W_src.  The
+chain uses the history-state frame W_0 = I, W_t = U_t W_{t−1}, in which
+both edges of every slice have the identity as coin and the resets at node
+0 keep theirs.  An edge whose coin is exactly c·I moves ρ̃_src to ρ̃_dst at
+rate |c|², so all such edges together are one real (N, N) generator acting
+on every block entry alike: on the chain, the path-graph Laplacian.  The
+other edges go through the walk's step kernel and the damping kernel, on
+the sub-stack of the nodes they touch.  ``lindblad_rhs``, ``integrate`` and
+its observer take and give lab-frame blocks ρ_n = W_n ρ̃_n W_n†.  A model
+with one node and no frame is a plain dense Lindblad generator.  The
+integrator is a fixed-step classical Runge-Kutta scheme.
 """
 
 from __future__ import annotations
@@ -55,44 +64,98 @@ class LindbladModel:
 
     ``edges`` are (source j, target i, B) triples on ``num_nodes`` nodes
     with ``dim``-dimensional blocks; each is the jump B ⊗ |i⟩⟨j|, and a
-    (source, target) pair may repeat.  There is no Hamiltonian part.  With
-    one node every edge is (0, 0) and the model is the dense generator of
-    its jump operators.  ``_g`` holds −½K_n per node.
+    (source, target) pair may repeat.  There is no Hamiltonian part.
+    ``frames``, if given, holds one unitary W_n per node, and the coins are
+    then those of the frame, W_i† B W_j for a lab-frame coin B.
+
+    Every edge whose coin is exactly c·I is a rate |c|² in ``_rates``, the
+    real (N, N) generator of those edges: |c|² at [i, j], −|c|² at [j, j].
+    The remaining edges are kept with ``_src`` and ``_dst`` counted from the
+    start of ``_span``, the range of nodes they touch, and ``_g`` holds −½K_n
+    of those edges for each node of ``_span``.
     """
 
-    def __init__(self, num_nodes: int, dim: int, edges):
-        self._src, self._dst, self._b_ops, self._b_dag = edge_arrays(num_nodes, dim, edges)
+    def __init__(self, num_nodes: int, dim: int, edges, frames=None):
+        src, dst, b_ops, b_dag = edge_arrays(num_nodes, dim, edges)
         self.num_nodes = int(num_nodes)
         self.dim = int(dim)
-        k = _kernels.source_gram(self._b_ops, self._b_dag, self._src, self._dst, self.num_nodes)
+        self._frames = self._frames_dag = None
+        if frames is not None:
+            self._frames = _checked_frames(self, frames)
+            self._frames_dag = np.ascontiguousarray(_adjoint(self._frames))
+        scalar = b_ops[:, :1, :1] * np.eye(self.dim)
+        is_rate = (b_ops == scalar).all(axis=(1, 2))
+        rate = np.abs(b_ops[is_rate, 0, 0]) ** 2
+        self._rates = np.zeros((self.num_nodes, self.num_nodes))
+        np.add.at(self._rates, (dst[is_rate], src[is_rate]), rate)
+        np.add.at(self._rates, (src[is_rate], src[is_rate]), -rate)
+        coin = ~is_rate
+        touched = np.concatenate([src[coin], dst[coin]])
+        lo, hi = (touched.min(), touched.max() + 1) if len(touched) else (0, 0)
+        self._span = slice(int(lo), int(hi))
+        self._src, self._dst = src[coin] - lo, dst[coin] - lo
+        self._b_ops, self._b_dag = b_ops[coin], b_dag[coin]
+        k = _kernels.source_gram(self._b_ops, self._b_dag, self._src, self._dst, hi - lo)
         self._g = -0.5 * k
         self._g_dag = np.ascontiguousarray(_adjoint(self._g))
+        self._num_edges = len(src)
 
     def __repr__(self):
         return (
             f"LindbladModel(num_nodes={self.num_nodes}, dim={self.dim}, "
-            f"edges={len(self._src)})"
+            f"edges={self._num_edges})"
         )
 
 
-def build_dqc_lindblad(circuit: Circuit, include_reset: bool = False) -> LindbladModel:
-    """The chain's jumps as edges on T+1 registers of 2^q-dimensional blocks.
+def _checked_frames(model: LindbladModel, frames) -> np.ndarray:
+    """frames as finite (N, d, d) blocks, each unitary within 1e-10."""
+    w = np.array(frames, dtype=np.complex128)
+    shape = (model.num_nodes, model.dim, model.dim)
+    if w.shape != shape:
+        raise ShapeError(f"frames must be blocks of shape {shape}, got {w.shape}")
+    if not np.isfinite(w).all():
+        raise DomainError("frames contain NaN or Inf entries")
+    residual = np.linalg.norm(_adjoint(w) @ w - np.eye(model.dim), axis=(1, 2))
+    if residual.max() > 1e-10:
+        raise DomainError(f"frame {int(residual.argmax())} is not unitary within 1e-10")
+    return w
 
-    Slice t gives the edges (t−1 → t, U_t) and (t → t−1, U_t†);
-    ``include_reset`` adds one (0 → 0) edge per qubit, lowering that qubit.
+
+def build_dqc_lindblad(circuit: Circuit, include_reset: bool = False) -> LindbladModel:
+    """The chain's jumps as edges on T+1 registers of 2^q-dimensional blocks,
+    in the history-state frame W_0 = I, W_t = U_t W_{t−1}.
+
+    Slice t gives the edges (t−1 → t, U_t) and (t → t−1, U_t†), whose
+    coins in that frame are the identity; ``include_reset`` adds one
+    (0 → 0) edge per qubit, lowering that qubit, where W_0 = I.
     """
     big_t, n = circuit.depth, circuit.num_qubits
-    edges = []
-    for t, u in enumerate(circuit_unitaries(circuit), start=1):
-        edges += [(t - 1, t, u), (t, t - 1, u.conj().T)]
+    eye = np.eye(2**n, dtype=np.complex128)
+    frames = [eye]
+    for u in circuit_unitaries(circuit):
+        frames.append(u @ frames[-1])
+    edges = [e for t in range(1, big_t + 1) for e in ((t - 1, t, eye), (t, t - 1, eye))]
     if include_reset:
-        eye = np.eye(2**n, dtype=np.complex128)
         edges += [(0, 0, apply_on_qubits(_LOWER, (q,), eye)) for q in range(1, n + 1)]
-    return LindbladModel(big_t + 1, 2**n, edges)
+    return LindbladModel(big_t + 1, 2**n, edges, frames)
 
 
 def _adjoint(blocks) -> np.ndarray:
     return blocks.conj().transpose(0, 2, 1)
+
+
+def _lift(model: LindbladModel, blocks) -> np.ndarray:
+    """Frame blocks ρ̃_n to lab blocks W_n ρ̃_n W_n†."""
+    if model._frames is None:
+        return blocks
+    return model._frames @ blocks @ model._frames_dag
+
+
+def _lower(model: LindbladModel, blocks) -> np.ndarray:
+    """Lab blocks ρ_n to frame blocks W_n† ρ_n W_n."""
+    if model._frames is None:
+        return blocks
+    return model._frames_dag @ blocks @ model._frames
 
 
 def _checked_blocks(model: LindbladModel, rho, name: str) -> np.ndarray:
@@ -111,20 +174,27 @@ def _checked_blocks(model: LindbladModel, rho, name: str) -> np.ndarray:
 
 
 def _rhs(model: LindbladModel, blocks) -> np.ndarray:
-    jump = _kernels.step_blocks(model._b_ops, model._b_dag, model._src, model._dst, blocks)
-    return _kernels.lindblad_rhs_kernel(jump, model._g, model._g_dag, blocks)
+    """The generator on frame blocks: the rates as one real product on the
+    (N, 2d²) float view, plus the coin edges on the nodes they touch."""
+    flat = blocks.reshape(model.num_nodes, -1).view(np.float64)
+    out = (model._rates @ flat).view(np.complex128).reshape(blocks.shape)
+    if len(model._src):
+        sub = blocks[model._span]
+        jump = _kernels.step_blocks(model._b_ops, model._b_dag, model._src, model._dst, sub)
+        out[model._span] += _kernels.lindblad_rhs_kernel(jump, model._g, model._g_dag, sub)
+    return out
 
 
 def lindblad_rhs(model: LindbladModel, rho) -> np.ndarray:
-    """Generator applied to a block state, with input checks."""
-    return _rhs(model, _checked_blocks(model, rho, "rho"))
+    """Generator applied to lab-frame blocks, with input checks."""
+    return _lift(model, _rhs(model, _lower(model, _checked_blocks(model, rho, "rho"))))
 
 
 @dataclass
 class IntegrationResult:
     """Final state of a fixed-step integration run."""
 
-    #: The final (N, d, d) node blocks.
+    #: The final (N, d, d) node blocks, in the lab frame.
     rho: np.ndarray
     time: float
     steps: int
@@ -144,10 +214,11 @@ def integrate(
 ) -> IntegrationResult:
     """March the master equation to stationarity with classical RK4 steps.
 
-    ``rho0`` and the state are (N, d, d) node blocks.  The state is
-    re-Hermitized each step and its trace renormalized whenever the drift
-    exceeds 1e-12.  ``observer(t, rho)`` is called at t = 0 and then roughly
-    every ``observe_every`` time units plus at the final state.
+    ``rho0`` and the state are (N, d, d) node blocks.  The state is carried
+    in the model's frame, re-Hermitized each step and its trace renormalized
+    whenever the drift exceeds 1e-12; it is lifted to the lab frame for the
+    result and for each call of ``observer(t, rho)``, at t = 0 and then
+    roughly every ``observe_every`` time units plus at the final state.
     Because the generator is linear, its fixed points are fixed points of
     the RK4 map as well, so the step size affects transient rates but not
     the stationary state the run converges to.
@@ -169,12 +240,12 @@ def integrate(
         raise DomainError(
             f"max_time/dt = {max_time / dt:.17g} RK4 steps; at most {MAX_RK4_STEPS}"
         )
-    rho = _checked_blocks(model, rho0, "rho0")
+    rho = _lower(model, _checked_blocks(model, rho0, "rho0"))
     rho = 0.5 * (rho + _adjoint(rho))
     rhs = lambda r: _rhs(model, r)
 
     if observer is not None:
-        observer(0.0, rho)
+        observer(0.0, _lift(model, rho))
     stride = max(1, round(observe_every / dt))
     stationary = False
     rhs_norm = math.nan
@@ -195,14 +266,14 @@ def integrate(
             rho = rho / tr
         steps = n + 1
         if observer is not None and steps % stride == 0:
-            observer(steps * dt, rho)
+            observer(steps * dt, _lift(model, rho))
     if not stationary:
         rhs_norm = frobenius(rhs(rho))
         stationary = rhs_norm < stop_tol
     if observer is not None and steps % stride != 0:
-        observer(steps * dt, rho)
+        observer(steps * dt, _lift(model, rho))
     return IntegrationResult(
-        rho=rho, time=steps * dt, steps=steps, stationary=stationary, rhs_norm=rhs_norm
+        rho=_lift(model, rho), time=steps * dt, steps=steps, stationary=stationary, rhs_norm=rhs_norm
     )
 
 

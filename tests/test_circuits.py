@@ -263,9 +263,27 @@ class TestBuiltinCircuits:
     def test_qft4_has_16_slices(self):
         assert qft(4).depth == 16
 
-    def test_unsupported_qft_size(self):
-        with pytest.raises(DomainError):
-            qft(5)
+    @pytest.mark.parametrize("n", [0, 13])
+    def test_unsupported_qft_size(self, n):
+        with pytest.raises(CircuitError, match="1 to 12 qubits"):
+            qft(n)
+
+    def test_qft_depth(self):
+        for n in range(1, 13):
+            assert qft(n).depth == n * (n + 1) // 2 + 3 * (n // 2)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_qft3_and_qft4_keep_their_slices(self, n):
+        # the swap pairs as they were spelled out for 3 and 4 qubits
+        swaps = [(1, n)] + ([(2, 3)] if n == 4 else [])
+        slices = [(Gate("H", (j,)),) if k == j else (Gate("CP", (k, j), math.pi / 2 ** (k - j)),)
+                  for j in range(1, n + 1) for k in range(j, n + 1)]
+        for a, b in swaps:
+            slices += [(Gate("CNOT", (a, b)),), (Gate("CNOT", (b, a)),), (Gate("CNOT", (a, b)),)]
+        old = Circuit(n, tuple(slices), name=f"qft{n}")
+        assert qft(n) == old
+        for u, v in zip(circuit_unitaries(qft(n)), circuit_unitaries(old)):
+            assert u.tobytes() == v.tobytes()
 
     @pytest.mark.parametrize("name", sorted(BUILTIN_CIRCUITS))
     def test_every_slice_is_unitary(self, name):
@@ -276,10 +294,10 @@ class TestBuiltinCircuits:
         err = np.linalg.norm(circuit_product(toffoli13()) - toffoli_matrix())
         assert err < 1e-12
 
-    def test_qft_products_match_dft(self):
-        for n in (3, 4):
-            err = np.linalg.norm(circuit_product(qft(n)) - dft_matrix(2**n))
-            assert err < 1e-12
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_qft_products_match_dft(self, n):
+        err = np.linalg.norm(circuit_product(qft(n)) - dft_matrix(2**n))
+        assert err < 1e-12
 
     def test_double_hadamard_cancels(self):
         c = Circuit(1, ((Gate("H", (1,)),), (Gate("H", (1,)),)))

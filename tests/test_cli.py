@@ -60,6 +60,28 @@ class TestOmegaSpec:
         with pytest.raises(ValueError, match="at most"):
             parse_omega_spec("0.0001:1:0.00009999")
 
+    def test_grid_points_are_the_floats_of_their_decimals(self):
+        # the benchmark grid: 0.5, 0.55, ..., 0.95 as their own literals
+        literals = [f"0.{50 + 5 * k}" for k in range(10)]
+        assert parse_omega_spec("0.5:0.95:0.05") == [float(x) for x in literals]
+
+    def test_grid_keeps_every_digit_of_its_start(self):
+        assert parse_omega_spec("0.6123456789012345:0.7:0.5") == [0.6123456789012345]
+        assert parse_omega_spec("1e-13:0.5:0.25") == [1e-13, 0.2500000000001]
+
+    @pytest.mark.parametrize("spec", ["0.9:0.5:0.1", "0.9:0.85:0.1"])
+    def test_grid_past_its_stop_is_empty(self, spec):
+        # in the second, (stop − start)/step = −0.5 rounds to 0 but floors to −1
+        with pytest.raises(ValueError, match="empty"):
+            parse_omega_spec(spec)
+
+    def test_tiny_start_sweeps(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--circuit", "qft3", "--omega", "1e-13:0.5:0.25",
+                     "--out", str(out)]) == 0
+        omegas = [row.split(",")[0] for row in out.read_text().splitlines()[1:]]
+        assert omegas == [fmt(1e-13), fmt(0.2500000000001)]
+
 
 def test_fmt_uses_17_significant_digits():
     assert fmt(1.0 / 14.0) == "0.071428571428571425"

@@ -10,8 +10,8 @@ from hypothesis.extra import numpy as hnp
 
 from oqwalk import _kernels
 from oqwalk.circuits import BUILTIN_CIRCUITS, Circuit, Gate
-from oqwalk.linalg import trace_norm
 from oqwalk.walk import ChainParams, build_dqc_chain, edge_arrays
+from test_linalg import trace_norm
 
 
 def random_edge_problem(rng, num_nodes=5, dim=4, num_edges=9):

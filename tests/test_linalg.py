@@ -1,14 +1,23 @@
 import numpy as np
 import pytest
 
-from oqwalk.errors import DomainError
-from oqwalk.linalg import (
-    is_unitary,
-    trace_norm,
-)
+from oqwalk.config import TOL
+from oqwalk.errors import DomainError, ShapeError
+from oqwalk.linalg import is_unitary
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+def trace_norm(a) -> float:
+    """Sum of absolute eigenvalues of a Hermitian matrix: the reference for
+    ``_kernels.stacked_trace_norm``, with the checks the kernel skips."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ShapeError(f"expected a square matrix, got shape {a.shape}")
+    if np.linalg.norm(a - a.conj().T) > TOL.hermitian:
+        raise DomainError("trace_norm requires a Hermitian matrix")
+    return float(np.abs(np.linalg.eigvalsh(a)).sum())
 
 
 def random_matrix(rng, n):
@@ -79,6 +88,8 @@ class TestTraceNorm:
     def test_rejects_non_hermitian(self):
         with pytest.raises(DomainError):
             trace_norm(np.array([[0, 1], [0, 0]]))
+        with pytest.raises(ShapeError):
+            trace_norm(np.zeros((2, 3)))
 
 
 class TestIsUnitary:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dense_lindblad import dense_chain_jumps, dense_rhs, embed_blocks, node_block
-from oqwalk.circuits import Circuit, Gate, basis_state, qft, toffoli13
+from oqwalk.circuits import Circuit, Gate, basis_state, circuit_unitaries, qft, toffoli13
 from oqwalk.errors import CircuitError, DomainError, ShapeError
 from oqwalk.lindblad import (
     MAX_RK4_STEPS,
@@ -41,11 +41,27 @@ def start_state(model, bits, node=0):
 
 
 def edge_table(model):
-    """(source, target) -> the coins of that pair's edges, in emission order."""
+    """(source, target) -> the lab-frame coins W_dst B̃ W_src† of that pair's
+    edges: a rate r off the diagonal of the generator as the coin √r·I, then
+    the coin edges in emission order."""
+    eye = np.eye(model.dim)
+    frames = [eye] * model.num_nodes if model._frames is None else model._frames
     table = defaultdict(list)
+    for d, s in zip(*np.nonzero(model._rates)):
+        if d != s:
+            coin = np.sqrt(model._rates[d, s]) * eye
+            table[int(s), int(d)].append(frames[d] @ coin @ frames[s].conj().T)
+    lo = model._span.start
     for s, d, op in zip(model._src.tolist(), model._dst.tolist(), model._b_ops):
-        table[s, d].append(op)
+        s, d = lo + s, lo + d
+        table[s, d].append(frames[d] @ op @ frames[s].conj().T)
     return table
+
+
+def path_laplacian(num_nodes):
+    """Unit-rate generator of the path graph 0 − 1 − … − (N−1)."""
+    lap = np.diag(np.ones(num_nodes - 1), 1) + np.diag(np.ones(num_nodes - 1), -1)
+    return lap - np.diag(lap.sum(axis=0))
 
 
 def random_block_state(rng, num_nodes, dim):
@@ -64,24 +80,49 @@ class TestBuildModel:
         assert np.allclose(table[1, 0], [H.conj().T], atol=1e-15)
 
     def test_one_jump_per_slice(self):
-        # each slice's jump is one forward and one backward edge
-        model = build_dqc_lindblad(toffoli13())
+        # each slice's jump is one forward and one backward edge, whose
+        # lab-frame coins W_t·I·W_{t−1}† and W_{t−1}·I·W_t† are U_t and U_t†
+        circuit = toffoli13()
+        model = build_dqc_lindblad(circuit)
         assert (model.num_nodes, model.dim) == (14, 8)
-        pairs = list(zip(model._src.tolist(), model._dst.tolist()))
+        table = edge_table(model)
+        pairs = [pair for pair, coins in table.items() for _ in coins]
         assert sorted(pairs) == sorted(
             p for t in range(1, 14) for p in ((t - 1, t), (t, t - 1))
         )
+        for t, u in enumerate(circuit_unitaries(circuit), start=1):
+            assert np.abs(table[t - 1, t][0] - u).max() < 1e-14
+            assert np.abs(table[t, t - 1][0] - u.conj().T).max() < 1e-14
 
     def test_register_jumps_are_hermitian(self):
         # the backward coin is the adjoint of the forward one, so each jump
-        # U ⊗ |t⟩⟨t−1| + U† ⊗ |t−1⟩⟨t| is Hermitian
-        table = edge_table(build_dqc_lindblad(toffoli13()))
+        # U ⊗ |t⟩⟨t−1| + U† ⊗ |t−1⟩⟨t| is Hermitian: in the frame both are
+        # the identity at the same rate
+        model = build_dqc_lindblad(toffoli13())
+        table = edge_table(model)
         for t in range(1, 14):
-            assert np.array_equal(table[t, t - 1][0], table[t - 1, t][0].conj().T)
+            assert model._rates[t, t - 1] == model._rates[t - 1, t] == 1.0
+            back, forward = table[t, t - 1][0], table[t - 1, t][0]
+            assert np.abs(back - forward.conj().T).max() < 1e-15
+
+    def test_chain_edges_are_unit_rates_of_the_path_laplacian(self):
+        # in the history-state frame both coins of a slice are exactly I, so
+        # the jumps U ⊗ |t⟩⟨t−1| + U† ⊗ |t−1⟩⟨t| are the path-graph Laplacian
+        model = build_dqc_lindblad(toffoli13())
+        assert np.array_equal(model._rates, path_laplacian(14))
+        assert len(model._src) == 0
+
+    def test_frames_are_the_partial_products(self):
+        circuit = toffoli13()
+        frames = build_dqc_lindblad(circuit)._frames
+        assert np.array_equal(frames[0], np.eye(8))
+        for t, u in enumerate(circuit_unitaries(circuit), start=1):
+            assert np.array_equal(frames[t], u @ frames[t - 1])
 
     def test_reset_jumps_added_per_qubit(self):
         base = build_dqc_lindblad(toffoli13())
         with_reset = build_dqc_lindblad(toffoli13(), include_reset=True)
+        assert np.array_equal(with_reset._rates, base._rates)
         assert len(with_reset._src) == len(base._src) + 3
         assert (0, 0) not in edge_table(base)
         eye = np.eye(2)
@@ -96,12 +137,14 @@ class TestBuildModel:
         assert np.array_equal(table[0, 0], [LOWER])
 
     def test_qft4_builds_without_dimension_cap(self):
-        # 17 registers of 16-dimensional blocks, past the old dense cap of 256
+        # 17 registers of 16-dimensional blocks, past the old dense cap of
+        # 256; the reset coins run on the one node they touch
         circuit = qft(4)
         model = build_dqc_lindblad(circuit, include_reset=True)
         assert (model.num_nodes, model.dim) == (circuit.depth + 1, 16)
-        assert len(model._src) == 2 * circuit.depth + 4
-        assert model._g.shape == (circuit.depth + 1, 16, 16)
+        assert sum(map(len, edge_table(model).values())) == 2 * circuit.depth + 4
+        assert model._span == slice(0, 1)
+        assert model._g.shape == (1, 16, 16)
 
     def test_empty_circuit_rejected(self):
         # a model needs a slice; Circuit refuses to exist without one
@@ -115,6 +158,54 @@ class TestBuildModel:
             LindbladModel(2, 2, [(0, 2, np.eye(2))])
         with pytest.raises(DomainError):
             LindbladModel(0, 2, [])
+
+
+class TestFrame:
+    """Rates, coins and frames of hand-built models."""
+
+    def test_only_exact_multiples_of_the_identity_become_rates(self):
+        eye = np.eye(2)
+        near = np.array([[1.0, 1e-300], [0.0, 1.0]])
+        model = LindbladModel(3, 2, [(0, 1, 0.6j * eye), (1, 0, 0.8 * eye), (1, 1, eye),
+                                     (1, 2, near), (2, 2, np.diag([1.0, -1.0]))])
+        r01, r10 = abs(0.6j) ** 2, abs(0.8) ** 2
+        assert np.array_equal(model._rates, [[-r01, r10, 0.0], [r01, -r10, 0.0], [0.0, 0.0, 0.0]])
+        assert model._span == slice(1, 3)
+        assert model._src.tolist() == [0, 1] and model._dst.tolist() == [1, 1]
+        assert np.array_equal(model._b_ops, [near, np.diag([1.0, -1.0])])
+        # a coin edge damps its source only: node 1 of the sub-stack
+        assert np.array_equal(model._g[0], -0.5 * near.conj().T @ near)
+        assert np.array_equal(model._g[1], -0.5 * eye)
+
+    def test_lab_rhs_does_not_depend_on_the_frame(self):
+        # the same jumps, written once in random frames W and once in the
+        # lab, where the edge (j → i, B̃) of the frame has the coin W_i B̃ W_j†
+        rng = np.random.default_rng(21)
+        num_nodes, dim = 4, 3
+        frames = np.linalg.qr(rng.normal(size=(num_nodes, dim, dim))
+                              + 1j * rng.normal(size=(num_nodes, dim, dim)))[0]
+        in_frame = [(0, 1, rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))),
+                    (1, 1, np.diag([0.0, 1.0, 2.0])),
+                    (2, 3, 0.5 * np.eye(dim)),
+                    (3, 0, np.eye(dim))]
+        lab = [(s, d, frames[d] @ b @ frames[s].conj().T) for s, d, b in in_frame]
+        framed = LindbladModel(num_nodes, dim, in_frame, frames)
+        plain = LindbladModel(num_nodes, dim, lab)
+        assert np.count_nonzero(framed._rates) == 4 and len(framed._src) == 2
+        assert not plain._rates.any() and len(plain._src) == 4
+        for _ in range(3):
+            blocks = random_block_state(rng, num_nodes, dim)
+            got = lindblad_rhs(framed, blocks)
+            assert np.abs(got - lindblad_rhs(plain, blocks)).max() < 1e-12
+
+    def test_frames_are_checked(self):
+        eye = np.eye(2)
+        with pytest.raises(ShapeError):
+            LindbladModel(2, 2, [], frames=[eye])
+        with pytest.raises(DomainError, match="frame 1 is not unitary"):
+            LindbladModel(2, 2, [], frames=[eye, 2 * eye])
+        with pytest.raises(DomainError):
+            LindbladModel(2, 2, [], frames=[eye, np.full((2, 2), np.nan)])
 
 
 class TestDenseOracle:
@@ -272,6 +363,79 @@ class TestIntegrate:
         walk = two_node_gate_walk(H, ChainParams(0.5))
         report = run_until_converged(walk, BlockState(rho0), tol=1e-10)
         assert np.abs(continuous - report.history[-1]).max() < 1e-6
+
+
+def dense_rk4(jumps, rho, dt, steps, stride):
+    """``integrate``'s loop on the dense state: RK4 steps of ``dense_rhs``,
+    Hermitized, renormalized on a trace drift above 1e-12, and sampled
+    every ``stride`` steps and at the end."""
+    rhs = lambda r: dense_rhs(jumps, r)
+    rho = 0.5 * (rho + rho.conj().T)
+    samples = [rho]
+    for n in range(1, steps + 1):
+        k1 = rhs(rho)
+        k2 = rhs(rho + (0.5 * dt) * k1)
+        k3 = rhs(rho + (0.5 * dt) * k2)
+        k4 = rhs(rho + dt * k3)
+        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rho = 0.5 * (rho + rho.conj().T)
+        tr = np.trace(rho).real
+        if abs(tr - 1.0) > 1e-12:
+            rho = rho / tr
+        if n % stride == 0 or n == steps:
+            samples.append(rho)
+    return samples
+
+
+class TestIntegrateOracles:
+    """``integrate``, frame lift included, against models written without it."""
+
+    @pytest.mark.parametrize("include_reset", [False, True])
+    def test_matches_a_dense_rk4_loop(self, include_reset):
+        rng = np.random.default_rng(31)
+        circuit = toffoli13()
+        model = build_dqc_lindblad(circuit, include_reset=include_reset)
+        blocks = random_block_state(rng, model.num_nodes, model.dim)
+        seen = []
+        result = integrate(model, blocks, dt=0.4, stop_tol=1e-300, max_time=2.0,
+                           observer=lambda t, rho: seen.append(rho.copy()),
+                           observe_every=0.8)
+        assert result.steps == 5
+        expected = dense_rk4(dense_chain_jumps(circuit, include_reset),
+                             embed_blocks(blocks), 0.4, 5, 2)
+        assert len(seen) == len(expected) == 4
+        n = model.num_nodes
+        for got, dense in zip(seen + [result.rho], expected + expected[-1:]):
+            want = np.stack([node_block(dense, i, i, n) for i in range(n)])
+            assert np.abs(got - want).max() < 1e-12
+
+    def test_populations_follow_the_path_laplacian(self):
+        # without resets the node populations obey p' = L p exactly, with L
+        # the unit-rate path Laplacian on T+1 nodes, so RK4 on the master
+        # equation is RK4 on p
+        model = build_dqc_lindblad(toffoli13())
+        seen = []
+        result = integrate(model, start_state(model, "110"), dt=0.4, stop_tol=2e-6,
+                           max_time=500.0, observer=lambda t, rho: seen.append(rho),
+                           observe_every=0.4)
+        assert result.stationary and result.steps == 457
+        lap = path_laplacian(14)
+        p = np.eye(14)[0]
+        expected = [p]
+        for _ in range(result.steps):
+            k1 = lap @ p
+            k2 = lap @ (p + 0.2 * k1)
+            k3 = lap @ (p + 0.2 * k2)
+            k4 = lap @ (p + 0.4 * k3)
+            p = p + (0.4 / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            expected.append(p)
+        assert len(seen) == len(expected)
+        for rho, want in zip(seen, expected):
+            assert np.abs(node_marginals(rho) - want).max() < 1e-12
+        # the relaxation gap of the canonical model falls as π²/(T+1)²
+        eigs = np.linalg.eigvalsh(lap)
+        assert eigs[-1] == pytest.approx(0.0, abs=1e-14)
+        assert -eigs[-2] == pytest.approx(2 - 2 * np.cos(np.pi / 14), rel=1e-12)
 
 
 class TestNodeMarginals:

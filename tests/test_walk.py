@@ -13,7 +13,6 @@ from oqwalk.circuits import (
     toffoli13,
 )
 from oqwalk.errors import CircuitError, DomainError, ShapeError
-from oqwalk.linalg import trace_norm
 from oqwalk.walk import (
     BlockState,
     ChainParams,
@@ -29,6 +28,7 @@ from oqwalk.walk import (
     two_node_gate_walk,
     validate,
 )
+from test_linalg import trace_norm
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
