@@ -1,7 +1,10 @@
 """Central numerical tolerances.
 
-Every tolerance used by the library lives in one frozen record so that tests
-and library code agree on what "Hermitian enough" or "unitary enough" means.
+The tolerances that the library's checks share live in one frozen record so
+that tests and library code agree on what "Hermitian enough" or "unitary
+enough" means.  A threshold that only one module reads is a named constant
+of that module, with its reason (the input checks and the trace
+renormalization of ``lindblad``).  Convergence tolerances are arguments.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ class Tolerances:
     #: Frobenius norm of (a - a†) below which a matrix counts as Hermitian.
     hermitian: float = 1e-10
     #: Frobenius norm of (a†a - I) below which a matrix counts as unitary.
-    unitary: float = 1e-12
+    unitary: float = 1e-10
     #: Eigenvalues above -psd count as non-negative.
     psd: float = 1e-10
     #: Allowed drift of the total trace of a block state.

@@ -39,6 +39,7 @@ import numpy as np
 
 from . import _kernels
 from .circuits import Circuit, apply_on_qubits, circuit_unitaries
+from .config import TOL
 from .errors import DomainError, ShapeError
 from .linalg import frobenius
 from .walk import BlockState, edge_arrays
@@ -55,6 +56,13 @@ __all__ = [
 #: Largest RK4 step count ``ceil(max_time/dt)`` a run may plan; the default
 #: ``max_time`` and ``dt`` plan 50 000.
 MAX_RK4_STEPS = 1_000_000
+
+#: Slack of the unit-trace and Hermiticity checks on an input state; looser
+#: than ``TOL``, since ``integrate`` symmetrizes and renormalizes it anyway.
+INPUT_TOL = 1e-8
+#: Trace drift above which an RK4 step renormalizes the state: the generator
+#: preserves the trace, so a smaller drift is rounding, not worth a division.
+RENORM_TOL = 1e-12
 
 _LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
 
@@ -108,7 +116,7 @@ class LindbladModel:
 
 
 def _checked_frames(model: LindbladModel, frames) -> np.ndarray:
-    """frames as finite (N, d, d) blocks, each unitary within 1e-10."""
+    """frames as finite (N, d, d) blocks, each unitary within ``TOL.unitary``."""
     w = np.array(frames, dtype=np.complex128)
     shape = (model.num_nodes, model.dim, model.dim)
     if w.shape != shape:
@@ -116,8 +124,10 @@ def _checked_frames(model: LindbladModel, frames) -> np.ndarray:
     if not np.isfinite(w).all():
         raise DomainError("frames contain NaN or Inf entries")
     residual = np.linalg.norm(_adjoint(w) @ w - np.eye(model.dim), axis=(1, 2))
-    if residual.max() > 1e-10:
-        raise DomainError(f"frame {int(residual.argmax())} is not unitary within 1e-10")
+    if residual.max() > TOL.unitary:
+        raise DomainError(
+            f"frame {int(residual.argmax())} is not unitary within {TOL.unitary:g}"
+        )
     return w
 
 
@@ -159,16 +169,17 @@ def _lower(model: LindbladModel, blocks) -> np.ndarray:
 
 
 def _checked_blocks(model: LindbladModel, rho, name: str) -> np.ndarray:
-    """rho as finite (N, d, d) blocks of unit total trace, Hermitian within 1e-8."""
+    """rho as finite (N, d, d) blocks of unit total trace and Hermitian,
+    both within ``INPUT_TOL``."""
     blocks = np.ascontiguousarray(rho, dtype=np.complex128)
     shape = (model.num_nodes, model.dim, model.dim)
     if blocks.shape != shape:
         raise ShapeError(f"{name} must be blocks of shape {shape}, got {blocks.shape}")
     if not np.isfinite(blocks).all():
         raise DomainError(f"{name} contains NaN or Inf entries")
-    if abs(np.einsum("nii->", blocks) - 1.0) > 1e-8:
+    if abs(np.einsum("nii->", blocks) - 1.0) > INPUT_TOL:
         raise DomainError(f"{name} must have unit trace within 1e-8")
-    if frobenius(blocks - _adjoint(blocks)) > 1e-8:
+    if frobenius(blocks - _adjoint(blocks)) > INPUT_TOL:
         raise DomainError(f"{name} must be Hermitian within 1e-8")
     return blocks
 
@@ -216,9 +227,9 @@ def integrate(
 
     ``rho0`` and the state are (N, d, d) node blocks.  The state is carried
     in the model's frame, re-Hermitized each step and its trace renormalized
-    whenever the drift exceeds 1e-12; it is lifted to the lab frame for the
-    result and for each call of ``observer(t, rho)``, at t = 0 and then
-    roughly every ``observe_every`` time units plus at the final state.
+    whenever the drift exceeds ``RENORM_TOL``; it is lifted to the lab frame
+    for the result and for each call of ``observer(t, rho)``, at t = 0 and
+    then roughly every ``observe_every`` time units plus at the final state.
     Because the generator is linear, its fixed points are fixed points of
     the RK4 map as well, so the step size affects transient rates but not
     the stationary state the run converges to.
@@ -262,7 +273,7 @@ def integrate(
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         rho = 0.5 * (rho + _adjoint(rho))
         tr = np.einsum("nii->", rho).real
-        if abs(tr - 1.0) > 1e-12:
+        if abs(tr - 1.0) > RENORM_TOL:
             rho = rho / tr
         steps = n + 1
         if observer is not None and steps % stride == 0:

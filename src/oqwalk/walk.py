@@ -15,6 +15,10 @@ geometric stationary distribution.  Two functions use this structure:
 ``run_chain`` iterates the populations as a walk with 1×1 coins and applies
 the circuit to the input state once, and ``sweep_chain`` advances the
 populations of a whole ω grid in lockstep with the same arithmetic.
+
+The engines return what they measure (steps, population history, detection
+at the last node, final state), and ``validate`` the normalization residual
+of every source; judging them is left to the caller.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ __all__ = [
     "ChainParams",
     "OpenQuantumWalk",
     "BlockState",
-    "Violation",
     "ConvergenceReport",
     "validate",
     "step",
@@ -189,7 +192,7 @@ class BlockState:
         return float(self.probabilities().sum())
 
 
-def validate_state(state: BlockState, tol: float = TOL.trace) -> None:
+def validate_state(state: BlockState) -> None:
     """Raise unless every block is finite, Hermitian and PSD and the total
     trace is 1; a bad block is named by its index.
 
@@ -201,7 +204,7 @@ def validate_state(state: BlockState, tol: float = TOL.trace) -> None:
     finite = np.isfinite(blocks).all(axis=(1, 2))
     if not finite.all():
         raise DomainError(f"block {int(np.argmin(finite))} contains NaN or Inf entries")
-    if abs(state.total_trace() - 1.0) > tol:
+    if abs(state.total_trace() - 1.0) > TOL.trace:
         raise DomainError(f"total trace {state.total_trace()} is not 1")
     skew = blocks - blocks.conj().transpose(0, 2, 1)
     if frobenius(skew) > TOL.hermitian:
@@ -213,25 +216,14 @@ def validate_state(state: BlockState, tol: float = TOL.trace) -> None:
         raise DomainError(f"block {int(np.argmax(negative))} is not positive semidefinite")
 
 
-class Violation(NamedTuple):
-    """One failed per-source normalization check."""
-
-    source: int
-    residual: float
-
-
-def validate(walk: OpenQuantumWalk, tol: float = TOL.walk_norm) -> list[Violation]:
-    """Check sum_i B†B = I at every source; violations are returned, not raised."""
+def validate(walk: OpenQuantumWalk) -> np.ndarray:
+    """The residual ‖sum_i B†B − I‖_F of the normalization at every source,
+    indexed by node; a node without out-edges has residual √d."""
     gram = _kernels.source_gram(
         walk._b_ops, walk._b_dag, walk._src, walk._dst, walk.num_nodes
     )
     eye = np.eye(walk.dim)
-    out = []
-    for j in range(walk.num_nodes):
-        residual = frobenius(gram[j] - eye)
-        if residual > tol:
-            out.append(Violation(source=j, residual=residual))
-    return out
+    return np.array([frobenius(g - eye) for g in gram])
 
 
 def step(walk: OpenQuantumWalk, state: BlockState) -> BlockState:
@@ -284,8 +276,8 @@ def build_dqc_chain(circuit: Circuit, params: ChainParams) -> ChainWalk:
 def two_node_gate_walk(u, params: ChainParams) -> ChainWalk:
     """The elementary single-gate walk on two nodes."""
     u = as_matrix(u)
-    if not is_unitary(u, 1e-10):
-        raise DomainError("coin matrix must be unitary within 1e-10")
+    if not is_unitary(u):
+        raise DomainError(f"coin matrix must be unitary within {TOL.unitary:g}")
     return ChainWalk([u], params)
 
 
@@ -346,7 +338,6 @@ class ConvergenceReport:
     #: Row n is the node distribution after n steps (row 0 = initial).
     history: np.ndarray
     final_detection: float
-    final_fidelity: float
     final_state: BlockState = field(repr=False)
 
 
@@ -355,7 +346,6 @@ def run_until_converged(
     init: BlockState,
     tol: float = 1e-7,
     max_steps: int = 100_000,
-    target_state=None,
 ) -> ConvergenceReport:
     """Iterate the walk until consecutive states differ by less than tol.
 
@@ -366,10 +356,7 @@ def run_until_converged(
     cannot converge, and the result is the same as computing it every step.
     The node distribution is recorded every step; exhausting ``max_steps``
     yields ``converged=False`` rather than an exception.
-
-    ``final_detection`` is the population of the last node and
-    ``final_fidelity`` is the overlap of that node's normalized block with
-    ``target_state`` (NaN when no target is supplied).
+    ``final_detection`` is the population of the last node.
     """
     _check_run_limits(tol, max_steps)
     validate_state(init)
@@ -406,14 +393,11 @@ def run_until_converged(
         if converged:
             break
 
-    last = walk.num_nodes - 1
-    final_detection = float(history[-1][last])
     return ConvergenceReport(
         steps=steps,
         converged=converged,
         history=np.array(history),
-        final_detection=final_detection,
-        final_fidelity=_fidelity(prev, last, final_detection, target_state),
+        final_detection=float(history[-1][-1]),
         final_state=prev,
     )
 
@@ -490,22 +474,11 @@ def sweep_chain(
     return out
 
 
-def _fidelity(state: BlockState, node: int, detection: float, target_state) -> float:
-    """Overlap of the normalized block at node with target_state."""
-    if target_state is None or detection <= TOL.zero_probability:
-        # undefined without a target, or when no probability has arrived yet
-        return math.nan
-    psi = np.asarray(target_state, dtype=np.complex128).reshape(-1)
-    rho = conditional_state(state, node)
-    return float((psi.conj() @ rho @ psi).real)
-
-
 def run_chain(
     chain: ChainWalk,
     psi0,
     tol: float = 1e-7,
     max_steps: int = 100_000,
-    target_state=None,
 ) -> ConvergenceReport:
     """``run_until_converged`` of a chain walk started in psi0 at node 0,
     computed in the history-state frame.
@@ -516,14 +489,12 @@ def run_chain(
     is Σ_t |Δp_t|.  The populations are therefore iterated by the same
     engine on the chain with 1×1 coins, which keeps its history, stopping
     rule, drift check and ``max_steps``, and the final state is lifted once
-    to the lab frame.  ``final_state``, ``final_detection`` and
-    ``final_fidelity`` are those of the lifted state, at the last node.
-    Within rounding (see ``run_until_converged``) the report equals that of
+    to the lab frame as ``final_state``.  Within rounding (see
+    ``run_until_converged``) the report equals that of
     ``run_until_converged`` on the chain itself.
     """
-    big_t = chain.num_nodes - 1
     v = _unit_vector(psi0, chain.dim)
-    populations = ChainWalk([np.ones((1, 1))] * big_t, chain.params)
+    populations = ChainWalk([np.ones((1, 1))] * len(chain.unitaries), chain.params)
     init = BlockState.pure(chain.num_nodes, 1, 0, [1.0])
     report = run_until_converged(populations, init, tol=tol, max_steps=max_steps)
     vecs = [v]
@@ -532,8 +503,4 @@ def run_chain(
     vecs = np.array(vecs)
     p = report.history[-1]
     final = BlockState(p[:, None, None] * vecs[:, :, None] * vecs[:, None, :].conj())
-    return replace(
-        report,
-        final_fidelity=_fidelity(final, big_t, report.final_detection, target_state),
-        final_state=final,
-    )
+    return replace(report, final_state=final)

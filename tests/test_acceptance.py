@@ -46,10 +46,7 @@ def chain_run(name, omega, tol, bits=None, max_steps=100_000):
     walk = build_dqc_chain(circuit, ChainParams(omega))
     psi0 = basis_state(circuit.num_qubits, bits)
     init = BlockState.pure(walk.num_nodes, walk.dim, 0, psi0)
-    target = circuit_product(circuit) @ psi0
-    return run_until_converged(
-        walk, init, tol=tol, max_steps=max_steps, target_state=target
-    )
+    return run_until_converged(walk, init, tol=tol, max_steps=max_steps)
 
 
 def random_product_state(rng, num_qubits):
@@ -123,10 +120,13 @@ def test_criterion_04_computation_correctness():
         for _ in range(5):
             psi0 = random_product_state(rng, circuit.num_qubits)
             init = BlockState.pure(walk.num_nodes, walk.dim, 0, psi0)
-            report = run_until_converged(walk, init, tol=1e-9, target_state=product @ psi0)
+            report = run_until_converged(walk, init, tol=1e-9)
             assert report.converged
-            worst = min(worst, report.final_fidelity)
-            assert report.final_fidelity >= 1 - 1e-8, (name, report.final_fidelity)
+            target = product @ psi0
+            rho = conditional_state(report.final_state, circuit.depth)
+            fidelity = float((target.conj() @ rho @ target).real)
+            worst = min(worst, fidelity)
+            assert fidelity >= 1 - 1e-8, (name, fidelity)
     print(f"\nACCEPTANCE 4 PASS: terminal fidelity >= 1-1e-8 on random product inputs "
           f"(worst {worst:.12f})")
 

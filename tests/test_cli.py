@@ -174,6 +174,12 @@ class TestRunCommand:
         assert summary["converged"] == "false"
         assert summary["steps"] == 3
 
+    def test_fidelity_is_nan_before_population_reaches_the_output(self, capsys):
+        # three steps cannot carry any population across toffoli's 13 slices
+        argv = ["run", "--circuit", "toffoli", "--omega", "0.9", "--max-steps", "3"]
+        assert main(argv) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == "3,0,nan,false"
+
     def test_trace_drift_is_a_numeric_failure(self, tmp_path, monkeypatch, capsys):
         # λ + ω = 1.02: every backward hop leaks weight into the walk
         monkeypatch.setattr(cli.wk.ChainParams, "lam", property(lambda s: 1.02 - s.omega))

@@ -5,6 +5,7 @@ import pytest
 
 from dense_lindblad import dense_chain_jumps, dense_rhs, embed_blocks, node_block
 from oqwalk.circuits import Circuit, Gate, basis_state, circuit_unitaries, qft, toffoli13
+from oqwalk.config import TOL
 from oqwalk.errors import CircuitError, DomainError, ShapeError
 from oqwalk.lindblad import (
     MAX_RK4_STEPS,
@@ -14,7 +15,7 @@ from oqwalk.lindblad import (
     lindblad_rhs,
     node_marginals,
 )
-from oqwalk.walk import BlockState
+from oqwalk.walk import BlockState, ChainParams, two_node_gate_walk
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 LOWER = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -206,6 +207,18 @@ class TestFrame:
             LindbladModel(2, 2, [], frames=[eye, 2 * eye])
         with pytest.raises(DomainError):
             LindbladModel(2, 2, [], frames=[eye, np.full((2, 2), np.nan)])
+
+    def test_frames_and_gate_coins_share_the_unitarity_threshold(self):
+        # s·I on two dimensions has ‖(sI)†(sI) − I‖_F = √2·(s² − 1)
+        inside, outside = (
+            np.sqrt(1 + f * TOL.unitary / np.sqrt(2)) * np.eye(2) for f in (0.5, 2.0)
+        )
+        LindbladModel(2, 2, [], frames=[np.eye(2), inside])
+        two_node_gate_walk(inside, ChainParams(0.5))
+        with pytest.raises(DomainError, match="frame 1 is not unitary within 1e-10$"):
+            LindbladModel(2, 2, [], frames=[np.eye(2), outside])
+        with pytest.raises(DomainError, match="coin matrix must be unitary within 1e-10$"):
+            two_node_gate_walk(outside, ChainParams(0.5))
 
 
 class TestDenseOracle:
