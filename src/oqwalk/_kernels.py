@@ -3,8 +3,9 @@
 Both models are edge tables over stacked (N, d, d) node blocks: the discrete
 walk step and the jump term of the master equation are the same sum of
 sandwiches B ρ B† over the edges, computed by ``step_blocks``.  The master
-equation sends only its edges whose coin is not a multiple of the identity
-here, and adds their per-node damping term with ``lindblad_rhs_kernel``.
+equation sends only its edges with a matrix coin here (a scalar coin c is
+a rate of its real generator), and adds their per-node damping term with
+``lindblad_rhs_kernel``.
 """
 
 from __future__ import annotations

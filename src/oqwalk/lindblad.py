@@ -20,19 +20,22 @@ The model integrates in a frame of per-node unitaries W_n, on the blocks
 ρ̃_n = W_n† ρ_n W_n, where an edge's coin becomes W_dst† B W_src.  The
 chain uses the history-state frame W_0 = I, W_t = U_t W_{t−1}, in which
 both edges of every slice have the identity as coin and the resets at node
-0 keep theirs.  An edge whose coin is exactly c·I moves ρ̃_src to ρ̃_dst at
-rate |c|², so all such edges together are one real (N, N) generator acting
-on every block entry alike: on the chain, the path-graph Laplacian.  The
-other edges go through the walk's step kernel and the damping kernel, on
-the sub-stack of the nodes they touch.  ``lindblad_rhs``, ``integrate`` and
-its observer take and give lab-frame blocks ρ_n = W_n ρ̃_n W_n†.  A model
-with one node and no frame is a plain dense Lindblad generator.  The
-integrator is a fixed-step classical Runge-Kutta scheme.
+0 keep theirs.  An edge may state its coin as a number c, the jump c·I,
+which moves ρ̃_src to ρ̃_dst at rate |c|²; all such scalar edges together
+are one real (N, N) generator acting on every block entry alike: on the
+chain, whose builder states each hop as the scalar 1, the path-graph
+Laplacian.  The matrix edges go through the walk's step kernel and the
+damping kernel, on the sub-stack of the nodes they touch.
+``lindblad_rhs``, ``integrate`` and its observer take and give lab-frame
+blocks ρ_n = W_n ρ̃_n W_n†.  A model with one node and no frame is a
+plain dense Lindblad generator.  The integrator is a fixed-step classical
+Runge-Kutta scheme.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,41 +75,43 @@ class LindbladModel:
 
     ``edges`` are (source j, target i, B) triples on ``num_nodes`` nodes
     with ``dim``-dimensional blocks; each is the jump B ⊗ |i⟩⟨j|, and a
-    (source, target) pair may repeat.  There is no Hamiltonian part.
+    (source, target) pair may repeat.  The coin B is a (dim, dim) matrix or
+    a number c, which stands for the jump c·I; both get the range and
+    finiteness checks of ``edge_arrays``.  There is no Hamiltonian part.
     ``frames``, if given, holds one unitary W_n per node, and the coins are
     then those of the frame, W_i† B W_j for a lab-frame coin B.
 
-    Every edge whose coin is exactly c·I is a rate |c|² in ``_rates``, the
-    real (N, N) generator of those edges: |c|² at [i, j], −|c|² at [j, j].
-    The remaining edges are kept with ``_src`` and ``_dst`` counted from the
-    start of ``_span``, the range of nodes they touch, and ``_g`` holds −½K_n
-    of those edges for each node of ``_span``.
+    Every scalar edge c is a rate |c|² in ``_rates``, the real (N, N)
+    generator of those edges: |c|² at [i, j], −|c|² at [j, j].  The matrix
+    edges, c·I included, are kept with ``_src`` and ``_dst`` counted from
+    the start of ``_span``, the range of nodes they touch, and ``_g`` holds
+    −½K_n of those edges for each node of ``_span``.
     """
 
     def __init__(self, num_nodes: int, dim: int, edges, frames=None):
-        src, dst, b_ops, b_dag = edge_arrays(num_nodes, dim, edges)
-        self.num_nodes = int(num_nodes)
-        self.dim = int(dim)
+        edges = list(edges)
+        scalar = [(s, d, [[c]]) for s, d, c in edges if isinstance(c, numbers.Number)]
+        r_src, r_dst, c, _ = edge_arrays(num_nodes, 1, scalar)
+        src, dst, b_ops, b_dag = edge_arrays(
+            num_nodes, dim, [e for e in edges if not isinstance(e[2], numbers.Number)]
+        )
+        self.num_nodes, self.dim = int(num_nodes), int(dim)
         self._frames = self._frames_dag = None
         if frames is not None:
             self._frames = _checked_frames(self, frames)
             self._frames_dag = np.ascontiguousarray(_adjoint(self._frames))
-        scalar = b_ops[:, :1, :1] * np.eye(self.dim)
-        is_rate = (b_ops == scalar).all(axis=(1, 2))
-        rate = np.abs(b_ops[is_rate, 0, 0]) ** 2
+        rate = np.abs(c[:, 0, 0]) ** 2
         self._rates = np.zeros((self.num_nodes, self.num_nodes))
-        np.add.at(self._rates, (dst[is_rate], src[is_rate]), rate)
-        np.add.at(self._rates, (src[is_rate], src[is_rate]), -rate)
-        coin = ~is_rate
-        touched = np.concatenate([src[coin], dst[coin]])
+        np.add.at(self._rates, (r_dst, r_src), rate)
+        np.add.at(self._rates, (r_src, r_src), -rate)
+        touched = np.concatenate([src, dst])
         lo, hi = (touched.min(), touched.max() + 1) if len(touched) else (0, 0)
         self._span = slice(int(lo), int(hi))
-        self._src, self._dst = src[coin] - lo, dst[coin] - lo
-        self._b_ops, self._b_dag = b_ops[coin], b_dag[coin]
+        self._src, self._dst, self._b_ops, self._b_dag = src - lo, dst - lo, b_ops, b_dag
         k = _kernels.source_gram(self._b_ops, self._b_dag, self._src, self._dst, hi - lo)
         self._g = -0.5 * k
         self._g_dag = np.ascontiguousarray(_adjoint(self._g))
-        self._num_edges = len(src)
+        self._num_edges = len(edges)
 
     def __repr__(self):
         return (
@@ -136,15 +141,16 @@ def build_dqc_lindblad(circuit: Circuit, include_reset: bool = False) -> Lindbla
     in the history-state frame W_0 = I, W_t = U_t W_{t−1}.
 
     Slice t gives the edges (t−1 → t, U_t) and (t → t−1, U_t†), whose
-    coins in that frame are the identity; ``include_reset`` adds one
-    (0 → 0) edge per qubit, lowering that qubit, where W_0 = I.
+    coins in that frame are the identity, stated as the scalar 1.0: each
+    is a unit rate, and no identity matrix is stacked.  ``include_reset``
+    adds one (0 → 0) edge per qubit, lowering that qubit, where W_0 = I.
     """
     big_t, n = circuit.depth, circuit.num_qubits
     eye = np.eye(2**n, dtype=np.complex128)
     frames = [eye]
     for u in circuit_unitaries(circuit):
         frames.append(u @ frames[-1])
-    edges = [e for t in range(1, big_t + 1) for e in ((t - 1, t, eye), (t, t - 1, eye))]
+    edges = [e for t in range(1, big_t + 1) for e in ((t - 1, t, 1.0), (t, t - 1, 1.0))]
     if include_reset:
         edges += [(0, 0, apply_on_qubits(_LOWER, (q,), eye)) for q in range(1, n + 1)]
     return LindbladModel(big_t + 1, 2**n, edges, frames)
@@ -232,7 +238,11 @@ def integrate(
     then roughly every ``observe_every`` time units plus at the final state.
     Because the generator is linear, its fixed points are fixed points of
     the RK4 map as well, so the step size affects transient rates but not
-    the stationary state the run converges to.
+    the stationary state the run converges to.  A ``dt`` above RK4's
+    stability limit (about 0.70 on a chain, whose path Laplacian reaches
+    −4) makes the state grow: a step whose total trace is not finite and
+    positive, or any floating-point overflow, division by zero or invalid
+    operation, raises ``ArithmeticError``.
     """
     for name, value in (("dt", dt), ("stop_tol", stop_tol), ("max_time", max_time),
                         ("observe_every", observe_every)):
@@ -261,23 +271,26 @@ def integrate(
     stationary = False
     rhs_norm = math.nan
     steps = 0
-    for n in range(n_steps):
-        k1 = rhs(rho)
-        rhs_norm = frobenius(k1)
-        if rhs_norm < stop_tol:
-            stationary = True
-            break
-        k2 = rhs(rho + (0.5 * dt) * k1)
-        k3 = rhs(rho + (0.5 * dt) * k2)
-        k4 = rhs(rho + dt * k3)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rho = 0.5 * (rho + _adjoint(rho))
-        tr = np.einsum("nii->", rho).real
-        if abs(tr - 1.0) > RENORM_TOL:
-            rho = rho / tr
-        steps = n + 1
-        if observer is not None and steps % stride == 0:
-            observer(steps * dt, _lift(model, rho))
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        for n in range(n_steps):
+            k1 = rhs(rho)
+            rhs_norm = frobenius(k1)
+            if rhs_norm < stop_tol:
+                stationary = True
+                break
+            k2 = rhs(rho + (0.5 * dt) * k1)
+            k3 = rhs(rho + (0.5 * dt) * k2)
+            k4 = rhs(rho + dt * k3)
+            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            rho = 0.5 * (rho + _adjoint(rho))
+            tr = np.einsum("nii->", rho).real
+            if not (math.isfinite(tr) and tr > 0):
+                raise ArithmeticError(f"RK4 diverged at step {n + 1}: total trace {tr:g}")
+            if abs(tr - 1.0) > RENORM_TOL:
+                rho = rho / tr
+            steps = n + 1
+            if observer is not None and steps % stride == 0:
+                observer(steps * dt, _lift(model, rho))
     if not stationary:
         rhs_norm = frobenius(rhs(rho))
         stationary = rhs_norm < stop_tol

@@ -328,6 +328,22 @@ class TestLindbladCommand:
         assert err.startswith("error: max_time/dt") and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        # RK4 on the path Laplacian of toffoli (spectrum down to −3.95) is
+        # stable up to dt ≈ 0.70; above it the state grows until its trace
+        # changes sign, or a product overflows at once
+        (["--circuit", "toffoli", "--dt", "0.75"], "error: RK4 diverged at step 154:"),
+        (["--circuit", "toffoli", "--dt", "1e300"], "error: overflow"),
+        (["--circuit", "qft3", "--include-reset", "--dt", "0.9"],
+         "error: RK4 diverged at step 39:"),
+    ])
+    def test_diverging_dt_is_a_numeric_failure(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "lb.csv"
+        assert main(["lindblad", *argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1, err
+        assert not out.exists()
+
     def test_qft4_relaxes_to_uniform_registers(self, tmp_path):
         # 17 registers of 16-dimensional blocks
         out = tmp_path / "lb.csv"

@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -116,9 +116,13 @@ class TestStepKernels:
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(1, 6), d=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    @example(n=3, d=3, seed=418034)
     def test_step_of_a_normalized_walk_is_trace_preserving_and_positive(self, n, d, seed):
         # 1 to 3 out-edges per source, in shuffled order, each source's
-        # coins rescaled so that their sum of B†B is the identity
+        # coins the d×d blocks of one (k·d, d) matrix with orthonormal
+        # columns, so that their sum of B†B is the identity.  (Rescaling
+        # Gaussian coins by their Gram matrix's inverse square root loses
+        # accuracy with its condition number: 2.9e-11 on the example.)
         rng = np.random.default_rng(seed)
 
         def gaussian(*shape):
@@ -126,10 +130,7 @@ class TestStepKernels:
 
         edges = []
         for source in range(n):
-            coins = gaussian(rng.integers(1, 4), d, d)
-            gram = np.einsum("kji,kjl->il", coins.conj(), coins)
-            w, v = np.linalg.eigh(gram)
-            coins = coins @ (v / np.sqrt(w)) @ v.conj().T
+            coins = np.linalg.qr(gaussian(rng.integers(1, 4) * d, d))[0].reshape(-1, d, d)
             edges += [(source, rng.integers(0, n), c) for c in coins]
         shuffled = [edges[k] for k in rng.permutation(len(edges))]
         src, dst, b_ops, b_dag = edge_arrays(n, d, shuffled)

@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 from collections import defaultdict
 
 import numpy as np
@@ -147,6 +149,19 @@ class TestBuildModel:
         assert model._span == slice(0, 1)
         assert model._g.shape == (1, 16, 16)
 
+    def test_build_peaks_near_the_frames_it_keeps(self):
+        # the chain's hops are scalar edges, so no dense identity coin is
+        # stacked; at 2T + 6 coins that stack would peak near 5× the frames
+        circuit = qft(6)
+        circuit_unitaries(circuit)  # compiled and cached before tracing
+        tracemalloc.start()
+        try:
+            model = build_dqc_lindblad(circuit, include_reset=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * (model._frames.nbytes + model._frames_dag.nbytes)
+
     def test_empty_circuit_rejected(self):
         # a model needs a slice; Circuit refuses to exist without one
         with pytest.raises(CircuitError):
@@ -164,32 +179,63 @@ class TestBuildModel:
 class TestFrame:
     """Rates, coins and frames of hand-built models."""
 
-    def test_only_exact_multiples_of_the_identity_become_rates(self):
+    def test_scalar_coins_become_rates_and_matrix_coins_stay_coins(self):
         eye = np.eye(2)
         near = np.array([[1.0, 1e-300], [0.0, 1.0]])
-        model = LindbladModel(3, 2, [(0, 1, 0.6j * eye), (1, 0, 0.8 * eye), (1, 1, eye),
+        model = LindbladModel(3, 2, [(0, 1, 0.6j), (1, 0, 0.8), (1, 1, 0.8 * eye),
                                      (1, 2, near), (2, 2, np.diag([1.0, -1.0]))])
         r01, r10 = abs(0.6j) ** 2, abs(0.8) ** 2
         assert np.array_equal(model._rates, [[-r01, r10, 0.0], [r01, -r10, 0.0], [0.0, 0.0, 0.0]])
         assert model._span == slice(1, 3)
-        assert model._src.tolist() == [0, 1] and model._dst.tolist() == [1, 1]
-        assert np.array_equal(model._b_ops, [near, np.diag([1.0, -1.0])])
-        # a coin edge damps its source only: node 1 of the sub-stack
-        assert np.array_equal(model._g[0], -0.5 * near.conj().T @ near)
+        assert model._src.tolist() == [0, 0, 1] and model._dst.tolist() == [0, 1, 1]
+        assert np.array_equal(model._b_ops, [0.8 * eye, near, np.diag([1.0, -1.0])])
+        # a coin edge damps its source only: node 1 of the sub-stack holds
+        # both of its coins, node 2 the diagonal one
+        assert np.array_equal(model._g[0], -0.5 * ((0.8 * eye) @ (0.8 * eye) + near.T @ near))
         assert np.array_equal(model._g[1], -0.5 * eye)
+
+    @pytest.mark.parametrize("c", [1.0, 0.5, 0.6j, 2, np.float64(0.3)])
+    def test_scalar_edge_is_the_jump_c_times_identity(self, c):
+        rng = np.random.default_rng(23)
+        num_nodes, dim = 3, 2
+        frames = np.linalg.qr(rng.normal(size=(num_nodes, dim, dim))
+                              + 1j * rng.normal(size=(num_nodes, dim, dim)))[0]
+        coins = [(1, 2, LOWER), (2, 2, H)]
+        scalar = LindbladModel(num_nodes, dim, [(0, 1, c), (2, 0, c)] + coins, frames)
+        matrix = LindbladModel(num_nodes, dim, [(0, 1, c * np.eye(dim)),
+                                                (2, 0, c * np.eye(dim))] + coins, frames)
+        assert np.count_nonzero(scalar._rates) == 4 and len(scalar._src) == 2
+        assert not matrix._rates.any() and len(matrix._src) == 4
+        for _ in range(3):
+            blocks = random_block_state(rng, num_nodes, dim)
+            got = lindblad_rhs(scalar, blocks)
+            assert np.abs(got - lindblad_rhs(matrix, blocks)).max() < 1e-14
+
+    @pytest.mark.parametrize("edge, message", [
+        ((0, 2, 1.0), r"^edge \(0, 2\) out of range$"),
+        ((1, 0, math.nan), r"^coin for edge \(1, 0\) contains NaN or Inf entries$"),
+        ((1, 0, complex(1.0, math.inf)), r"^coin for edge \(1, 0\) contains NaN or Inf entries$"),
+    ])
+    def test_scalar_edges_are_checked_like_coins(self, edge, message):
+        s, d, c = edge
+        for bad in (edge, (s, d, np.diag([c, c]))):
+            with pytest.raises(DomainError, match=message):
+                LindbladModel(2, 2, [(0, 1, 0.5), (1, 1, H), bad])
 
     def test_lab_rhs_does_not_depend_on_the_frame(self):
         # the same jumps, written once in random frames W and once in the
         # lab, where the edge (j → i, B̃) of the frame has the coin W_i B̃ W_j†
+        # and a scalar edge c of the frame has the coin c·W_i W_j†
         rng = np.random.default_rng(21)
         num_nodes, dim = 4, 3
         frames = np.linalg.qr(rng.normal(size=(num_nodes, dim, dim))
                               + 1j * rng.normal(size=(num_nodes, dim, dim)))[0]
         in_frame = [(0, 1, rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))),
                     (1, 1, np.diag([0.0, 1.0, 2.0])),
-                    (2, 3, 0.5 * np.eye(dim)),
-                    (3, 0, np.eye(dim))]
-        lab = [(s, d, frames[d] @ b @ frames[s].conj().T) for s, d, b in in_frame]
+                    (2, 3, 0.5),
+                    (3, 0, 1.0)]
+        lab = [(s, d, frames[d] @ (b * np.eye(dim) if np.isscalar(b) else b)
+                @ frames[s].conj().T) for s, d, b in in_frame]
         framed = LindbladModel(num_nodes, dim, in_frame, frames)
         plain = LindbladModel(num_nodes, dim, lab)
         assert np.count_nonzero(framed._rates) == 4 and len(framed._src) == 2
