@@ -242,7 +242,8 @@ def integrate(
     stability limit (about 0.70 on a chain, whose path Laplacian reaches
     −4) makes the state grow: a step whose total trace is not finite and
     positive, or any floating-point overflow, division by zero or invalid
-    operation, raises ``ArithmeticError``.
+    operation, raises ``ArithmeticError("RK4 diverged at step n: ...")``,
+    which names the step and ``dt``.
     """
     for name, value in (("dt", dt), ("stop_tol", stop_tol), ("max_time", max_time),
                         ("observe_every", observe_every)):
@@ -273,19 +274,26 @@ def integrate(
     steps = 0
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         for n in range(n_steps):
-            k1 = rhs(rho)
-            rhs_norm = frobenius(k1)
-            if rhs_norm < stop_tol:
-                stationary = True
-                break
-            k2 = rhs(rho + (0.5 * dt) * k1)
-            k3 = rhs(rho + (0.5 * dt) * k2)
-            k4 = rhs(rho + dt * k3)
-            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            rho = 0.5 * (rho + _adjoint(rho))
-            tr = np.einsum("nii->", rho).real
+            try:
+                k1 = rhs(rho)
+                rhs_norm = frobenius(k1)
+                if rhs_norm < stop_tol:
+                    stationary = True
+                    break
+                k2 = rhs(rho + (0.5 * dt) * k1)
+                k3 = rhs(rho + (0.5 * dt) * k2)
+                k4 = rhs(rho + dt * k3)
+                rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                rho = 0.5 * (rho + _adjoint(rho))
+                tr = np.einsum("nii->", rho).real
+            except FloatingPointError as exc:
+                raise ArithmeticError(
+                    f"RK4 diverged at step {n + 1}: {exc} (dt = {dt:g})"
+                ) from exc
             if not (math.isfinite(tr) and tr > 0):
-                raise ArithmeticError(f"RK4 diverged at step {n + 1}: total trace {tr:g}")
+                raise ArithmeticError(
+                    f"RK4 diverged at step {n + 1}: total trace {tr:g} (dt = {dt:g})"
+                )
             if abs(tr - 1.0) > RENORM_TOL:
                 rho = rho / tr
             steps = n + 1

@@ -14,7 +14,9 @@ birth-death chain, which this module also provides, together with its
 geometric stationary distribution.  Two functions use this structure:
 ``run_chain`` iterates the populations as a walk with 1×1 coins and applies
 the circuit to the input state once, and ``sweep_chain`` advances the
-populations of a whole ω grid in lockstep with the same arithmetic.
+populations of a whole ω grid in lockstep with the same arithmetic, in
+blocks of steps whose drift and convergence checks run once per block on a
+buffer of bounded size.
 
 The engines return what they measure (steps, population history, detection
 at the last node, final state), and ``validate`` the normalization residual
@@ -417,6 +419,12 @@ class SweepRow(NamedTuple):
     final_detection: float
 
 
+#: Steps per block; of 16, 32, 64 and 128, 64 swept the built-in grids fastest.
+_BLOCK_STEPS = 64
+#: Floats a block buffer may hold (1 MB), so its memory never grows with B·K·T.
+_BLOCK_FLOATS = 2**17
+
+
 def sweep_chain(
     big_t: int, omegas, tol: float = 1e-7, max_steps: int = 100_000
 ) -> list[SweepRow]:
@@ -432,6 +440,18 @@ def sweep_chain(
     ``moved`` = Σ_t |Δp_t| and a row converges when it is below ``tol``.
     The drift check and ``max_steps`` are those of ``run_until_converged``.
     Rows are returned in the order of ``omegas``.
+
+    The rows advance in blocks of B = ``_BLOCK_STEPS`` steps into a
+    (B+1, K, T+1) buffer, so the per-step loop is the recurrence alone, in
+    place.  After each block, the totals, ``moved`` and each row's first
+    converged step are computed for the whole block at once, with the
+    summation order of a step-by-step loop.  A drift counts only on steps
+    where its row is still live (not converged on an earlier step), so it
+    raises at the step, and with the total, of a step-by-step loop.  B is
+    shortened so that the last block ends at ``max_steps`` and so that the
+    buffer holds at most ``_BLOCK_FLOATS`` floats; a grid too large for
+    that runs with B = 1, whose buffer is the two population arrays of a
+    step-by-step loop.
     """
     _check_run_limits(tol, max_steps)
     if big_t < 1:
@@ -451,26 +471,40 @@ def sweep_chain(
     p = np.zeros((len(params), big_t + 1))
     p[:, 0] = 1.0
     out: list[SweepRow | None] = [None] * len(params)
-    for n in range(1, max_steps + 1):
-        if not len(rows):
-            break
-        terms = (coef * p[:, sources]) * coef
-        cur = terms[:, 0] + terms[:, 1]
-        totals = cur.sum(axis=1)
-        drifted = np.abs(totals - 1.0) > TOL.trace
+    scratch = np.empty_like(coef)
+    n = 0
+    while len(rows) and n < max_steps:
+        b = max(1, min(_BLOCK_STEPS, max_steps - n, _BLOCK_FLOATS // p.size - 1))
+        buf = np.empty((b + 1, *p.shape))
+        buf[0] = p
+        terms = scratch[: len(rows)]
+        for j in range(b):
+            # (coef · p[:, sources]) · coef in place, then the two-term sum
+            np.take(buf[j], sources, axis=1, out=terms, mode="clip")
+            np.multiply(coef, terms, out=terms)
+            np.multiply(terms, coef, out=terms)
+            np.add(terms[:, 0], terms[:, 1], out=buf[j + 1])
+        # conv[j, i]: row i converges at step n + j + 1; it is live up to
+        # its first such step (first[i] = b when it has none in the block)
+        conv = np.abs(buf[1:] - buf[:-1]).sum(axis=2) < tol
+        first = np.where(conv.any(axis=0), conv.argmax(axis=0), b)
+        totals = buf[1:].sum(axis=2)
+        drifted = (np.abs(totals - 1.0) > TOL.trace) & (np.arange(b)[:, None] <= first)
         if drifted.any():
+            j, i = divmod(int(drifted.argmax()), len(rows))
             raise ArithmeticError(
-                f"trace drifted to {totals[drifted.argmax()]} at step {n}; "
+                f"trace drifted to {totals[j, i]} at step {n + j + 1}; "
                 "walk is not trace preserving"
             )
-        moved = np.abs(cur - p).sum(axis=1)
-        p = cur
-        converged = moved < tol
-        if converged.any() or n == max_steps:
-            done = converged | (n == max_steps)
-            for i in np.flatnonzero(done):
-                out[rows[i]] = SweepRow(n, bool(converged[i]), float(p[i, -1]))
-            rows, p, coef = rows[~done], p[~done], coef[~done]
+        n += b
+        done = (first < b) | (n == max_steps)
+        for i in np.flatnonzero(done):
+            j = min(int(first[i]), b - 1)
+            converged = bool(first[i] < b)
+            out[rows[i]] = SweepRow(n - b + j + 1, converged, float(buf[j + 1, i, -1]))
+        p = buf[b, ~done]
+        if done.any():
+            rows, coef = rows[~done], coef[~done]
     return out
 
 

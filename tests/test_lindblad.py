@@ -409,6 +409,19 @@ class TestIntegrate:
         with pytest.raises(DomainError, match="max_time/dt"):
             integrate(model, rho0, dt=1.0, max_time=MAX_RK4_STEPS + 0.5)
 
+    @pytest.mark.parametrize("dt, detail", [
+        (3.0, "total trace 0 (dt = 3)"),
+        (1e300, "overflow encountered in multiply (dt = 1e+300)"),
+    ])
+    def test_divergence_names_the_step_and_dt(self, dt, detail):
+        # the path Laplacian of two registers reaches −2: RK4 is stable up
+        # to dt ≈ 1.39, so both step sizes grow the state
+        model = build_dqc_lindblad(single_gate_circuit())
+        with pytest.raises(ArithmeticError, match=r"^RK4 diverged at step \d+: ") as info:
+            integrate(model, start_state(model, "0"), dt=dt, max_time=100 * dt)
+        assert type(info.value) is ArithmeticError
+        assert str(info.value).endswith(detail)
+
     def test_matches_balanced_walk_marginals(self):
         # continuous-time stationary registers are uniform, exactly what the
         # discrete walk gives at omega = 1/2: the two models tie together
