@@ -68,6 +68,12 @@ def _phase(theta: float) -> np.ndarray:
     return np.array([[1.0, 0.0], [0.0, cmath.exp(1j * theta)]], dtype=np.complex128)
 
 
+def _fixed(matrix: np.ndarray) -> Callable[[None], np.ndarray]:
+    """The matrix function of a kind without a phase: one read-only constant."""
+    matrix.flags.writeable = False
+    return lambda _: matrix
+
+
 class GateKind(NamedTuple):
     """A row of ``GATES``."""
 
@@ -77,19 +83,20 @@ class GateKind(NamedTuple):
 
 
 #: The gate set: each kind's qubit count, whether it takes a phase angle, and
-#: its 2x2 or 4x4 (control ⊗ target) unitary as a function of that angle.
+#: its 2x2 or 4x4 (control ⊗ target) unitary as a function of that angle; a
+#: kind without an angle returns the same read-only matrix on every call.
 GATES = {
-    "H": GateKind(1, False, lambda _: np.array([[1, 1], [1, -1]], dtype=np.complex128)
-                  / math.sqrt(2.0)),
-    "X": GateKind(1, False, lambda _: np.array([[0, 1], [1, 0]], dtype=np.complex128)),
-    "S": GateKind(1, False, lambda _: _phase(math.pi / 2)),
-    "Sdg": GateKind(1, False, lambda _: _phase(-math.pi / 2)),
-    "T": GateKind(1, False, lambda _: _phase(math.pi / 4)),
-    "Tdg": GateKind(1, False, lambda _: _phase(-math.pi / 4)),
-    "R": GateKind(1, False, lambda _: _phase(math.pi / 8)),
+    "H": GateKind(1, False, _fixed(np.array([[1, 1], [1, -1]], dtype=np.complex128)
+                                   / math.sqrt(2.0))),
+    "X": GateKind(1, False, _fixed(np.array([[0, 1], [1, 0]], dtype=np.complex128))),
+    "S": GateKind(1, False, _fixed(_phase(math.pi / 2))),
+    "Sdg": GateKind(1, False, _fixed(_phase(-math.pi / 2))),
+    "T": GateKind(1, False, _fixed(_phase(math.pi / 4))),
+    "Tdg": GateKind(1, False, _fixed(_phase(-math.pi / 4))),
+    "R": GateKind(1, False, _fixed(_phase(math.pi / 8))),
     "P": GateKind(1, True, _phase),
-    "CNOT": GateKind(2, False, lambda _: np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=np.complex128)),
+    "CNOT": GateKind(2, False, _fixed(np.array(
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=np.complex128))),
     "CP": GateKind(2, True, lambda theta: np.diag(
         [1.0, 1.0, 1.0, cmath.exp(1j * theta)]).astype(np.complex128)),
 }
@@ -128,7 +135,8 @@ class Gate:
         object.__setattr__(self, "qubits", qubits)
 
     def matrix(self) -> np.ndarray:
-        """The gate's 2x2, or 4x4 control ⊗ target, unitary."""
+        """The gate's 2x2, or 4x4 control ⊗ target, unitary; read-only and
+        shared for a kind without a phase angle."""
         return GATES[self.kind].matrix(self.theta)
 
 
@@ -184,19 +192,24 @@ def _check_slice(gates, num_qubits: int, where: str = "slice") -> None:
 
 def apply_on_qubits(op: np.ndarray, qubits, mat: np.ndarray) -> np.ndarray:
     """The 2^k x 2^k ``op`` applied to the k ``qubits`` of the row index of
-    ``mat``, which has 2^n rows; the first of ``qubits`` is the most
-    significant bit of ``op``'s index.
+    ``mat``, which has 2^n rows (a vector, or a matrix of any column count);
+    the first of ``qubits`` is the most significant bit of ``op``'s index.
 
-    Equal to (``op`` embedded in the n-qubit register) @ ``mat``, but each
-    entry costs one 2^k-term sum on the reshaped qubit axes.
+    Equal to (``op`` embedded in the n-qubit register) @ ``mat``, computed
+    as one ``matmul`` on the reshaped rows, so each entry costs one 2^k-term
+    sum.  One qubit q splits the rows into (2^(q-1), 2, rest) and ``op``
+    multiplies every (2, rest) slab; k qubits are transposed to the front,
+    multiplied as one (2^k, rest) matrix and transposed back.
     """
-    k, n = len(qubits), mat.shape[0].bit_length() - 1
-    axes = [q - 1 for q in qubits]
-    tensor = mat.reshape((2,) * n + (-1,))
-    out = np.tensordot(
-        op.reshape((2,) * 2 * k), tensor, axes=(list(range(k, 2 * k)), axes)
-    )
-    return np.moveaxis(out, list(range(k)), axes).reshape(mat.shape)
+    if len(qubits) == 1:
+        (q,) = qubits
+        return (op @ mat.reshape(2 ** (q - 1), 2, -1)).reshape(mat.shape)
+    n = mat.shape[0].bit_length() - 1
+    front = [q - 1 for q in qubits]
+    order = front + [a for a in range(n + 1) if a not in front]
+    rows = mat.reshape((2,) * n + (-1,)).transpose(order)
+    out = (op @ rows.reshape(op.shape[0], -1)).reshape(rows.shape)
+    return out.transpose(np.argsort(order)).reshape(mat.shape)
 
 
 def slice_unitary(gates, num_qubits: int) -> np.ndarray:

@@ -181,18 +181,20 @@ def cmd_run(args: argparse.Namespace) -> int:
         rho = wk.conditional_state(report.final_state, circuit.depth)
         fidelity = float((target.conj() @ rho @ target).real)
 
-    rows = ["step,node,probability"]
-    rows += [
-        f"{n},{node},{p:.17g}"
-        for n, dist in enumerate(report.history.tolist())
-        for node, p in enumerate(dist)
-    ]
-    rows.append("steps_to_converge,final_detection,final_fidelity,converged")
-    rows.append(
+    # one row per (step, node); the template of a step's rows is built once
+    step_rows = "".join(f"{{0}},{t},{{{t + 1}:.17g}}\n" for t in range(circuit.depth + 1))
+    history = "".join(
+        step_rows.format(n, *dist) for n, dist in enumerate(report.history.tolist())
+    )
+    summary = (
         f"{report.steps},{fmt(report.final_detection)},"
         f"{fmt(fidelity)},{str(report.converged).lower()}"
     )
-    _emit(args.out, "\n".join(rows) + "\n")
+    _emit(
+        args.out,
+        f"step,node,probability\n{history}"
+        f"steps_to_converge,final_detection,final_fidelity,converged\n{summary}\n",
+    )
     return EXIT_OK if report.converged else EXIT_NUMERIC
 
 

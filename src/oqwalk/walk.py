@@ -96,13 +96,27 @@ def edge_arrays(num_nodes: int, dim: int, edges):
         src.append(s)
         dst.append(d)
         coins.append(op)
-    b_ops = np.array(coins, dtype=np.complex128).reshape(-1, dim, dim)
-    if not np.isfinite(b_ops).all():
-        e = int(np.argmin(np.isfinite(b_ops).all(axis=(1, 2))))
+    return _coin_table(
+        np.array(src, dtype=np.int64),
+        np.array(dst, dtype=np.int64),
+        np.array(coins, dtype=np.complex128).reshape(-1, dim, dim),
+    )
+
+
+def _coin_table(src, dst, b_ops):
+    """``edge_arrays``' result from in-range edge arrays and a new (E, d, d)
+    coin stack: raise on the first edge whose coin is not finite, make the
+    stack read-only and stack its daggers."""
+    finite = np.isfinite(b_ops).all(axis=(1, 2))
+    if not finite.all():
+        e = int(np.argmin(finite))
         raise DomainError(f"coin for edge ({src[e]}, {dst[e]}) contains NaN or Inf entries")
     b_ops.flags.writeable = False
-    b_dag = np.ascontiguousarray(b_ops.conj().transpose(0, 2, 1))
-    return np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64), b_ops, b_dag
+    # conjugating into a C-ordered buffer gives the bits of a copy of
+    # b_ops.conj().transpose(0, 2, 1) at a fraction of that copy's cost
+    b_dag = np.empty_like(b_ops)
+    np.conjugate(b_ops.transpose(0, 2, 1), out=b_dag)
+    return src, dst, b_ops, b_dag
 
 
 class OpenQuantumWalk:
@@ -247,21 +261,40 @@ class ChainWalk(OpenQuantumWalk):
     It is an ordinary ``OpenQuantumWalk`` with the same edge table; it also
     keeps the ``params`` and the ``unitaries`` it was built from, which
     ``run_chain`` reads.
+
+    The table is written directly in key order, the order
+    ``OpenQuantumWalk`` sorts a dict into: node t's backward edge (to
+    max(t − 1, 0)) then its forward edge (to min(t + 1, T)).  So the coin
+    stack is √λ·I, then √ω·U_t and √λ·U_t† in turn, then √ω·I, computed
+    from the stacked unitaries with the products of the keyed coins.
     """
 
     def __init__(self, unitaries, params: ChainParams):
         self.params = params
         self.unitaries = tuple(unitaries)
         big_t = len(self.unitaries)
-        dim = self.unitaries[0].shape[0]
+        dim = np.shape(self.unitaries[0])[0]
+        for t, u in enumerate(self.unitaries, start=1):
+            if np.shape(u) != (dim, dim):
+                raise ShapeError(f"U_{t} has shape {np.shape(u)}, expected ({dim}, {dim})")
+        us = np.array(self.unitaries, dtype=np.complex128)
         sqrt_w = math.sqrt(params.omega)
         sqrt_l = math.sqrt(params.lam)
         eye = np.eye(dim, dtype=np.complex128)
-        table = {(0, 0): sqrt_l * eye, (big_t, big_t): sqrt_w * eye}
-        for t, u in enumerate(self.unitaries, start=1):
-            table[(t - 1, t)] = sqrt_w * u
-            table[(t, t - 1)] = sqrt_l * u.conj().T
-        super().__init__(big_t + 1, dim, table)
+        b_ops = np.empty((2 * big_t + 2, dim, dim), dtype=np.complex128)
+        back, forward = b_ops[0::2], b_ops[1::2]
+        back[0] = sqrt_l * eye
+        # an infinite entry gives NaN here, which the finiteness check names
+        with np.errstate(invalid="ignore"):
+            np.multiply(sqrt_l, us.conj().transpose(0, 2, 1), out=back[1:])
+            np.multiply(sqrt_w, us, out=forward[:-1])
+        forward[-1] = sqrt_w * eye
+        nodes = np.arange(big_t + 1)
+        src = np.repeat(nodes, 2)
+        dst = np.stack([np.maximum(nodes - 1, 0), np.minimum(nodes + 1, big_t)], axis=1)
+        self._src, self._dst, self._b_ops, self._b_dag = _coin_table(src, dst.ravel(), b_ops)
+        self.num_nodes = big_t + 1
+        self.dim = dim
 
 
 def build_dqc_chain(circuit: Circuit, params: ChainParams) -> ChainWalk:

@@ -12,6 +12,7 @@ from oqwalk.circuits import (
     MAX_QUBITS,
     Circuit,
     Gate,
+    apply_on_qubits,
     basis_state,
     circuit_product,
     circuit_unitaries,
@@ -25,6 +26,9 @@ from oqwalk.circuits import (
 )
 from oqwalk.errors import CircuitError, CircuitParseError, DomainError
 from oqwalk.linalg import is_unitary
+from tensordot_compile import tensordot_slice
+
+EPS = np.finfo(np.float64).eps
 
 
 def embed_oracle(gate: Gate, num_qubits: int) -> np.ndarray:
@@ -117,11 +121,19 @@ class TestGateMatrix:
             Gate("T", (1,)).matrix() @ Gate("Tdg", (1,)).matrix(), np.eye(2), atol=1e-15
         )
 
-    def test_each_call_returns_a_new_array(self):
-        gate = Gate("H", (1,))
+    @pytest.mark.parametrize("kind", [k for k, row in GATES.items() if not row.takes_theta])
+    def test_a_fixed_kind_shares_one_read_only_matrix(self, kind):
+        gate = Gate(kind, tuple(range(1, GATES[kind].num_qubits + 1)))
+        first = gate.matrix()
+        assert first is gate.matrix()
+        with pytest.raises(ValueError, match="read-only"):
+            first[0, 0] = 0.0
+
+    def test_a_phase_kind_returns_a_new_array(self):
+        gate = Gate("P", (1,), 0.3)
         first = gate.matrix()
         first[0, 0] = 0.0
-        assert gate.matrix()[0, 0] == R2
+        assert gate.matrix()[0, 0] == 1.0
 
 
 class TestGateChecks:
@@ -221,6 +233,57 @@ class TestSliceUnitary:
         n, gates = case
         expected = reduce(lambda acc, g: embed_oracle(g, n) @ acc, gates, np.eye(2**n))
         assert np.abs(slice_unitary(gates, n) - expected).max() <= 1e-14
+
+
+@st.composite
+def gate_and_operand(draw):
+    """A one- or two-qubit gate on qubits in any order of an n-qubit register,
+    and a random complex operand of shape (2^n,) or (2^n, m)."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from([k for k, row in GATES.items() if row.num_qubits <= n]))
+    qubits = draw(st.permutations(range(1, n + 1)))[: GATES[kind].num_qubits]
+    gate = Gate(kind, tuple(qubits), draw(PHASES) if GATES[kind].takes_theta else None)
+    shape = (2**n,) + draw(st.sampled_from([(), (1,), (3,), (2**n,)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return gate, n, rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+class TestApplyOnQubits:
+    @settings(max_examples=200, deadline=None)
+    @given(gate_and_operand())
+    def test_equals_the_enumerated_embedding_times_the_operand(self, case):
+        gate, n, mat = case
+        got = apply_on_qubits(gate.matrix(), gate.qubits, mat)
+        assert got.shape == mat.shape
+        # each entry is a sum of 2^k products of gate entries (|.| <= 1) and
+        # operand entries, rounded a few times
+        k = len(gate.qubits)
+        bound = 4 * 2**k * EPS * np.abs(mat).max()
+        assert np.abs(got - embed_oracle(gate, n) @ mat).max() <= bound
+
+    # Compiled slices equal those of the tensordot formulation bit for bit.
+    # ``slice_unitary`` folds the slice's gates over the identity, and the
+    # gates act on disjoint qubits, so when a gate is applied the matrix is
+    # still the identity on that gate's qubits: in each column, just one of
+    # the 2^k rows the gate mixes is non-zero.  Each entry of the result is
+    # therefore a single product op[i, j]·M[j, c]; the gate's other terms
+    # are exact zeros, which leave a sum unchanged whatever its order.  So
+    # every entry of a slice is one product of one entry of each gate, and
+    # both formulations hand those products to the same BLAS gemm.
+    @pytest.mark.parametrize(
+        "circuit",
+        [f() for f in BUILTIN_CIRCUITS.values()] + [qft(n) for n in range(5, 9)],
+        ids=lambda c: c.name,
+    )
+    def test_compiled_slices_are_those_of_tensordot(self, circuit):
+        for gates, u in zip(circuit.slices, circuit_unitaries(circuit)):
+            assert u.tobytes() == tensordot_slice(gates, circuit.num_qubits).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda n: st.tuples(st.just(n), random_slice(n))))
+    def test_random_slices_are_those_of_tensordot(self, case):
+        n, gates = case
+        assert slice_unitary(gates, n).tobytes() == tensordot_slice(gates, n).tobytes()
 
 
 class TestCircuitLimits:

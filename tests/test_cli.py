@@ -199,6 +199,56 @@ class TestRunCommand:
         assert code == 2
 
 
+def comprehension_run_csv(name, omega, tol, max_steps):
+    """``run``'s CSV of a built-in and its exit code, with the history
+    written by one f-string per (step, node), as a per-row comprehension."""
+    circuit = circuits.BUILTIN_CIRCUITS[name]()
+    bits = cli._DEFAULT_INPUTS.get(name, "0" * circuit.num_qubits)
+    psi0 = circuits.basis_state(circuit.num_qubits, bits)
+    report = cli.wk.run_chain(
+        cli.wk.build_dqc_chain(circuit, cli.wk.ChainParams(omega)),
+        psi0,
+        tol=cli._resolve_tol(name, tol),
+        max_steps=max_steps,
+    )
+    target = circuits.circuit_product(circuit) @ psi0
+    fidelity = float("nan")
+    if report.final_detection > cli.TOL.zero_probability:
+        rho = cli.wk.conditional_state(report.final_state, circuit.depth)
+        fidelity = float((target.conj() @ rho @ target).real)
+    rows = ["step,node,probability"]
+    rows += [
+        f"{n},{node},{p:.17g}"
+        for n, dist in enumerate(report.history.tolist())
+        for node, p in enumerate(dist)
+    ]
+    rows.append("steps_to_converge,final_detection,final_fidelity,converged")
+    rows.append(
+        f"{report.steps},{fmt(report.final_detection)},"
+        f"{fmt(fidelity)},{str(report.converged).lower()}"
+    )
+    return "\n".join(rows) + "\n", 0 if report.converged else 1
+
+
+@pytest.mark.parametrize(
+    "omega, tol, max_steps",
+    [("0.5", None, 100_000), ("1.0", None, 100_000), ("0.5", 1e-12, 100_000),
+     ("0.5", None, 7)],
+    ids=["omega-0.5", "omega-1.0", "tol-1e-12", "max-steps-7"],
+)
+@pytest.mark.parametrize("name", sorted(circuits.BUILTIN_CIRCUITS))
+def test_run_csv_is_that_of_the_per_row_comprehension(name, omega, tol, max_steps, tmp_path):
+    out = tmp_path / "run.csv"
+    argv = ["run", "--circuit", name, "--omega", omega, "--max-steps", str(max_steps),
+            "--out", str(out)]
+    if tol is not None:
+        argv += ["--tol", repr(tol)]
+    text, code = comprehension_run_csv(name, float(omega), tol, max_steps)
+    assert main(argv) == code
+    assert out.read_bytes() == text.encode("utf-8")
+    assert code == (1 if max_steps == 7 else 0)
+
+
 class TestSweepCommand:
     def test_detection_increases(self, tmp_path):
         out = tmp_path / "sweep.csv"

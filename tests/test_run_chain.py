@@ -3,10 +3,10 @@ run_until_converged on the full chain walk."""
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from oqwalk.circuits import BUILTIN_CIRCUITS, Circuit, circuit_product
+from oqwalk.circuits import BUILTIN_CIRCUITS, Circuit, Gate, circuit_product
 from oqwalk.errors import DomainError, ShapeError
 from oqwalk.walk import (
     BlockState,
@@ -46,10 +46,29 @@ def both_runs(circuit, omega, psi0, tol, max_steps=100_000):
     return frame, full, target
 
 
+def assert_histories_agree(frame, full, rows):
+    """The first ``rows`` history rows agree within their rounding bound.
+
+    Both engines apply the same trace-preserving step, which contracts the
+    summed trace norm of a difference, so an error made at one step is never
+    amplified by later ones: after n steps the two histories differ by at
+    most the sum of the n steps' rounding.  A step of the full engine rounds
+    each entry of B ρ B† once per term of its d-term sums, which moves the
+    populations, in sum, by O(d·ε); the 1×1 engine's step, the node sums
+    and the trace readout add a few ε.  Row n is therefore held to
+    4·d·ε·(n + 1); over 1500 random cases of the property below the largest
+    difference was a quarter of that for d = 2 and less for larger d.
+    """
+    dim = full.final_state.dim
+    bound = 4 * dim * EPS * np.arange(1, rows + 1)
+    diff = np.abs(frame.history[:rows] - full.history[:rows]).max(axis=1)
+    assert (diff <= bound).all(), (diff / bound).max()
+
+
 def assert_same(frame, full, target):
     assert (frame.steps, frame.converged) == (full.steps, full.converged)
     assert frame.history.shape == full.history.shape
-    assert np.abs(frame.history - full.history).max() <= 1e-14
+    assert_histories_agree(frame, full, len(full.history))
     assert frame.final_detection == frame.history[-1, -1]
     assert np.abs(frame.final_state.blocks - full.final_state.blocks).max() <= 1e-13
     assert abs(fidelity_at_last_node(frame, target) - 1.0) <= 1e-12
@@ -122,8 +141,16 @@ def chain_case(draw):
     return Circuit(n, tuple(slices)), omega, tol, draw(st.integers(0, 2**32 - 1))
 
 
+#: Its histories differ by 1.03e-14 at step 146 of 146 (d = 4), above a flat
+#: 1e-14 and far below the bound of ``assert_histories_agree``, 5.2e-13.
+EIGHT_HADAMARDS_THEN_TWO = Circuit(
+    2, ((Gate("H", (1,)),),) * 8 + ((Gate("H", (1,)), Gate("H", (2,))),)
+)
+
+
 @settings(max_examples=100, deadline=None)
 @given(chain_case())
+@example((EIGHT_HADAMARDS_THEN_TWO, 0.625, 1e-5, 0))
 def test_matches_the_full_chain_on_random_circuits(case):
     circuit, omega, tol, seed = case
     dim = 2**circuit.num_qubits
@@ -137,6 +164,6 @@ def test_matches_the_full_chain_on_random_circuits(case):
         event(f"rounding tie with tol at step {ties[0]}")
         steps = min(frame.steps, full.steps)
         assert abs(frame.steps - full.steps) <= 1 and steps >= ties[0]
-        assert np.abs(frame.history[: steps + 1] - full.history[: steps + 1]).max() <= 1e-14
+        assert_histories_agree(frame, full, steps + 1)
         return
     assert_same(frame, full, target)

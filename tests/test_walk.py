@@ -16,6 +16,7 @@ from oqwalk.errors import CircuitError, DomainError, ShapeError
 from oqwalk.walk import (
     BlockState,
     ChainParams,
+    ChainWalk,
     OpenQuantumWalk,
     analytic_chain_steady,
     block_diff_norm,
@@ -428,6 +429,61 @@ class TestEdgeArrays:
     def test_names_the_first_edge_out_of_range(self):
         with pytest.raises(DomainError, match=r"edge \(0, 2\) out of range"):
             edge_arrays(2, 2, [(0, 0, np.eye(2)), (0, 2, np.eye(2)), (3, 0, np.eye(2))])
+
+
+def keyed_chain(unitaries, params):
+    """The chain walk built from its dict of per-edge coins, keyed
+    (source, target), which ``OpenQuantumWalk`` sorts into key order."""
+    big_t, dim = len(unitaries), unitaries[0].shape[0]
+    sqrt_w, sqrt_l = math.sqrt(params.omega), math.sqrt(params.lam)
+    eye = np.eye(dim, dtype=np.complex128)
+    table = {(0, 0): sqrt_l * eye, (big_t, big_t): sqrt_w * eye}
+    for t, u in enumerate(unitaries, start=1):
+        table[(t - 1, t)] = sqrt_w * u
+        table[(t, t - 1)] = sqrt_l * u.conj().T
+    return OpenQuantumWalk(big_t + 1, dim, table)
+
+
+class TestChainTable:
+    """``ChainWalk`` writes the table ``OpenQuantumWalk`` builds from the dict."""
+
+    @pytest.mark.parametrize("omega", [0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("big_t", [1, 2, 13])
+    @pytest.mark.parametrize("coins", ["toffoli", "populations"])
+    def test_equals_the_table_of_the_keyed_coins(self, coins, big_t, omega):
+        if coins == "toffoli":
+            unitaries = circuit_unitaries(toffoli13())[:big_t]
+        else:
+            unitaries = [np.ones((1, 1))] * big_t
+        params = ChainParams(omega)
+        chain, keyed = ChainWalk(unitaries, params), keyed_chain(unitaries, params)
+        assert (chain.num_nodes, chain.dim) == (keyed.num_nodes, keyed.dim)
+        for name in ("_src", "_dst", "_b_ops", "_b_dag"):
+            got, expected = getattr(chain, name), getattr(keyed, name)
+            assert (got.dtype, got.shape) == (expected.dtype, expected.shape), name
+            assert got.tobytes() == expected.tobytes(), name
+        assert not chain._b_ops.flags.writeable
+        dagger = np.ascontiguousarray(chain._b_ops.conj().transpose(0, 2, 1))
+        assert chain._b_dag.tobytes() == dagger.tobytes()
+        if omega == 1.0:  # λ = 0: every backward coin is zero
+            assert not chain._b_ops[0::2].any()
+
+    @pytest.mark.parametrize(
+        "unitaries",
+        [[np.eye(2), np.eye(4)], [np.eye(4), H], [np.ones((2, 3))], [np.ones(2)]],
+        ids=["mismatched", "mismatched-later", "non-square", "vector"],
+    )
+    def test_rejects_unitaries_of_the_wrong_shape(self, unitaries):
+        with pytest.raises(ShapeError):
+            ChainWalk(unitaries, ChainParams(0.7))
+
+    @pytest.mark.parametrize("omega", [0.7, 1.0])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_names_the_first_edge_of_a_non_finite_unitary(self, bad, omega):
+        u = H.copy()
+        u[1, 0] = bad
+        with pytest.raises(DomainError, match=r"coin for edge \(1, 2\) contains NaN or Inf"):
+            ChainWalk([H, u, u], ChainParams(omega))
 
 
 class TestConditionalState:
