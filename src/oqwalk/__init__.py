@@ -4,8 +4,8 @@ The package compiles a unitary circuit into a chain walk whose forward hops
 apply the next gate, iterates the walk to its steady state, and reports how
 the detection probability at the output register and the number of steps to
 stationarity depend on the forward weight ω.  A master-equation integrator
-on the same node blocks and edge table provides an independent
-continuous-time cross-check.
+of the canonical dissipative model of the same chain, on the same node
+blocks, provides an independent continuous-time cross-check.
 """
 
 from . import circuits, lindblad, linalg, walk

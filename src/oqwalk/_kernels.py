@@ -1,10 +1,9 @@
 """Hot numeric kernels, in numpy.
 
-Both models are edge tables over stacked (N, d, d) node blocks: the discrete
-walk step and the jump term of the master equation are the same sum of
-sandwiches B ρ B† over the edges, computed by ``step_blocks``.  The master
-equation sends only its edges with a matrix coin here (a scalar coin c is
-a rate of its real generator), and adds their per-node damping term with
+The discrete walk is an edge table over stacked (N, d, d) node blocks; one
+step is the sum of sandwiches B ρ B† over its edges, computed by
+``step_blocks``.  The master equation moves its hops and reset jumps
+itself, and adds the damping of the resets on node 0 with
 ``lindblad_rhs_kernel``.
 """
 
@@ -41,8 +40,7 @@ def source_gram(b_ops, b_dag, src, dst, num_nodes):
 
 def lindblad_rhs_kernel(jump, g, g_dag, blocks):
     """Block master-equation generator jump + G_n ρ_n + ρ_n G_n†, where
-    ``jump`` is the ``step_blocks`` jump term and G_n = −½K_n is the
-    per-node damping."""
+    ``jump`` is the jump term and G_n = −½K_n is the per-node damping."""
     return jump + g @ blocks + blocks @ g_dag
 
 

@@ -1,4 +1,4 @@
-"""Continuous-time reference model for the dissipative chain.
+"""Canonical dissipative quantum computing on the chain of a circuit.
 
 Purely dissipative master equation dρ/dt = Σ_k L_k ρ L_k† − ½{L_k†L_k, ρ}
 with jump operators built from the circuit unitaries: the pair of registers
@@ -7,50 +7,38 @@ with jump operators built from the circuit unitaries: the pair of registers
 undoes it.  Optional reset jumps lower each qubit inside register 0.
 
 These jumps map a state that is block diagonal in the register index to one
-that is again block diagonal, and on such states the register jump acts
-exactly as its two edges (t−1 → t, U_t) and (t → t−1, U_t†) taken as
-separate jumps B ⊗ |i⟩⟨j|: the cross terms vanish.  So the model is stored
-as an edge table on stacked (N, d, d) node blocks, with the generator of
-the continuous-time open quantum walk
-
-    dρ_n/dt = Σ_{e: dst=n} B_e ρ_src B_e† − ½{K_n, ρ_n},
-    K_n = Σ_{e: src=n} B_e†B_e.
-
-The model integrates in a frame of per-node unitaries W_n, on the blocks
-ρ̃_n = W_n† ρ_n W_n, where an edge's coin becomes W_dst† B W_src.  The
-chain uses the history-state frame W_0 = I, W_t = U_t W_{t−1}, in which
-both edges of every slice have the identity as coin and the resets at node
-0 keep theirs.  An edge may state its coin as a number c, the jump c·I,
-which moves ρ̃_src to ρ̃_dst at rate |c|²; all such scalar edges together
-are one real (N, N) generator acting on every block entry alike: on the
-chain, whose builder states each hop as the scalar 1, the path-graph
-Laplacian.  The matrix edges go through the walk's step kernel and the
-damping kernel, on the sub-stack of the nodes they touch.
+that is again block diagonal, so the state is stored as stacked (N, d, d)
+node blocks.  It is integrated in the history-state frame W_0 = I,
+W_t = U_t W_{t−1}, on the blocks ρ̃_t = W_t† ρ_t W_t.  There both halves of
+every register jump are the identity, so the hops move ρ̃_{t−1} to ρ̃_t and
+back at unit rate: one real (N, N) generator, the path-graph Laplacian,
+acting on every block entry alike.  The resets keep their lab-frame form,
+since W_0 = I: lowering qubit q moves the |1⟩⟨1| sub-block of that qubit in
+ρ̃_0 to |0⟩⟨0|, and its damping −½σ⁻†σ⁻ is diagonal, so the damping of all
+resets is G = −½·diag(popcount), added by ``lindblad_rhs_kernel``.
 ``lindblad_rhs``, ``integrate`` and its observer take and give lab-frame
-blocks ρ_n = W_n ρ̃_n W_n†.  A model with one node and no frame is a
-plain dense Lindblad generator.  The integrator is a fixed-step classical
+blocks ρ_t = W_t ρ̃_t W_t†.  The integrator is a fixed-step classical
 Runge-Kutta scheme.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .circuits import Circuit, apply_on_qubits, circuit_unitaries
-from .config import TOL
+from .circuits import Circuit, circuit_unitaries
 from .errors import DomainError, ShapeError
 from .linalg import frobenius
-from .walk import BlockState, edge_arrays
+from .walk import BlockState
 
 __all__ = [
     "LindbladModel",
     "IntegrationResult",
     "build_dqc_lindblad",
+    "path_laplacian",
     "lindblad_rhs",
     "integrate",
     "node_marginals",
@@ -67,93 +55,57 @@ INPUT_TOL = 1e-8
 #: preserves the trace, so a smaller drift is rounding, not worth a division.
 RENORM_TOL = 1e-12
 
-_LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
+
+def path_laplacian(num_nodes: int) -> np.ndarray:
+    """Unit-rate generator of the path graph 0 − 1 − … − (N−1): 1 at
+    [i, i ± 1], and minus the node's degree on the diagonal."""
+    hops = np.eye(num_nodes, k=1) + np.eye(num_nodes, k=-1)
+    return hops - np.diag(hops.sum(axis=0))
 
 
 class LindbladModel:
-    """Dissipative generator on node blocks, stored as an edge table.
+    """The canonical dissipative model of a circuit, on T+1 registers of
+    2^q-dimensional blocks: one Hermitian hop per slice between its two
+    registers, and with ``include_reset`` one lowering jump per qubit at
+    register 0.
 
-    ``edges`` are (source j, target i, B) triples on ``num_nodes`` nodes
-    with ``dim``-dimensional blocks; each is the jump B ⊗ |i⟩⟨j|, and a
-    (source, target) pair may repeat.  The coin B is a (dim, dim) matrix or
-    a number c, which stands for the jump c·I; both get the range and
-    finiteness checks of ``edge_arrays``.  There is no Hamiltonian part.
-    ``frames``, if given, holds one unitary W_n per node, and the coins are
-    then those of the frame, W_i† B W_j for a lab-frame coin B.
-
-    Every scalar edge c is a rate |c|² in ``_rates``, the real (N, N)
-    generator of those edges: |c|² at [i, j], −|c|² at [j, j].  The matrix
-    edges, c·I included, are kept with ``_src`` and ``_dst`` counted from
-    the start of ``_span``, the range of nodes they touch, and ``_g`` holds
-    −½K_n of those edges for each node of ``_span``.
+    ``_rates`` is the path Laplacian of the hops.  ``_frames`` holds the
+    history-state frames, the partial products W_t = U_t W_{t−1} written
+    into one (T+1, d, d) stack, and ``_frames_dag`` their daggers.
+    ``_resets`` is the number of qubits lowered at register 0 (0 without
+    resets), and ``_g`` their damping G = −½·diag(popcount) as a (1, d, d)
+    block, or None.
     """
 
-    def __init__(self, num_nodes: int, dim: int, edges, frames=None):
-        edges = list(edges)
-        scalar = [(s, d, [[c]]) for s, d, c in edges if isinstance(c, numbers.Number)]
-        r_src, r_dst, c, _ = edge_arrays(num_nodes, 1, scalar)
-        src, dst, b_ops, b_dag = edge_arrays(
-            num_nodes, dim, [e for e in edges if not isinstance(e[2], numbers.Number)]
-        )
-        self.num_nodes, self.dim = int(num_nodes), int(dim)
-        self._frames = self._frames_dag = None
-        if frames is not None:
-            self._frames = _checked_frames(self, frames)
-            self._frames_dag = np.ascontiguousarray(_adjoint(self._frames))
-        rate = np.abs(c[:, 0, 0]) ** 2
-        self._rates = np.zeros((self.num_nodes, self.num_nodes))
-        np.add.at(self._rates, (r_dst, r_src), rate)
-        np.add.at(self._rates, (r_src, r_src), -rate)
-        touched = np.concatenate([src, dst])
-        lo, hi = (touched.min(), touched.max() + 1) if len(touched) else (0, 0)
-        self._span = slice(int(lo), int(hi))
-        self._src, self._dst, self._b_ops, self._b_dag = src - lo, dst - lo, b_ops, b_dag
-        k = _kernels.source_gram(self._b_ops, self._b_dag, self._src, self._dst, hi - lo)
-        self._g = -0.5 * k
-        self._g_dag = np.ascontiguousarray(_adjoint(self._g))
-        self._num_edges = len(edges)
+    def __init__(self, circuit: Circuit, include_reset: bool = False):
+        unitaries = circuit_unitaries(circuit)
+        self.num_nodes, self.dim = len(unitaries) + 1, 2**circuit.num_qubits
+        frames = np.empty((self.num_nodes, self.dim, self.dim), dtype=np.complex128)
+        frames[0] = np.eye(self.dim)
+        for t, u in enumerate(unitaries, start=1):
+            np.matmul(u, frames[t - 1], out=frames[t])
+        self._frames = frames
+        # conjugating into a C-ordered buffer gives the bits of a copy of
+        # frames.conj().transpose(0, 2, 1) at a fraction of that copy's cost
+        self._frames_dag = np.empty_like(frames)
+        np.conjugate(frames.transpose(0, 2, 1), out=self._frames_dag)
+        self._rates = path_laplacian(self.num_nodes)
+        self._resets = circuit.num_qubits if include_reset else 0
+        self._g = None
+        if self._resets:
+            popcount = [bin(x).count("1") for x in range(self.dim)]
+            self._g = -0.5 * np.diag(popcount).astype(np.complex128)[None]
 
     def __repr__(self):
         return (
             f"LindbladModel(num_nodes={self.num_nodes}, dim={self.dim}, "
-            f"edges={self._num_edges})"
+            f"resets={self._resets})"
         )
-
-
-def _checked_frames(model: LindbladModel, frames) -> np.ndarray:
-    """frames as finite (N, d, d) blocks, each unitary within ``TOL.unitary``."""
-    w = np.array(frames, dtype=np.complex128)
-    shape = (model.num_nodes, model.dim, model.dim)
-    if w.shape != shape:
-        raise ShapeError(f"frames must be blocks of shape {shape}, got {w.shape}")
-    if not np.isfinite(w).all():
-        raise DomainError("frames contain NaN or Inf entries")
-    residual = np.linalg.norm(_adjoint(w) @ w - np.eye(model.dim), axis=(1, 2))
-    if residual.max() > TOL.unitary:
-        raise DomainError(
-            f"frame {int(residual.argmax())} is not unitary within {TOL.unitary:g}"
-        )
-    return w
 
 
 def build_dqc_lindblad(circuit: Circuit, include_reset: bool = False) -> LindbladModel:
-    """The chain's jumps as edges on T+1 registers of 2^q-dimensional blocks,
-    in the history-state frame W_0 = I, W_t = U_t W_{t−1}.
-
-    Slice t gives the edges (t−1 → t, U_t) and (t → t−1, U_t†), whose
-    coins in that frame are the identity, stated as the scalar 1.0: each
-    is a unit rate, and no identity matrix is stacked.  ``include_reset``
-    adds one (0 → 0) edge per qubit, lowering that qubit, where W_0 = I.
-    """
-    big_t, n = circuit.depth, circuit.num_qubits
-    eye = np.eye(2**n, dtype=np.complex128)
-    frames = [eye]
-    for u in circuit_unitaries(circuit):
-        frames.append(u @ frames[-1])
-    edges = [e for t in range(1, big_t + 1) for e in ((t - 1, t, 1.0), (t, t - 1, 1.0))]
-    if include_reset:
-        edges += [(0, 0, apply_on_qubits(_LOWER, (q,), eye)) for q in range(1, n + 1)]
-    return LindbladModel(big_t + 1, 2**n, edges, frames)
+    """The circuit's ``LindbladModel``, with or without the resets."""
+    return LindbladModel(circuit, include_reset)
 
 
 def _adjoint(blocks) -> np.ndarray:
@@ -162,15 +114,11 @@ def _adjoint(blocks) -> np.ndarray:
 
 def _lift(model: LindbladModel, blocks) -> np.ndarray:
     """Frame blocks ρ̃_n to lab blocks W_n ρ̃_n W_n†."""
-    if model._frames is None:
-        return blocks
     return model._frames @ blocks @ model._frames_dag
 
 
 def _lower(model: LindbladModel, blocks) -> np.ndarray:
     """Lab blocks ρ_n to frame blocks W_n† ρ_n W_n."""
-    if model._frames is None:
-        return blocks
     return model._frames_dag @ blocks @ model._frames
 
 
@@ -191,14 +139,23 @@ def _checked_blocks(model: LindbladModel, rho, name: str) -> np.ndarray:
 
 
 def _rhs(model: LindbladModel, blocks) -> np.ndarray:
-    """The generator on frame blocks: the rates as one real product on the
-    (N, 2d²) float view, plus the coin edges on the nodes they touch."""
+    """The generator on frame blocks: the hops as one real product of the
+    path Laplacian on the (N, 2d²) float view, plus the resets on node 0.
+
+    Lowering qubit q moves the [1, 1] sub-block of its axis pair to the
+    [0, 0] one; the moves are summed from zeros in qubit order, the bits of
+    the sum of σ⁻ ρ̃_0 σ⁺ over the qubits.
+    """
     flat = blocks.reshape(model.num_nodes, -1).view(np.float64)
     out = (model._rates @ flat).view(np.complex128).reshape(blocks.shape)
-    if len(model._src):
-        sub = blocks[model._span]
-        jump = _kernels.step_blocks(model._b_ops, model._b_dag, model._src, model._dst, sub)
-        out[model._span] += _kernels.lindblad_rhs_kernel(jump, model._g, model._g_dag, sub)
+    if model._resets:
+        node0 = blocks[:1]
+        jump = np.zeros_like(node0)
+        for q in range(1, model._resets + 1):
+            axes = (2 ** (q - 1), 2, model.dim >> q) * 2
+            jump.reshape(axes)[:, 0, :, :, 0] += node0.reshape(axes)[:, 1, :, :, 1]
+        # G is real and diagonal, so G† = G
+        out[:1] += _kernels.lindblad_rhs_kernel(jump, model._g, model._g, node0)
     return out
 
 

@@ -76,37 +76,11 @@ class ChainParams:
         return 1.0 - self.omega
 
 
-def edge_arrays(num_nodes: int, dim: int, edges):
-    """Check (source, target, coin) triples and stack them, in the given
-    order, as the src, dst, coin and coin-dagger arrays the step kernel
-    takes.  The coin stack is read-only.  Both models store their edges
-    this way.
-    """
-    if num_nodes < 1 or dim < 1:
-        raise DomainError("num_nodes and dim must be >= 1")
-    src, dst, coins = [], [], []
-    for s, d, op in edges:
-        s, d = int(s), int(d)
-        if not (0 <= s < num_nodes and 0 <= d < num_nodes):
-            raise DomainError(f"edge ({s}, {d}) out of range")
-        if np.shape(op) != (dim, dim):
-            raise ShapeError(
-                f"coin for edge ({s}, {d}) has shape {np.shape(op)}, expected ({dim}, {dim})"
-            )
-        src.append(s)
-        dst.append(d)
-        coins.append(op)
-    return _coin_table(
-        np.array(src, dtype=np.int64),
-        np.array(dst, dtype=np.int64),
-        np.array(coins, dtype=np.complex128).reshape(-1, dim, dim),
-    )
-
-
 def _coin_table(src, dst, b_ops):
-    """``edge_arrays``' result from in-range edge arrays and a new (E, d, d)
-    coin stack: raise on the first edge whose coin is not finite, make the
-    stack read-only and stack its daggers."""
+    """The src, dst, coin and coin-dagger arrays the step kernel takes, from
+    in-range edge arrays and a new (E, d, d) coin stack: raise on the first
+    edge whose coin is not finite, make the stack read-only and stack its
+    daggers."""
     finite = np.isfinite(b_ops).all(axis=(1, 2))
     if not finite.all():
         e = int(np.argmin(finite))
@@ -132,15 +106,28 @@ class OpenQuantumWalk:
         Mapping (source, target) -> dim x dim coin operator.
 
     Instances are immutable after construction and safe to share across
-    threads.  The edge table is stored once, in key order, as the stacked
-    source, target and coin arrays of ``edge_arrays``, which is the form the
-    step kernel takes.
+    threads.  The edge table is checked and stored once, in key order, as
+    the stacked source, target, coin and coin-dagger arrays that the step
+    kernel takes; the coin stack is read-only.
     """
 
     def __init__(self, num_nodes: int, dim: int, transitions):
+        if num_nodes < 1 or dim < 1:
+            raise DomainError("num_nodes and dim must be >= 1")
         table = {(int(s), int(d)): op for (s, d), op in transitions.items()}
-        self._src, self._dst, self._b_ops, self._b_dag = edge_arrays(
-            num_nodes, dim, [(s, d, table[s, d]) for s, d in sorted(table)]
+        keys = sorted(table)
+        for s, d in keys:
+            if not (0 <= s < num_nodes and 0 <= d < num_nodes):
+                raise DomainError(f"edge ({s}, {d}) out of range")
+            if np.shape(table[s, d]) != (dim, dim):
+                raise ShapeError(
+                    f"coin for edge ({s}, {d}) has shape {np.shape(table[s, d])}, "
+                    f"expected ({dim}, {dim})"
+                )
+        self._src, self._dst, self._b_ops, self._b_dag = _coin_table(
+            np.array([s for s, _ in keys], dtype=np.int64),
+            np.array([d for _, d in keys], dtype=np.int64),
+            np.array([table[k] for k in keys], dtype=np.complex128).reshape(-1, dim, dim),
         )
         self.num_nodes = int(num_nodes)
         self.dim = int(dim)

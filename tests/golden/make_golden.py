@@ -83,13 +83,16 @@ CASES = [
 
 def platform_key() -> dict:
     """What the output bits depend on besides the code."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    from numpy._core import _multiarray_umath
-
-    features = getattr(_multiarray_umath, "__cpu_features__", {})
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+    except TypeError:  # numpy before 1.26 only prints its configuration
+        blas = "unknown"
+    core = getattr(np, "_core", None) or np.core
+    features = getattr(core._multiarray_umath, "__cpu_features__", {})
     return {
         "numpy": np.__version__,
-        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas": blas,
         "machine": platform.machine(),
         "cpu_features": sorted(k for k, on in features.items() if on),
     }

@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from oqwalk import _kernels
 from oqwalk.circuits import BUILTIN_CIRCUITS, Circuit, Gate
-from oqwalk.walk import ChainParams, build_dqc_chain, edge_arrays
+from oqwalk.walk import ChainParams, OpenQuantumWalk, build_dqc_chain
 from test_linalg import trace_norm
 
 
@@ -133,7 +133,9 @@ class TestStepKernels:
             coins = np.linalg.qr(gaussian(rng.integers(1, 4) * d, d))[0].reshape(-1, d, d)
             edges += [(source, rng.integers(0, n), c) for c in coins]
         shuffled = [edges[k] for k in rng.permutation(len(edges))]
-        src, dst, b_ops, b_dag = edge_arrays(n, d, shuffled)
+        src, dst = (np.array(column, dtype=np.int64) for column in list(zip(*shuffled))[:2])
+        b_ops = np.array([coin for _, _, coin in shuffled])
+        b_dag = np.ascontiguousarray(b_ops.conj().transpose(0, 2, 1))
         gram = _kernels.source_gram(b_ops, b_dag, src, dst, n)
         assert np.abs(gram - np.eye(d)).max() < 1e-12
         a = gaussian(n, d, d)
@@ -148,10 +150,15 @@ class TestStepKernels:
         rng = np.random.default_rng(7)
         args = random_edge_problem(rng, num_nodes=6, num_edges=40)
         b_ops, _, src, dst, blocks = args
-        src2, dst2, ops2, dag2 = edge_arrays(6, 4, zip(src, dst, b_ops))
         expected = scatter_add_step(*args)
         assert np.array_equal(_kernels.step_blocks(*args), expected)
-        assert np.array_equal(_kernels.step_blocks(ops2, dag2, src2, dst2, blocks), expected)
+        # a walk's stored table, whose daggers are conjugated in place, gives
+        # the bits of a scatter with copied daggers
+        walk = OpenQuantumWalk(6, 4, {(int(s), int(d)): b for s, d, b in zip(src, dst, b_ops)})
+        copied = np.ascontiguousarray(walk._b_ops.conj().transpose(0, 2, 1))
+        expected = scatter_add_step(walk._b_ops, copied, walk._src, walk._dst, blocks)
+        got = _kernels.step_blocks(walk._b_ops, walk._b_dag, walk._src, walk._dst, blocks)
+        assert np.array_equal(got, expected)
 
 
 class TestLindbladKernels:

@@ -1,23 +1,28 @@
-import math
 import tracemalloc
 from collections import defaultdict
 
 import numpy as np
 import pytest
 
-from dense_lindblad import dense_chain_jumps, dense_rhs, embed_blocks, node_block
+from dense_lindblad import (
+    dense_chain_jumps,
+    dense_rhs,
+    edge_table_reset,
+    embed_blocks,
+    lowering,
+    node_block,
+)
 from oqwalk.circuits import Circuit, Gate, basis_state, circuit_unitaries, qft, toffoli13
-from oqwalk.config import TOL
 from oqwalk.errors import CircuitError, DomainError, ShapeError
 from oqwalk.lindblad import (
     MAX_RK4_STEPS,
-    LindbladModel,
+    _rhs,
     build_dqc_lindblad,
     integrate,
     lindblad_rhs,
     node_marginals,
 )
-from oqwalk.walk import BlockState, ChainParams, two_node_gate_walk
+from oqwalk.walk import BlockState
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 LOWER = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -46,19 +51,17 @@ def start_state(model, bits, node=0):
 def edge_table(model):
     """(source, target) -> the lab-frame coins W_dst B̃ W_src† of that pair's
     edges: a rate r off the diagonal of the generator as the coin √r·I, then
-    the coin edges in emission order."""
+    the reset coins at register 0, where W_0 = I, in qubit order."""
     eye = np.eye(model.dim)
-    frames = [eye] * model.num_nodes if model._frames is None else model._frames
+    frames = model._frames
     table = defaultdict(list)
     for d, s in zip(*np.nonzero(model._rates)):
         if d != s:
             coin = np.sqrt(model._rates[d, s]) * eye
             table[int(s), int(d)].append(frames[d] @ coin @ frames[s].conj().T)
-    lo = model._span.start
-    for s, d, op in zip(model._src.tolist(), model._dst.tolist(), model._b_ops):
-        s, d = lo + s, lo + d
-        table[s, d].append(frames[d] @ op @ frames[s].conj().T)
-    return table
+    n = model.dim.bit_length() - 1
+    table[0, 0] += [lowering(n, q) for q in range(1, model._resets + 1)]
+    return {pair: coins for pair, coins in table.items() if coins}
 
 
 def path_laplacian(num_nodes):
@@ -113,7 +116,7 @@ class TestBuildModel:
         # the jumps U ⊗ |t⟩⟨t−1| + U† ⊗ |t−1⟩⟨t| are the path-graph Laplacian
         model = build_dqc_lindblad(toffoli13())
         assert np.array_equal(model._rates, path_laplacian(14))
-        assert len(model._src) == 0
+        assert model._resets == 0 and model._g is None
 
     def test_frames_are_the_partial_products(self):
         circuit = toffoli13()
@@ -126,7 +129,7 @@ class TestBuildModel:
         base = build_dqc_lindblad(toffoli13())
         with_reset = build_dqc_lindblad(toffoli13(), include_reset=True)
         assert np.array_equal(with_reset._rates, base._rates)
-        assert len(with_reset._src) == len(base._src) + 3
+        assert (base._resets, with_reset._resets) == (0, 3)
         assert (0, 0) not in edge_table(base)
         eye = np.eye(2)
         lowers = [np.kron(LOWER, np.eye(4)), np.kron(eye, np.kron(LOWER, eye)),
@@ -141,13 +144,14 @@ class TestBuildModel:
 
     def test_qft4_builds_without_dimension_cap(self):
         # 17 registers of 16-dimensional blocks, past the old dense cap of
-        # 256; the reset coins run on the one node they touch
+        # 256; the reset damping is one block, for register 0
         circuit = qft(4)
         model = build_dqc_lindblad(circuit, include_reset=True)
         assert (model.num_nodes, model.dim) == (circuit.depth + 1, 16)
         assert sum(map(len, edge_table(model).values())) == 2 * circuit.depth + 4
-        assert model._span == slice(0, 1)
         assert model._g.shape == (1, 16, 16)
+        popcount = [bin(x).count("1") for x in range(16)]
+        assert np.array_equal(model._g[0], -0.5 * np.diag(popcount))
 
     def test_build_peaks_near_the_frames_it_keeps(self):
         # the chain's hops are scalar edges, so no dense identity coin is
@@ -162,109 +166,25 @@ class TestBuildModel:
             tracemalloc.stop()
         assert peak <= 3 * (model._frames.nbytes + model._frames_dag.nbytes)
 
+    def test_resets_add_at_most_two_blocks_to_the_build(self):
+        # the reset is index moves and one diagonal damping block, not q
+        # dense coins and their daggers
+        circuit = qft(6)
+        circuit_unitaries(circuit)  # compiled and cached before tracing
+        peaks = []
+        for include_reset in (False, True):
+            tracemalloc.start()
+            try:
+                build_dqc_lindblad(circuit, include_reset)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 2 * 64**2 * 16
+
     def test_empty_circuit_rejected(self):
         # a model needs a slice; Circuit refuses to exist without one
         with pytest.raises(CircuitError):
             Circuit(1, ())
-
-    def test_model_shape_validation(self):
-        with pytest.raises(ShapeError):
-            LindbladModel(1, 2, [(0, 0, np.eye(2)), (0, 0, np.eye(3))])
-        with pytest.raises(DomainError):
-            LindbladModel(2, 2, [(0, 2, np.eye(2))])
-        with pytest.raises(DomainError):
-            LindbladModel(0, 2, [])
-
-
-class TestFrame:
-    """Rates, coins and frames of hand-built models."""
-
-    def test_scalar_coins_become_rates_and_matrix_coins_stay_coins(self):
-        eye = np.eye(2)
-        near = np.array([[1.0, 1e-300], [0.0, 1.0]])
-        model = LindbladModel(3, 2, [(0, 1, 0.6j), (1, 0, 0.8), (1, 1, 0.8 * eye),
-                                     (1, 2, near), (2, 2, np.diag([1.0, -1.0]))])
-        r01, r10 = abs(0.6j) ** 2, abs(0.8) ** 2
-        assert np.array_equal(model._rates, [[-r01, r10, 0.0], [r01, -r10, 0.0], [0.0, 0.0, 0.0]])
-        assert model._span == slice(1, 3)
-        assert model._src.tolist() == [0, 0, 1] and model._dst.tolist() == [0, 1, 1]
-        assert np.array_equal(model._b_ops, [0.8 * eye, near, np.diag([1.0, -1.0])])
-        # a coin edge damps its source only: node 1 of the sub-stack holds
-        # both of its coins, node 2 the diagonal one
-        assert np.array_equal(model._g[0], -0.5 * ((0.8 * eye) @ (0.8 * eye) + near.T @ near))
-        assert np.array_equal(model._g[1], -0.5 * eye)
-
-    @pytest.mark.parametrize("c", [1.0, 0.5, 0.6j, 2, np.float64(0.3)])
-    def test_scalar_edge_is_the_jump_c_times_identity(self, c):
-        rng = np.random.default_rng(23)
-        num_nodes, dim = 3, 2
-        frames = np.linalg.qr(rng.normal(size=(num_nodes, dim, dim))
-                              + 1j * rng.normal(size=(num_nodes, dim, dim)))[0]
-        coins = [(1, 2, LOWER), (2, 2, H)]
-        scalar = LindbladModel(num_nodes, dim, [(0, 1, c), (2, 0, c)] + coins, frames)
-        matrix = LindbladModel(num_nodes, dim, [(0, 1, c * np.eye(dim)),
-                                                (2, 0, c * np.eye(dim))] + coins, frames)
-        assert np.count_nonzero(scalar._rates) == 4 and len(scalar._src) == 2
-        assert not matrix._rates.any() and len(matrix._src) == 4
-        for _ in range(3):
-            blocks = random_block_state(rng, num_nodes, dim)
-            got = lindblad_rhs(scalar, blocks)
-            assert np.abs(got - lindblad_rhs(matrix, blocks)).max() < 1e-14
-
-    @pytest.mark.parametrize("edge, message", [
-        ((0, 2, 1.0), r"^edge \(0, 2\) out of range$"),
-        ((1, 0, math.nan), r"^coin for edge \(1, 0\) contains NaN or Inf entries$"),
-        ((1, 0, complex(1.0, math.inf)), r"^coin for edge \(1, 0\) contains NaN or Inf entries$"),
-    ])
-    def test_scalar_edges_are_checked_like_coins(self, edge, message):
-        s, d, c = edge
-        for bad in (edge, (s, d, np.diag([c, c]))):
-            with pytest.raises(DomainError, match=message):
-                LindbladModel(2, 2, [(0, 1, 0.5), (1, 1, H), bad])
-
-    def test_lab_rhs_does_not_depend_on_the_frame(self):
-        # the same jumps, written once in random frames W and once in the
-        # lab, where the edge (j → i, B̃) of the frame has the coin W_i B̃ W_j†
-        # and a scalar edge c of the frame has the coin c·W_i W_j†
-        rng = np.random.default_rng(21)
-        num_nodes, dim = 4, 3
-        frames = np.linalg.qr(rng.normal(size=(num_nodes, dim, dim))
-                              + 1j * rng.normal(size=(num_nodes, dim, dim)))[0]
-        in_frame = [(0, 1, rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))),
-                    (1, 1, np.diag([0.0, 1.0, 2.0])),
-                    (2, 3, 0.5),
-                    (3, 0, 1.0)]
-        lab = [(s, d, frames[d] @ (b * np.eye(dim) if np.isscalar(b) else b)
-                @ frames[s].conj().T) for s, d, b in in_frame]
-        framed = LindbladModel(num_nodes, dim, in_frame, frames)
-        plain = LindbladModel(num_nodes, dim, lab)
-        assert np.count_nonzero(framed._rates) == 4 and len(framed._src) == 2
-        assert not plain._rates.any() and len(plain._src) == 4
-        for _ in range(3):
-            blocks = random_block_state(rng, num_nodes, dim)
-            got = lindblad_rhs(framed, blocks)
-            assert np.abs(got - lindblad_rhs(plain, blocks)).max() < 1e-12
-
-    def test_frames_are_checked(self):
-        eye = np.eye(2)
-        with pytest.raises(ShapeError):
-            LindbladModel(2, 2, [], frames=[eye])
-        with pytest.raises(DomainError, match="frame 1 is not unitary"):
-            LindbladModel(2, 2, [], frames=[eye, 2 * eye])
-        with pytest.raises(DomainError):
-            LindbladModel(2, 2, [], frames=[eye, np.full((2, 2), np.nan)])
-
-    def test_frames_and_gate_coins_share_the_unitarity_threshold(self):
-        # s·I on two dimensions has ‖(sI)†(sI) − I‖_F = √2·(s² − 1)
-        inside, outside = (
-            np.sqrt(1 + f * TOL.unitary / np.sqrt(2)) * np.eye(2) for f in (0.5, 2.0)
-        )
-        LindbladModel(2, 2, [], frames=[np.eye(2), inside])
-        two_node_gate_walk(inside, ChainParams(0.5))
-        with pytest.raises(DomainError, match="frame 1 is not unitary within 1e-10$"):
-            LindbladModel(2, 2, [], frames=[np.eye(2), outside])
-        with pytest.raises(DomainError, match="coin matrix must be unitary within 1e-10$"):
-            two_node_gate_walk(outside, ChainParams(0.5))
 
 
 class TestDenseOracle:
@@ -295,6 +215,24 @@ class TestDenseOracle:
                     assert not node_block(out, i, j, num_nodes).any(), (i, j)
 
 
+class TestResetOracle:
+    """The reset as index moves against its edge-table form."""
+
+    @pytest.mark.parametrize("num_qubits", range(1, 9))
+    def test_rhs_is_bit_equal_to_the_edge_table_reset(self, num_qubits):
+        rng = np.random.default_rng(40 + num_qubits)
+        circuit = Circuit(num_qubits, ((Gate("H", (1,)),),))
+        plain = build_dqc_lindblad(circuit)
+        model = build_dqc_lindblad(circuit, include_reset=True)
+        d = model.dim
+        a = rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))
+        blocks = a + a.conj().transpose(0, 2, 1)
+        want = _rhs(plain, blocks)
+        want[:1] += edge_table_reset(num_qubits, blocks[:1])
+        got = _rhs(model, blocks)
+        assert got.tobytes() == want.tobytes()
+
+
 class TestRhs:
     def test_stationary_mixture_annihilated(self):
         circuit = single_gate_circuit()
@@ -312,10 +250,15 @@ class TestRhs:
         assert np.linalg.norm(lindblad_rhs(model, rho_star)) < 1e-10
 
     def test_amplitude_damping_by_hand(self):
-        # a one-node model is the dense generator of its jumps
-        model = LindbladModel(1, 2, [(0, 0, LOWER)])
-        rhs = lindblad_rhs(model, np.diag([0.0, 1.0])[None])
-        assert np.allclose(rhs, np.diag([1.0, -1.0])[None], atol=1e-14)
+        # the reset's share of the generator is amplitude damping at register
+        # 0: it moves |1⟩⟨1| to |0⟩⟨0| and leaves register 1 alone
+        circuit = single_gate_circuit()
+        rho = np.zeros((2, 2, 2), dtype=complex)
+        rho[0] = np.diag([0.0, 1.0])
+        reset = lindblad_rhs(build_dqc_lindblad(circuit, include_reset=True), rho)
+        plain = lindblad_rhs(build_dqc_lindblad(circuit), rho)
+        assert np.allclose(reset - plain, [np.diag([1.0, -1.0]), np.zeros((2, 2))],
+                           atol=1e-14)
 
     def test_traceless_and_hermitian_on_random_states(self):
         rng = np.random.default_rng(0)
@@ -354,13 +297,13 @@ class TestIntegrate:
         rho_star = chain_mixture([H], basis_state(1, "0"), 2)
         assert np.abs(result.rho - rho_star).max() < 1e-6
 
-    def test_zero_jump_model_is_inert(self):
-        model = LindbladModel(1, 2, [])
-        rho0 = np.diag([0.25, 0.75]).astype(complex)[None]
+    def test_stationary_start_takes_no_step(self):
+        model = build_dqc_lindblad(single_gate_circuit())
+        rho0 = chain_mixture([H], basis_state(1, "0"), 2)
         result = integrate(model, rho0, dt=0.1, stop_tol=1e-12, max_time=5.0)
         assert result.stationary
         assert result.steps == 0
-        assert np.array_equal(result.rho, rho0)
+        assert np.abs(result.rho - rho0).max() < 1e-15
 
     def test_trajectory_stays_physical(self):
         model = build_dqc_lindblad(single_gate_circuit())
@@ -397,14 +340,14 @@ class TestIntegrate:
         assert np.linalg.norm(lindblad_rhs(model, rho_star)) < 1e-10
 
     def test_rejects_bad_dt(self):
-        model = LindbladModel(1, 2, [])
+        model = build_dqc_lindblad(single_gate_circuit())
         with pytest.raises(DomainError):
-            integrate(model, np.eye(2)[None] / 2, dt=0.0)
+            integrate(model, np.stack([np.eye(2)] * 2) / 4, dt=0.0)
 
     def test_step_count_is_bounded(self):
-        model = LindbladModel(1, 2, [])
-        rho0 = np.eye(2)[None] / 2
-        # exactly the bound is planned, and the inert model stops at once
+        model = build_dqc_lindblad(single_gate_circuit())
+        rho0 = chain_mixture([H], basis_state(1, "0"), 2)
+        # exactly the bound is planned, and the stationary start stops at once
         assert integrate(model, rho0, dt=1.0, max_time=MAX_RK4_STEPS).steps == 0
         with pytest.raises(DomainError, match="max_time/dt"):
             integrate(model, rho0, dt=1.0, max_time=MAX_RK4_STEPS + 0.5)

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from oqwalk.circuits import qft
-from oqwalk.lindblad import LindbladModel
+from oqwalk.lindblad import path_laplacian
 from oqwalk.walk import ChainParams, analytic_chain_steady, sweep_chain
 
 #: ω > ½, dense near ½, where the advantage over 1/(T+1) vanishes.
@@ -76,8 +76,7 @@ def test_walk_steps_grow_slower_than_the_canonical_relaxation_time():
     assert depths[0] == 9 and depths[-1] == 96
     gaps, steps = [], []
     for big_t in depths:
-        hops = [e for t in range(1, big_t + 1) for e in ((t - 1, t, 1.0), (t, t - 1, 1.0))]
-        laplacian = LindbladModel(big_t + 1, 1, hops)._rates
+        laplacian = path_laplacian(big_t + 1)
         gap = -np.linalg.eigvalsh(laplacian)[-2]
         exact = 2.0 - 2.0 * math.cos(math.pi / (big_t + 1))
         assert abs(gap / exact - 1.0) < 1e-10, big_t

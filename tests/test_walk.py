@@ -12,6 +12,7 @@ from oqwalk.circuits import (
     qft,
     toffoli13,
 )
+from oqwalk.config import TOL
 from oqwalk.errors import CircuitError, DomainError, ShapeError
 from oqwalk.walk import (
     BlockState,
@@ -23,7 +24,6 @@ from oqwalk.walk import (
     build_dqc_chain,
     classical_marginal_step,
     conditional_state,
-    edge_arrays,
     run_until_converged,
     step,
     two_node_gate_walk,
@@ -231,6 +231,15 @@ class TestTwoNodeGateWalk:
         with pytest.raises(DomainError):
             two_node_gate_walk(np.eye(2) * 2, ChainParams(0.5))
 
+    def test_unitarity_threshold_is_tol_unitary(self):
+        # s·I on two dimensions has ‖(sI)†(sI) − I‖_F = √2·(s² − 1)
+        inside, outside = (
+            np.sqrt(1 + f * TOL.unitary / np.sqrt(2)) * np.eye(2) for f in (0.5, 2.0)
+        )
+        two_node_gate_walk(inside, ChainParams(0.5))
+        with pytest.raises(DomainError, match="coin matrix must be unitary within 1e-10$"):
+            two_node_gate_walk(outside, ChainParams(0.5))
+
 
 class TestClassicalMarginal:
     def test_single_hop(self):
@@ -403,32 +412,40 @@ class TestRunUntilConverged:
         assert run_until_converged(walk, BlockState(blocks)).converged
 
 
-class TestEdgeArrays:
-    def test_keeps_the_given_order(self):
-        edges = [(2, 0, np.eye(2)), (0, 1, 2 * np.eye(2)), (1, 0, 3 * np.eye(2))]
-        src, dst, b_ops, b_dag = edge_arrays(3, 2, edges)
-        assert src.tolist() == [2, 0, 1] and dst.tolist() == [0, 1, 0]
-        assert b_ops[:, 0, 0].tolist() == [1, 2, 3]
-        assert not b_ops.flags.writeable
-        assert np.array_equal(b_dag, b_ops.conj().transpose(0, 2, 1))
+class TestEdgeTable:
+    """The constructor's checks, made on the edges in key order."""
+
+    def test_keeps_the_key_order(self):
+        table = {(2, 0): np.eye(2), (0, 1): 2 * np.eye(2), (1, 0): 3 * np.eye(2)}
+        walk = OpenQuantumWalk(3, 2, table)
+        assert walk._src.tolist() == [0, 1, 2] and walk._dst.tolist() == [1, 0, 0]
+        assert walk._b_ops[:, 0, 0].tolist() == [2, 3, 1]
+        assert not walk._b_ops.flags.writeable
+        assert np.array_equal(walk._b_dag, walk._b_ops.conj().transpose(0, 2, 1))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
     def test_names_the_first_non_finite_coin(self, bad):
         coin = np.eye(2, dtype=complex)
         coin[1, 0] = bad
-        edges = [(0, 0, np.eye(2)), (0, 1, coin), (1, 1, np.eye(2)), (1, 0, coin)]
+        table = {(0, 0): np.eye(2), (0, 1): coin, (1, 1): np.eye(2), (1, 0): coin}
         with pytest.raises(DomainError, match=r"coin for edge \(0, 1\) contains NaN or Inf"):
-            edge_arrays(2, 2, edges)
+            OpenQuantumWalk(2, 2, table)
 
     @pytest.mark.parametrize("coin", [np.eye(3), np.eye(2)[0], np.ones((2, 2, 1)), 1.0])
     def test_names_the_first_coin_of_the_wrong_shape(self, coin):
-        edges = [(0, 0, np.eye(2)), (1, 0, coin), (1, 1, np.eye(3))]
+        table = {(0, 0): np.eye(2), (1, 0): coin, (1, 1): np.eye(3)}
         with pytest.raises(ShapeError, match=r"coin for edge \(1, 0\) has shape"):
-            edge_arrays(2, 2, edges)
+            OpenQuantumWalk(2, 2, table)
 
     def test_names_the_first_edge_out_of_range(self):
+        table = {(0, 0): np.eye(2), (0, 2): np.eye(2), (3, 0): np.eye(2)}
         with pytest.raises(DomainError, match=r"edge \(0, 2\) out of range"):
-            edge_arrays(2, 2, [(0, 0, np.eye(2)), (0, 2, np.eye(2)), (3, 0, np.eye(2))])
+            OpenQuantumWalk(2, 2, table)
+
+    @pytest.mark.parametrize("num_nodes, dim", [(0, 2), (2, 0)])
+    def test_needs_a_node_and_a_dimension(self, num_nodes, dim):
+        with pytest.raises(DomainError, match="num_nodes and dim must be >= 1"):
+            OpenQuantumWalk(num_nodes, dim, {})
 
 
 def keyed_chain(unitaries, params):
