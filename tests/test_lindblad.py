@@ -59,9 +59,9 @@ def edge_table(model):
         if d != s:
             coin = np.sqrt(model._rates[d, s]) * eye
             table[int(s), int(d)].append(frames[d] @ coin @ frames[s].conj().T)
-    n = model.dim.bit_length() - 1
-    table[0, 0] += [lowering(n, q) for q in range(1, model._resets + 1)]
-    return {pair: coins for pair, coins in table.items() if coins}
+    if model._resets:
+        table[0, 0] += [lowering(model._resets, q) for q in range(1, model._resets + 1)]
+    return table
 
 
 def path_laplacian(num_nodes):
