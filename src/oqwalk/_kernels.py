@@ -3,8 +3,8 @@
 The discrete walk is an edge table over stacked (N, d, d) node blocks; one
 step is the sum of sandwiches B ρ B† over its edges, computed by
 ``step_blocks``.  The master equation moves its hops and reset jumps
-itself, and adds the damping of the resets on node 0 with
-``lindblad_rhs_kernel``.
+itself, and adds the damping of the resets on node 0, a diagonal scaling of
+rows and columns, with ``lindblad_rhs_kernel``.
 """
 
 from __future__ import annotations
@@ -30,18 +30,11 @@ def step_blocks(b_ops, b_dag, src, dst, blocks):
     return out.reshape(blocks.shape)
 
 
-def source_gram(b_ops, b_dag, src, dst, num_nodes):
-    """Per node j, Σ_{e: src[e] = j} B_e†B_e: the step on the adjoint edges,
-    applied to identity blocks."""
-    dim = b_ops.shape[1]
-    eye = np.broadcast_to(np.eye(dim, dtype=np.complex128), (num_nodes, dim, dim))
-    return step_blocks(b_dag, b_ops, dst, src, eye)
-
-
 def lindblad_rhs_kernel(jump, g, g_dag, blocks):
-    """Block master-equation generator jump + G_n ρ_n + ρ_n G_n†, where
-    ``jump`` is the jump term and G_n = −½K_n is the per-node damping."""
-    return jump + g @ blocks + blocks @ g_dag
+    """Block master-equation generator jump + G ρ_n + ρ_n G† for a diagonal
+    damping G = −½K: ``g`` is its diagonal as a column and ``g_dag`` that of
+    G† as a row, so both products are elementwise scalings of ``blocks``."""
+    return jump + g * blocks + blocks * g_dag
 
 
 def stacked_trace_norm(diff) -> float:

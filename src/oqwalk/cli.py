@@ -230,27 +230,20 @@ def cmd_lindblad(args: argparse.Namespace) -> int:
     psi0 = _input_state(args, circuit)
     model = lb.build_dqc_lindblad(circuit, include_reset=args.include_reset)
     rho0 = wk.BlockState.pure(model.num_nodes, model.dim, 0, psi0).blocks
-
-    samples: list[tuple[float, np.ndarray]] = []
-
-    def observer(t: float, rho: np.ndarray) -> None:
-        samples.append((t, lb.node_marginals(rho)))
-
     result = lb.integrate(
         model,
         rho0,
         dt=args.dt,
         stop_tol=args.stop_tol,
         max_time=args.max_time,
-        observer=observer,
         observe_every=args.record_every,
     )
     rows = ["time,node,probability"]
-    for t, marg in samples:
+    for t, marg in result.samples:
         for node, p in enumerate(marg):
             rows.append(f"{fmt(t)},{node},{fmt(p)}")
     uniform = 1.0 / model.num_nodes
-    deviation = float(np.abs(samples[-1][1] - uniform).max())
+    deviation = float(np.abs(result.samples[-1][1] - uniform).max())
     rows.append("max_deviation_from_uniform,stationary")
     rows.append(f"{fmt(deviation)},{str(result.stationary).lower()}")
     _emit(args.out, "\n".join(rows) + "\n")

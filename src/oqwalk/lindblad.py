@@ -15,9 +15,12 @@ back at unit rate: one real (N, N) generator, the path-graph Laplacian,
 acting on every block entry alike.  The resets keep their lab-frame form,
 since W_0 = I: lowering qubit q moves the |1⟩⟨1| sub-block of that qubit in
 ρ̃_0 to |0⟩⟨0|, and its damping −½σ⁻†σ⁻ is diagonal, so the damping of all
-resets is G = −½·diag(popcount), added by ``lindblad_rhs_kernel``.
-``lindblad_rhs``, ``integrate`` and its observer take and give lab-frame
-blocks ρ_t = W_t ρ̃_t W_t†.  The integrator is a fixed-step classical
+resets is G = −½·diag(popcount), which ``lindblad_rhs_kernel`` applies as a
+scaling of the rows and columns of ρ̃_0.
+``lindblad_rhs`` and ``integrate`` take and give lab-frame blocks
+ρ_t = W_t ρ̃_t W_t†.  The node populations are traces, which the frame
+does not change, so ``integrate`` samples them from the frame blocks and
+lifts the state once, at the end.  The integrator is a fixed-step classical
 Runge-Kutta scheme.
 """
 
@@ -73,8 +76,8 @@ class LindbladModel:
     history-state frames, the partial products W_t = U_t W_{t−1} written
     into one (T+1, d, d) stack, and ``_frames_dag`` their daggers.
     ``_resets`` is the number of qubits lowered at register 0 (0 without
-    resets), and ``_g`` their damping G = −½·diag(popcount) as a (1, d, d)
-    block, or None.
+    resets), and ``_g`` the diagonal of their damping G = −½·diag(popcount)
+    as a real vector of length d, or None.
     """
 
     def __init__(self, circuit: Circuit, include_reset: bool = False):
@@ -93,8 +96,7 @@ class LindbladModel:
         self._resets = circuit.num_qubits if include_reset else 0
         self._g = None
         if self._resets:
-            popcount = [bin(x).count("1") for x in range(self.dim)]
-            self._g = -0.5 * np.diag(popcount).astype(np.complex128)[None]
+            self._g = -0.5 * np.array([bin(x).count("1") for x in range(self.dim)])
 
     def __repr__(self):
         return (
@@ -154,8 +156,9 @@ def _rhs(model: LindbladModel, blocks) -> np.ndarray:
         for q in range(1, model._resets + 1):
             axes = (2 ** (q - 1), 2, model.dim >> q) * 2
             jump.reshape(axes)[:, 0, :, :, 0] += node0.reshape(axes)[:, 1, :, :, 1]
-        # G is real and diagonal, so G† = G
-        out[:1] += _kernels.lindblad_rhs_kernel(jump, model._g, model._g, node0)
+        # G is real and diagonal, so G† = G: a column scales rows, a row columns
+        g = model._g
+        out[:1] += _kernels.lindblad_rhs_kernel(jump, g[:, None], g[None, :], node0)
     return out
 
 
@@ -166,7 +169,7 @@ def lindblad_rhs(model: LindbladModel, rho) -> np.ndarray:
 
 @dataclass
 class IntegrationResult:
-    """Final state of a fixed-step integration run."""
+    """Final state of a fixed-step integration run, and its samples."""
 
     #: The final (N, d, d) node blocks, in the lab frame.
     rho: np.ndarray
@@ -175,6 +178,9 @@ class IntegrationResult:
     #: True when the stopping rule ‖rhs‖_F < stop_tol fired before max_time.
     stationary: bool
     rhs_norm: float
+    #: (time, node marginals) pairs, read as the traces of the frame blocks:
+    #: at t = 0, every ``observe_every``, and at the final step.
+    samples: list[tuple[float, np.ndarray]]
 
 
 def integrate(
@@ -183,7 +189,6 @@ def integrate(
     dt: float = 0.01,
     stop_tol: float = 1e-8,
     max_time: float = 500.0,
-    observer=None,
     observe_every: float = 1.0,
 ) -> IntegrationResult:
     """March the master equation to stationarity with classical RK4 steps.
@@ -191,16 +196,17 @@ def integrate(
     ``rho0`` and the state are (N, d, d) node blocks.  The state is carried
     in the model's frame, re-Hermitized each step and its trace renormalized
     whenever the drift exceeds ``RENORM_TOL``; it is lifted to the lab frame
-    for the result and for each call of ``observer(t, rho)``, at t = 0 and
-    then roughly every ``observe_every`` time units plus at the final state.
-    Because the generator is linear, its fixed points are fixed points of
-    the RK4 map as well, so the step size affects transient rates but not
-    the stationary state the run converges to.  A ``dt`` above RK4's
-    stability limit (about 0.70 on a chain, whose path Laplacian reaches
-    −4) makes the state grow: a step whose total trace is not finite and
-    positive, or any floating-point overflow, division by zero or invalid
-    operation, raises ``ArithmeticError("RK4 diverged at step n: ...")``,
-    which names the step and ``dt``.
+    once, for the result.  Its ``node_marginals`` are sampled in the frame,
+    where they equal the lab-frame ones up to rounding, at t = 0 and then
+    every ``round(observe_every/dt)`` steps, plus at the final step when it
+    is off that stride.  Because the generator is linear, its fixed points
+    are fixed points of the RK4 map as well, so the step size affects
+    transient rates but not the stationary state the run converges to.  A
+    ``dt`` above RK4's stability limit (about 0.70 on a chain, whose path
+    Laplacian reaches −4) makes the state grow: a step whose total trace is
+    not finite and positive, or any floating-point overflow, division by
+    zero or invalid operation, raises ``ArithmeticError("RK4 diverged at
+    step n: ...")``, which names the step and ``dt``.
     """
     for name, value in (("dt", dt), ("stop_tol", stop_tol), ("max_time", max_time),
                         ("observe_every", observe_every)):
@@ -223,8 +229,7 @@ def integrate(
     rho = 0.5 * (rho + _adjoint(rho))
     rhs = lambda r: _rhs(model, r)
 
-    if observer is not None:
-        observer(0.0, _lift(model, rho))
+    samples = [(0.0, node_marginals(rho))]
     stride = max(1, round(observe_every / dt))
     stationary = False
     rhs_norm = math.nan
@@ -254,15 +259,16 @@ def integrate(
             if abs(tr - 1.0) > RENORM_TOL:
                 rho = rho / tr
             steps = n + 1
-            if observer is not None and steps % stride == 0:
-                observer(steps * dt, _lift(model, rho))
+            if steps % stride == 0:
+                samples.append((steps * dt, node_marginals(rho)))
     if not stationary:
         rhs_norm = frobenius(rhs(rho))
         stationary = rhs_norm < stop_tol
-    if observer is not None and steps % stride != 0:
-        observer(steps * dt, _lift(model, rho))
+    if steps % stride != 0:
+        samples.append((steps * dt, node_marginals(rho)))
     return IntegrationResult(
-        rho=_lift(model, rho), time=steps * dt, steps=steps, stationary=stationary, rhs_norm=rhs_norm
+        rho=_lift(model, rho), time=steps * dt, steps=steps, stationary=stationary,
+        rhs_norm=rhs_norm, samples=samples,
     )
 
 

@@ -221,10 +221,14 @@ def validate_state(state: BlockState) -> None:
 
 def validate(walk: OpenQuantumWalk) -> np.ndarray:
     """The residual ‖sum_i B†B − I‖_F of the normalization at every source,
-    indexed by node; a node without out-edges has residual √d."""
-    gram = _kernels.source_gram(
-        walk._b_ops, walk._b_dag, walk._src, walk._dst, walk.num_nodes
-    )
+    indexed by node; a node without out-edges has residual √d.
+
+    Each edge's B†B is added into its source's sum, from zeros and in edge
+    order, one product at a time, so no (E, d, d) stack of terms is held.
+    """
+    gram = np.zeros((walk.num_nodes, walk.dim, walk.dim), dtype=np.complex128)
+    for source, b, b_dag in zip(walk._src, walk._b_ops, walk._b_dag):
+        gram[source] += b_dag @ b
     eye = np.eye(walk.dim)
     return np.array([frobenius(g - eye) for g in gram])
 

@@ -7,9 +7,10 @@ register n, and the right-hand side is the textbook dense form
 so it is an independent oracle for the block model.
 
 ``edge_table_reset`` is the reset term as an edge table: one embedded
-lowering coin per qubit on the (0 → 0) edge, through the walk's step kernel
-and the damping kernel.  The model moves sub-blocks instead, and must give
-the same bits.
+lowering coin per qubit on the (0 → 0) edge, through the walk's step kernel,
+and its damping as dense products with the Gram sum of ``source_gram``.  The
+model moves sub-blocks and scales by the diagonal instead, and must give the
+same bits.  ``source_gram`` is also the oracle of ``walk.validate``.
 """
 
 import numpy as np
@@ -47,17 +48,26 @@ def lowering(num_qubits, q):
     return np.kron(np.kron(np.eye(2 ** (q - 1)), LOWER), np.eye(2 ** (num_qubits - q)))
 
 
+def source_gram(b_ops, b_dag, src, dst, num_nodes):
+    """Per node j, Σ_{e: src[e] = j} B_e†B_e: the step on the adjoint edges,
+    applied to identity blocks."""
+    dim = b_ops.shape[1]
+    eye = np.broadcast_to(np.eye(dim, dtype=np.complex128), (num_nodes, dim, dim))
+    return _kernels.step_blocks(b_dag, b_ops, dst, src, eye)
+
+
 def edge_table_reset(num_qubits, node0):
     """The reset jumps' term on the (1, d, d) block of node 0: their coins
     stacked in qubit order with their daggers, the jump term by
-    ``step_blocks`` and the damping −½Σ σ⁻†σ⁻ by ``source_gram``."""
+    ``step_blocks`` and the damping G = −½Σ σ⁻†σ⁻ by ``source_gram``, added
+    as jump + G ρ + ρ G†."""
     coins = np.array([lowering(num_qubits, q) for q in range(1, num_qubits + 1)])
     dag = np.ascontiguousarray(coins.conj().transpose(0, 2, 1))
     src = dst = np.zeros(num_qubits, dtype=np.int64)
-    g = -0.5 * _kernels.source_gram(coins, dag, src, dst, 1)
+    g = -0.5 * source_gram(coins, dag, src, dst, 1)
     g_dag = np.ascontiguousarray(g.conj().transpose(0, 2, 1))
     jump = _kernels.step_blocks(coins, dag, src, dst, node0)
-    return _kernels.lindblad_rhs_kernel(jump, g, g_dag, node0)
+    return jump + g @ node0 + node0 @ g_dag
 
 
 def dense_rhs(jumps, rho):

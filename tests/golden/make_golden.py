@@ -13,8 +13,11 @@ other the numbers parsed from the output and stderr within
 ``RELATIVE_TOL`` (relative to max(|x|, 1)), and the text between them and
 the exit codes exactly.
 
-A change that moves output bytes on purpose reruns this script and lists
-every changed case, with its reason, in CHANGES.md.
+When it rewrites an existing file, the script prints each case whose
+record changed: its argv, how many numbers moved and the largest move, and
+whether the exit code or the text between the numbers changed.  A change
+that moves output bytes on purpose reruns this script and lists every
+changed case, with its reason, in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import platform
 import re
@@ -126,9 +130,41 @@ def split_numbers(text: str) -> tuple[list[str], list[float]]:
     return _NUMBER.split(text), [float(x) for x in _NUMBER.findall(text)]
 
 
+def describe_change(old: dict | None, new: dict) -> str | None:
+    """One line on how a case's record changed, or None if it did not."""
+    argv = " ".join(new["argv"])
+    if old is None:
+        return f"new: {argv}"
+    if all(old[k] == new[k] for k in ("exit", "stdout", "stderr")):
+        return None
+    moved, largest, text_changed = 0, 0.0, False
+    for key in ("stdout", "stderr"):
+        old_text, old_nums = split_numbers(old[key])
+        new_text, new_nums = split_numbers(new[key])
+        text_changed |= old_text != new_text
+        for a, b in zip(old_nums, new_nums):
+            if a != b and not (math.isnan(a) and math.isnan(b)):
+                moved += 1
+                largest = max(largest, abs(a - b))
+    line = f"changed: {argv}: {moved} numbers moved, largest move {largest:.3g}"
+    if old["exit"] != new["exit"]:
+        line += f"; exit {old['exit']} -> {new['exit']}"
+    if text_changed:
+        line += "; the text between the numbers changed"
+    return line
+
+
 def main() -> None:
     record = {"platform": platform_key(), "relative_tol": RELATIVE_TOL,
               "cases": [capture(argv) for argv in CASES]}
+    old = {}
+    if GOLDEN.exists():
+        old_cases = json.loads(GOLDEN.read_text(encoding="utf-8"))["cases"]
+        old = {tuple(case["argv"]): case for case in old_cases}
+    for case in record["cases"]:
+        line = describe_change(old.get(tuple(case["argv"])), case)
+        if line:
+            print(line)
     GOLDEN.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(CASES)} cases to {GOLDEN}")
 

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from dense_lindblad import source_gram
 from oqwalk import _kernels
 from oqwalk.circuits import BUILTIN_CIRCUITS, Circuit, Gate
 from oqwalk.walk import ChainParams, OpenQuantumWalk, build_dqc_chain
@@ -136,7 +137,7 @@ class TestStepKernels:
         src, dst = (np.array(column, dtype=np.int64) for column in list(zip(*shuffled))[:2])
         b_ops = np.array([coin for _, _, coin in shuffled])
         b_dag = np.ascontiguousarray(b_ops.conj().transpose(0, 2, 1))
-        gram = _kernels.source_gram(b_ops, b_dag, src, dst, n)
+        gram = source_gram(b_ops, b_dag, src, dst, n)
         assert np.abs(gram - np.eye(d)).max() < 1e-12
         a = gaussian(n, d, d)
         blocks = a @ a.conj().transpose(0, 2, 1)
@@ -163,23 +164,19 @@ class TestStepKernels:
 
 class TestLindbladKernels:
     def test_paths_agree(self):
-        # the block generator against a per-jump, per-node reference loop,
-        # on an edge table with repeated and unsorted (src, dst) pairs
+        # the block generator with a diagonal damping G, given as a column
+        # and a row, against dense products with diag(G) and a per-jump,
+        # per-node reference loop, on an edge table with repeated and
+        # unsorted (src, dst) pairs
         rng = np.random.default_rng(3)
         b_ops, b_dag, src, dst, blocks = random_edge_problem(rng, num_edges=12)
         blocks = blocks + blocks.conj().transpose(0, 2, 1)
-        gram = np.zeros_like(blocks)
-        for e in range(len(src)):
-            gram[src[e]] += b_dag[e] @ b_ops[e]
-        got_gram = _kernels.source_gram(b_ops, b_dag, src, dst, blocks.shape[0])
-        assert np.allclose(got_gram, gram, atol=1e-12)
-        g = -0.5 * gram
-        g_dag = np.ascontiguousarray(g.conj().transpose(0, 2, 1))
-        expected = g @ blocks + blocks @ g_dag
+        g = -0.5 * rng.integers(0, 3, size=blocks.shape[1])
+        expected = np.diag(g) @ blocks + blocks @ np.diag(g)
         for e in range(len(src)):
             expected[dst[e]] += b_ops[e] @ blocks[src[e]] @ b_dag[e]
         jump = _kernels.step_blocks(b_ops, b_dag, src, dst, blocks)
-        got = _kernels.lindblad_rhs_kernel(jump, g, g_dag, blocks)
+        got = _kernels.lindblad_rhs_kernel(jump, g[:, None], g[None, :], blocks)
         assert np.allclose(got, expected, atol=1e-12)
 
 

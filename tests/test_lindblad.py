@@ -12,7 +12,15 @@ from dense_lindblad import (
     lowering,
     node_block,
 )
-from oqwalk.circuits import Circuit, Gate, basis_state, circuit_unitaries, qft, toffoli13
+from oqwalk.circuits import (
+    BUILTIN_CIRCUITS,
+    Circuit,
+    Gate,
+    basis_state,
+    circuit_unitaries,
+    qft,
+    toffoli13,
+)
 from oqwalk.errors import CircuitError, DomainError, ShapeError
 from oqwalk.lindblad import (
     MAX_RK4_STEPS,
@@ -24,6 +32,7 @@ from oqwalk.lindblad import (
 )
 from oqwalk.walk import BlockState
 
+EPS = np.finfo(np.float64).eps
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 LOWER = np.array([[0, 1], [0, 0]], dtype=complex)
 
@@ -144,14 +153,15 @@ class TestBuildModel:
 
     def test_qft4_builds_without_dimension_cap(self):
         # 17 registers of 16-dimensional blocks, past the old dense cap of
-        # 256; the reset damping is one block, for register 0
+        # 256; the reset damping is the real diagonal of one block, for
+        # register 0
         circuit = qft(4)
         model = build_dqc_lindblad(circuit, include_reset=True)
         assert (model.num_nodes, model.dim) == (circuit.depth + 1, 16)
         assert sum(map(len, edge_table(model).values())) == 2 * circuit.depth + 4
-        assert model._g.shape == (1, 16, 16)
+        assert model._g.shape == (16,) and model._g.dtype == np.float64
         popcount = [bin(x).count("1") for x in range(16)]
-        assert np.array_equal(model._g[0], -0.5 * np.diag(popcount))
+        assert np.array_equal(model._g, -0.5 * np.array(popcount))
 
     def test_build_peaks_near_the_frames_it_keeps(self):
         # the chain's hops are scalar edges, so no dense identity coin is
@@ -166,20 +176,27 @@ class TestBuildModel:
             tracemalloc.stop()
         assert peak <= 3 * (model._frames.nbytes + model._frames_dag.nbytes)
 
-    def test_resets_add_at_most_two_blocks_to_the_build(self):
-        # the reset is index moves and one diagonal damping block, not q
-        # dense coins and their daggers
+    def test_resets_add_a_few_vectors_to_the_build(self):
+        # the reset is index moves and the diagonal of its damping, not q
+        # dense coins nor a dense d×d damping block (d² complex entries,
+        # 64 KiB at d = 64): with the model alive, and at the peak, the
+        # build with resets holds at most four more length-d float vectors
         circuit = qft(6)
         circuit_unitaries(circuit)  # compiled and cached before tracing
-        peaks = []
+        held, peaks = [], []
         for include_reset in (False, True):
             tracemalloc.start()
             try:
-                build_dqc_lindblad(circuit, include_reset)
-                peaks.append(tracemalloc.get_traced_memory()[1])
+                model = build_dqc_lindblad(circuit, include_reset)
+                current, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-        assert peaks[1] - peaks[0] <= 2 * 64**2 * 16
+            held.append(current)
+            peaks.append(peak)
+            del model
+        bound = 4 * 64 * 8
+        assert held[1] - held[0] <= bound
+        assert peaks[1] - peaks[0] <= bound
 
     def test_empty_circuit_rejected(self):
         # a model needs a slice; Circuit refuses to exist without one
@@ -307,20 +324,18 @@ class TestIntegrate:
 
     def test_trajectory_stays_physical(self):
         model = build_dqc_lindblad(single_gate_circuit())
-        seen = []
-
-        def observer(t, rho):
-            herm = np.linalg.norm(rho - rho.conj().transpose(0, 2, 1))
-            seen.append((t, np.einsum("nii->", rho).real, herm))
-
-        integrate(
+        result = integrate(
             model, start_state(model, "0"), dt=0.01, stop_tol=1e-9, max_time=30.0,
-            observer=observer, observe_every=1.0,
+            observe_every=1.0,
         )
-        assert len(seen) > 3
-        for _t, tr, herm in seen:
-            assert tr == pytest.approx(1.0, abs=1e-10)
-            assert herm < 1e-10
+        samples = result.samples
+        assert len(samples) > 3
+        assert [t for t, _ in samples[:3]] == pytest.approx([0.0, 1.0, 2.0])
+        for _t, marginals in samples:
+            assert marginals.sum() == pytest.approx(1.0, abs=1e-10)
+            assert marginals.min() >= -1e-12
+        rho = result.rho
+        assert np.linalg.norm(rho - rho.conj().transpose(0, 2, 1)) < 1e-10
 
     def test_stationary_state_independent_of_start(self):
         # empirical uniqueness: two different initial registers, same limit
@@ -407,32 +422,37 @@ class TestIntegrateOracles:
 
     @pytest.mark.parametrize("include_reset", [False, True])
     def test_matches_a_dense_rk4_loop(self, include_reset):
+        # the samples at steps 0, 2, 4 and 5, and the final state of a run
+        # that ends at each of those steps
         rng = np.random.default_rng(31)
         circuit = toffoli13()
         model = build_dqc_lindblad(circuit, include_reset=include_reset)
         blocks = random_block_state(rng, model.num_nodes, model.dim)
-        seen = []
-        result = integrate(model, blocks, dt=0.4, stop_tol=1e-300, max_time=2.0,
-                           observer=lambda t, rho: seen.append(rho.copy()),
-                           observe_every=0.8)
-        assert result.steps == 5
+
+        def run(steps):
+            result = integrate(model, blocks, dt=0.4, stop_tol=1e-300,
+                               max_time=steps * 0.4, observe_every=0.8)
+            assert result.steps == steps
+            return result
+
         expected = dense_rk4(dense_chain_jumps(circuit, include_reset),
                              embed_blocks(blocks), 0.4, 5, 2)
-        assert len(seen) == len(expected) == 4
+        samples = run(5).samples
+        assert [t for t, _ in samples] == pytest.approx([0.0, 0.8, 1.6, 2.0])
+        assert len(expected) == 4
         n = model.num_nodes
-        for got, dense in zip(seen + [result.rho], expected + expected[-1:]):
+        for (_t, marginals), steps, dense in zip(samples, (0, 2, 4, 5), expected):
             want = np.stack([node_block(dense, i, i, n) for i in range(n)])
-            assert np.abs(got - want).max() < 1e-12
+            assert np.abs(run(steps).rho - want).max() < 1e-12
+            assert np.abs(marginals - node_marginals(want)).max() < 1e-12
 
     def test_populations_follow_the_path_laplacian(self):
         # without resets the node populations obey p' = L p exactly, with L
         # the unit-rate path Laplacian on T+1 nodes, so RK4 on the master
         # equation is RK4 on p
         model = build_dqc_lindblad(toffoli13())
-        seen = []
         result = integrate(model, start_state(model, "110"), dt=0.4, stop_tol=2e-6,
-                           max_time=500.0, observer=lambda t, rho: seen.append(rho),
-                           observe_every=0.4)
+                           max_time=500.0, observe_every=0.4)
         assert result.stationary and result.steps == 457
         lap = path_laplacian(14)
         p = np.eye(14)[0]
@@ -444,13 +464,64 @@ class TestIntegrateOracles:
             k4 = lap @ (p + 0.4 * k3)
             p = p + (0.4 / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             expected.append(p)
-        assert len(seen) == len(expected)
-        for rho, want in zip(seen, expected):
-            assert np.abs(node_marginals(rho) - want).max() < 1e-12
+        assert len(result.samples) == len(expected)
+        for (_t, marginals), want in zip(result.samples, expected):
+            assert np.abs(marginals - want).max() < 1e-12
         # the relaxation gap of the canonical model falls as π²/(T+1)²
         eigs = np.linalg.eigvalsh(lap)
         assert eigs[-1] == pytest.approx(0.0, abs=1e-14)
         assert -eigs[-2] == pytest.approx(2 - 2 * np.cos(np.pi / 14), rel=1e-12)
+
+
+def lift_rounding_bound(model, lifted):
+    """How far, per node, the trace of a lifted block W ρ̃ W† may lie from
+    the trace of the frame block ρ̃ by rounding alone.
+
+    Each entry of a complex d×d product is a d-term sum, off by at most
+    (d + 2)·ε times the sum of its terms' moduli (ε the machine epsilon,
+    which also covers the complex multiplications).  Summed over the
+    diagonal, and with Σ_ij |W_ij|² = d for a unitary W, each of the two
+    products of the lift moves the trace by at most (d + 2)·ε·d·‖ρ̃‖_F.
+    The two d-term trace sums add at most d·ε·‖ρ̃‖_F each, and the stored
+    frame, unitary only to rounding, moves it by up to ‖W†W − I‖_F·‖ρ̃‖_F.
+    ‖ρ̃‖_F is read off the lifted block, where it agrees to rounding.  Over
+    the cases below the largest gap was 1.7e-16, a twentieth of its bound.
+    """
+    d = model.dim
+    frames = model._frames
+    defect = np.linalg.norm(frames.conj().transpose(0, 2, 1) @ frames - np.eye(d),
+                            axis=(1, 2))
+    norm = np.linalg.norm(lifted, axis=(1, 2))
+    return (2 * (d + 2) * d * EPS + 2 * d * EPS + defect) * norm
+
+
+class TestFrameSamples:
+    """The samples are the traces of the frame blocks; lifting the state at
+    the same step moves them only by rounding."""
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_CIRCUITS))
+    @pytest.mark.parametrize("include_reset", [False, True])
+    @pytest.mark.parametrize("start", ["basis", "random"])
+    def test_samples_are_the_lifted_marginals_within_rounding(self, name, include_reset,
+                                                               start):
+        # dt = 0.25 is a binary fraction, so a run to k·dt takes exactly k
+        # steps and ends on the state of the k-th sample
+        circuit = BUILTIN_CIRCUITS[name]()
+        model = build_dqc_lindblad(circuit, include_reset=include_reset)
+        if start == "basis":
+            rho0 = start_state(model, "1" * circuit.num_qubits)
+        else:
+            rho0 = random_block_state(np.random.default_rng(50), model.num_nodes, model.dim)
+        run = lambda max_time: integrate(model, rho0, dt=0.25, stop_tol=1e-300,
+                                         max_time=max_time, observe_every=0.25)
+        samples = run(2.0).samples
+        assert len(samples) == 9
+        for k, (t, marginals) in enumerate(samples):
+            result = run(t)
+            assert result.steps == k
+            gap = np.abs(marginals - node_marginals(result.rho))
+            bound = lift_rounding_bound(model, result.rho)
+            assert (gap <= bound).all(), (k, gap.max())
 
 
 class TestNodeMarginals:

@@ -1,14 +1,18 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dense_lindblad import source_gram
 from oqwalk import _kernels
 from oqwalk.circuits import (
+    BUILTIN_CIRCUITS,
     Circuit,
     Gate,
     basis_state,
     circuit_unitaries,
+    parse_circuit,
     qft,
     toffoli13,
 )
@@ -34,6 +38,15 @@ from test_linalg import trace_norm
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 S = np.diag([1.0, 1j])
+
+W5 = Path(__file__).parent / "golden" / "w5.circ"
+
+#: Sources 0 and 2 unnormalized, 1 normalized, node 3 without out-edges.
+GENERIC_WALK = OpenQuantumWalk(4, 2, {
+    (0, 0): 0.5 * H, (0, 1): 0.7 * S, (0, 3): 0.9 * X,
+    (1, 2): math.sqrt(0.3) * H, (1, 0): math.sqrt(0.7) * S,
+    (2, 3): 1.2 * np.eye(2), (2, 1): 0.4 * H @ S,
+})
 
 PSI = np.array([math.cos(0.3), math.sin(0.3) * np.exp(0.4j)])
 
@@ -66,16 +79,7 @@ class TestValidate:
         assert residuals[1] == 0.0
 
     @pytest.mark.parametrize(
-        "walk",
-        [
-            # sources 0 and 2 unnormalized, 1 normalized, node 3 has no out-edges
-            OpenQuantumWalk(4, 2, {
-                (0, 0): 0.5 * H, (0, 1): 0.7 * S, (0, 3): 0.9 * X,
-                (1, 2): math.sqrt(0.3) * H, (1, 0): math.sqrt(0.7) * S,
-                (2, 3): 1.2 * np.eye(2), (2, 1): 0.4 * H @ S,
-            }),
-            build_dqc_chain(qft(3), ChainParams(0.6)),
-        ],
+        "walk", [GENERIC_WALK, build_dqc_chain(qft(3), ChainParams(0.6))]
     )
     def test_matches_per_source_reference(self, walk):
         expected = []
@@ -88,6 +92,29 @@ class TestValidate:
         got = validate(walk)
         assert got.shape == (walk.num_nodes,)
         assert np.abs(got - expected).max() <= 1e-15
+
+    @pytest.mark.parametrize("name, omega", [
+        *((name, omega) for name in (*sorted(BUILTIN_CIRCUITS), "w5.circ")
+          for omega in (0.5, 0.9, 1.0)),
+        ("generic", None),
+    ])
+    def test_residuals_are_bit_equal_to_the_gram_oracle(self, name, omega):
+        # the oracle sums the same products B†B in the same edge order, as
+        # one step of the adjoint edges on identity blocks; the generic
+        # walk's node 3 has no out-edges, so residual √d
+        if name == "generic":
+            walk = GENERIC_WALK
+        else:
+            circuit = (parse_circuit(W5.read_text(encoding="utf-8")) if name == "w5.circ"
+                       else BUILTIN_CIRCUITS[name]())
+            walk = build_dqc_chain(circuit, ChainParams(omega))
+        gram = source_gram(walk._b_ops, walk._b_dag, walk._src, walk._dst, walk.num_nodes)
+        eye = np.eye(walk.dim)
+        expected = np.array([np.linalg.norm(g - eye) for g in gram])
+        got = validate(walk)
+        assert got.tobytes() == expected.tobytes()
+        if name == "generic":
+            assert got[3] == math.sqrt(2)
 
     @pytest.mark.parametrize("omega", [0.5, 0.8])
     def test_dqc_chain_is_normalized(self, omega):
