@@ -1,11 +1,11 @@
 """Open quantum walks that run quantum circuits as dissipative chain dynamics.
 
-The package compiles a unitary circuit into a chain walk whose forward hops
-apply the next gate, iterates the walk to its steady state, and reports how
-the detection probability at the output register and the number of steps to
-stationarity depend on the forward weight ω.  A master-equation integrator
-of the canonical dissipative model of the same chain, on the same node
-blocks, provides an independent continuous-time cross-check.
+The package compiles a unitary circuit into a chain walk, kept as its slices
+and the forward weight ω, iterates the walk's node populations to their
+steady state, and reports how the detection probability at the output
+register and the number of steps to stationarity depend on ω.  Integrating
+the master equation of the canonical dissipative model of the same chain,
+on the same node blocks, gives an independent continuous-time check.
 """
 
 from . import circuits, lindblad, linalg, walk
@@ -44,7 +44,6 @@ from .walk import (
     run_until_converged,
     step,
     sweep_chain,
-    two_node_gate_walk,
     validate,
 )
 

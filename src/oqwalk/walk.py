@@ -1,4 +1,4 @@
-"""Open quantum walks: model, one-step CP map, chain builders, convergence.
+"""Open quantum walks: model, one-step CP map, chain walks, convergence.
 
 A walk lives on a finite graph.  Each directed edge (source j, target i)
 carries a coin operator B acting on the internal Hilbert space, subject to
@@ -6,21 +6,23 @@ the per-source normalization sum_i B†B = I.  States are block diagonal over
 nodes, one unnormalized density block per node, and one step maps block i to
 sum_j B_{j->i} ρ_j B_{j->i}†.
 
-The chain builder turns a circuit U_1..U_T into a (T+1)-node walk whose
-forward hops apply the next gate with amplitude √ω and whose backward hops
-undo the previous gate with amplitude √λ, λ = 1 − ω.  Because every coin is
-a scalar multiple of a unitary, node populations follow a classical
-birth-death chain, which this module also provides, together with its
-geometric stationary distribution.  Two functions use this structure:
-``run_chain`` iterates the populations as a walk with 1×1 coins and applies
-the circuit to the input state once, and ``sweep_chain`` advances the
-populations of a whole ω grid in lockstep with the same arithmetic, in
-blocks of steps whose drift and convergence checks run once per block on a
-buffer of bounded size.
+The chain walk of a circuit U_1..U_T has T+1 nodes; its forward hops apply
+the next gate with amplitude √ω and its backward hops undo the previous
+gate with amplitude √λ, λ = 1 − ω.  Node t carries just two coins, √λ·U_t†
+and √ω·U_{t+1} (U_0 = U_{T+1} = I), so a ``ChainWalk`` is its slices and ω,
+never a table of coins.  Every coin is a scalar multiple of a unitary, so
+node populations follow a classical birth-death chain, which this module
+also provides, together with its geometric stationary distribution.
+``validate`` takes each node's residual from its two coins; ``run_chain``
+iterates the populations as a walk with 1×1 coins and applies the circuit
+to the input state once; and ``sweep_chain`` advances the populations of a
+whole ω grid in lockstep with the same arithmetic, in blocks of steps whose
+drift and convergence checks run once per block on a buffer of bounded
+size.
 
 The engines return what they measure (steps, population history, detection
 at the last node, final state), and ``validate`` the normalization residual
-of every source; judging them is left to the caller.
+of every node; judging them is left to the caller.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from . import _kernels
 from .circuits import Circuit, circuit_unitaries
 from .config import TOL
 from .errors import DomainError, ShapeError
-from .linalg import as_matrix, frobenius, is_unitary
+from .linalg import frobenius
 
 __all__ = [
     "ChainParams",
@@ -46,7 +48,6 @@ __all__ = [
     "step",
     "ChainWalk",
     "build_dqc_chain",
-    "two_node_gate_walk",
     "classical_marginal_step",
     "analytic_chain_steady",
     "run_until_converged",
@@ -76,23 +77,6 @@ class ChainParams:
         return 1.0 - self.omega
 
 
-def _coin_table(src, dst, b_ops):
-    """The src, dst, coin and coin-dagger arrays the step kernel takes, from
-    in-range edge arrays and a new (E, d, d) coin stack: raise on the first
-    edge whose coin is not finite, make the stack read-only and stack its
-    daggers."""
-    finite = np.isfinite(b_ops).all(axis=(1, 2))
-    if not finite.all():
-        e = int(np.argmin(finite))
-        raise DomainError(f"coin for edge ({src[e]}, {dst[e]}) contains NaN or Inf entries")
-    b_ops.flags.writeable = False
-    # conjugating into a C-ordered buffer gives the bits of a copy of
-    # b_ops.conj().transpose(0, 2, 1) at a fraction of that copy's cost
-    b_dag = np.empty_like(b_ops)
-    np.conjugate(b_ops.transpose(0, 2, 1), out=b_dag)
-    return src, dst, b_ops, b_dag
-
-
 class OpenQuantumWalk:
     """Finite-graph walk defined by its keyed coin table.
 
@@ -108,7 +92,8 @@ class OpenQuantumWalk:
     Instances are immutable after construction and safe to share across
     threads.  The edge table is checked and stored once, in key order, as
     the stacked source, target, coin and coin-dagger arrays that the step
-    kernel takes; the coin stack is read-only.
+    kernel takes; the coin stack is read-only.  ``run_chain`` builds its 1×1
+    population walk here; a ``ChainWalk`` holds no table.
     """
 
     def __init__(self, num_nodes: int, dim: int, transitions):
@@ -124,11 +109,19 @@ class OpenQuantumWalk:
                     f"coin for edge ({s}, {d}) has shape {np.shape(table[s, d])}, "
                     f"expected ({dim}, {dim})"
                 )
-        self._src, self._dst, self._b_ops, self._b_dag = _coin_table(
-            np.array([s for s, _ in keys], dtype=np.int64),
-            np.array([d for _, d in keys], dtype=np.int64),
-            np.array([table[k] for k in keys], dtype=np.complex128).reshape(-1, dim, dim),
-        )
+        b_ops = np.array([table[k] for k in keys], dtype=np.complex128).reshape(-1, dim, dim)
+        finite = np.isfinite(b_ops).all(axis=(1, 2))
+        if not finite.all():
+            s, d = keys[int(np.argmin(finite))]
+            raise DomainError(f"coin for edge ({s}, {d}) contains NaN or Inf entries")
+        self._src = np.array([s for s, _ in keys], dtype=np.int64)
+        self._dst = np.array([d for _, d in keys], dtype=np.int64)
+        b_ops.flags.writeable = False
+        # conjugating into a C-ordered buffer gives the bits of a copy of
+        # b_ops.conj().transpose(0, 2, 1) at a fraction of that copy's cost
+        self._b_dag = np.empty_like(b_ops)
+        np.conjugate(b_ops.transpose(0, 2, 1), out=self._b_dag)
+        self._b_ops = b_ops
         self.num_nodes = int(num_nodes)
         self.dim = int(dim)
 
@@ -219,20 +212,6 @@ def validate_state(state: BlockState) -> None:
         raise DomainError(f"block {int(np.argmax(negative))} is not positive semidefinite")
 
 
-def validate(walk: OpenQuantumWalk) -> np.ndarray:
-    """The residual ‖sum_i B†B − I‖_F of the normalization at every source,
-    indexed by node; a node without out-edges has residual √d.
-
-    Each edge's B†B is added into its source's sum, from zeros and in edge
-    order, one product at a time, so no (E, d, d) stack of terms is held.
-    """
-    gram = np.zeros((walk.num_nodes, walk.dim, walk.dim), dtype=np.complex128)
-    for source, b, b_dag in zip(walk._src, walk._b_ops, walk._b_dag):
-        gram[source] += b_dag @ b
-    eye = np.eye(walk.dim)
-    return np.array([frobenius(g - eye) for g in gram])
-
-
 def step(walk: OpenQuantumWalk, state: BlockState) -> BlockState:
     """One global CP-map step on a block state."""
     if state.blocks.shape != (walk.num_nodes, walk.dim, walk.dim):
@@ -246,65 +225,80 @@ def step(walk: OpenQuantumWalk, state: BlockState) -> BlockState:
     return BlockState(new)
 
 
-class ChainWalk(OpenQuantumWalk):
-    """The (T+1)-node chain walk over U_1..U_T described in build_dqc_chain.
+@dataclass(frozen=True, eq=False, repr=False)
+class ChainWalk:
+    """The (T+1)-node chain walk over U_1..U_T described in build_dqc_chain,
+    as its checked ``params`` and ``unitaries``; it holds no coin.
 
-    It is an ordinary ``OpenQuantumWalk`` with the same edge table; it also
-    keeps the ``params`` and the ``unitaries`` it was built from, which
-    ``run_chain`` reads.
-
-    The table is written directly in key order, the order
-    ``OpenQuantumWalk`` sorts a dict into: node t's backward edge (to
-    max(t − 1, 0)) then its forward edge (to min(t + 1, T)).  So the coin
-    stack is √λ·I, then √ω·U_t and √λ·U_t† in turn, then √ω·I, computed
-    from the stacked unitaries with the products of the keyed coins.
+    Node t's two coins are √λ·U_t† (to max(t − 1, 0)) and √ω·U_{t+1} (to
+    min(t + 1, T)), with U_0 = U_{T+1} = I; ``validate`` and ``run_chain``
+    compute with them from these two fields.  The unitaries are kept as
+    read-only views, so compiled slices are shared, not copied.
     """
 
-    def __init__(self, unitaries, params: ChainParams):
-        self.params = params
-        self.unitaries = tuple(unitaries)
-        big_t = len(self.unitaries)
-        dim = np.shape(self.unitaries[0])[0]
-        for t, u in enumerate(self.unitaries, start=1):
+    unitaries: tuple[np.ndarray, ...]
+    params: ChainParams
+
+    def __post_init__(self):
+        unitaries = tuple(self.unitaries)
+        if not unitaries:
+            raise DomainError("a chain has at least one slice, got 0")
+        shape = np.shape(unitaries[0])
+        dim = shape[0] if shape else 1
+        if dim < 1:
+            raise DomainError(f"a chain's unitaries have dimension >= 1, got {dim}")
+        views = []
+        for t, u in enumerate(unitaries, start=1):
             if np.shape(u) != (dim, dim):
                 raise ShapeError(f"U_{t} has shape {np.shape(u)}, expected ({dim}, {dim})")
-        us = np.array(self.unitaries, dtype=np.complex128)
-        sqrt_w = math.sqrt(params.omega)
-        sqrt_l = math.sqrt(params.lam)
-        eye = np.eye(dim, dtype=np.complex128)
-        b_ops = np.empty((2 * big_t + 2, dim, dim), dtype=np.complex128)
-        back, forward = b_ops[0::2], b_ops[1::2]
-        back[0] = sqrt_l * eye
-        # an infinite entry gives NaN here, which the finiteness check names
-        with np.errstate(invalid="ignore"):
-            np.multiply(sqrt_l, us.conj().transpose(0, 2, 1), out=back[1:])
-            np.multiply(sqrt_w, us, out=forward[:-1])
-        forward[-1] = sqrt_w * eye
-        nodes = np.arange(big_t + 1)
-        src = np.repeat(nodes, 2)
-        dst = np.stack([np.maximum(nodes - 1, 0), np.minimum(nodes + 1, big_t)], axis=1)
-        self._src, self._dst, self._b_ops, self._b_dag = _coin_table(src, dst.ravel(), b_ops)
-        self.num_nodes = big_t + 1
-        self.dim = dim
+            view = np.asarray(u, dtype=np.complex128).view()
+            # √ω·U_t, on edge (t − 1, t), is U_t's first coin in key order
+            if not np.isfinite(view).all():
+                raise DomainError(f"coin for edge ({t - 1}, {t}) contains NaN or Inf entries")
+            view.flags.writeable = False
+            views.append(view)
+        object.__setattr__(self, "unitaries", tuple(views))
+
+    @property
+    def num_nodes(self) -> int:
+        return len(self.unitaries) + 1
+
+    @property
+    def dim(self) -> int:
+        return self.unitaries[0].shape[0]
 
 
 def build_dqc_chain(circuit: Circuit, params: ChainParams) -> ChainWalk:
-    """Compile a circuit into its dissipative chain walk.
+    """Compile a circuit into its dissipative chain walk, which keeps the
+    circuit's compiled slices and ω and writes no coin.
 
     Nodes 0..T are time registers.  Interior node t hops forward applying
     U_{t+1} with amplitude √ω and backward undoing U_t with amplitude √λ;
-    node 0 backs onto itself with √λ·I and node T self-loops with √ω·I, so
-    every source satisfies the normalization exactly.
+    node 0 backs onto itself with √λ·I and node T self-loops with √ω·I.
     """
     return ChainWalk(circuit_unitaries(circuit), params)
 
 
-def two_node_gate_walk(u, params: ChainParams) -> ChainWalk:
-    """The elementary single-gate walk on two nodes."""
-    u = as_matrix(u)
-    if not is_unitary(u):
-        raise DomainError(f"coin matrix must be unitary within {TOL.unitary:g}")
-    return ChainWalk([u], params)
+def validate(chain: ChainWalk) -> np.ndarray:
+    """The residual ‖Σ B†B − I‖_F of the normalization at every node of a
+    chain walk, indexed by node.
+
+    Node t's sum is built from its two coins, one node at a time: from
+    zeros, the backward coin's (√λ·U_t)(√λ·U_t)†, then the forward coin's
+    (√ω·U_{t+1})†(√ω·U_{t+1}), with U_0 = U_{T+1} = I; that is the sum of
+    B†B over its out-edges in key order, with no table of coins held.
+    """
+    sqrt_w, sqrt_l = math.sqrt(chain.params.omega), math.sqrt(chain.params.lam)
+    eye = np.eye(chain.dim, dtype=np.complex128)
+    us = (eye, *chain.unitaries, eye)
+    residuals = np.empty(chain.num_nodes)
+    for t in range(chain.num_nodes):
+        back, forward = sqrt_l * us[t], sqrt_w * us[t + 1]
+        gram = np.zeros_like(eye)
+        gram += back @ back.conj().T
+        gram += forward.conj().T @ forward
+        residuals[t] = frobenius(gram - eye)
+    return residuals
 
 
 def classical_marginal_step(params: ChainParams, big_t: int, p) -> np.ndarray:
@@ -545,14 +539,20 @@ def run_chain(
     any number of steps is p_t · v_t v_t†, with v_t = U_t···U_1 ψ0/‖ψ0‖ and
     p the node populations, and the trace-norm distance between two steps
     is Σ_t |Δp_t|.  The populations are therefore iterated by the same
-    engine on the chain with 1×1 coins, which keeps its history, stopping
-    rule, drift check and ``max_steps``, and the final state is lifted once
-    to the lab frame as ``final_state``.  Within rounding (see
+    engine on an ``OpenQuantumWalk`` over the chain's T+1 nodes with the
+    1×1 coins √λ and √ω, which keeps its history, stopping rule, drift
+    check and ``max_steps``, and the final state is lifted once to the lab
+    frame as ``final_state``.  Within rounding (see
     ``run_until_converged``) the report equals that of
-    ``run_until_converged`` on the chain itself.
+    ``run_until_converged`` on the chain's full d×d blocks.
     """
     v = _unit_vector(psi0, chain.dim)
-    populations = ChainWalk([np.ones((1, 1))] * len(chain.unitaries), chain.params)
+    sqrt_w, sqrt_l = [[math.sqrt(chain.params.omega)]], [[math.sqrt(chain.params.lam)]]
+    last = chain.num_nodes - 1
+    coins = {(0, 0): sqrt_l, (last, last): sqrt_w}
+    for t in range(1, chain.num_nodes):
+        coins[t - 1, t], coins[t, t - 1] = sqrt_w, sqrt_l
+    populations = OpenQuantumWalk(chain.num_nodes, 1, coins)
     init = BlockState.pure(chain.num_nodes, 1, 0, [1.0])
     report = run_until_converged(populations, init, tol=tol, max_steps=max_steps)
     vecs = [v]

@@ -1,0 +1,55 @@
+"""The dense chain walk, the tests' oracle for ``walk.ChainWalk``.
+
+The library keeps a chain walk as its slices and ω and never writes its
+coins.  ``keyed_chain`` writes them: the chain of U_1..U_T as an
+``OpenQuantumWalk`` built from its dict of per-edge coins, keyed
+(source, target), which the tests step block by block and whose Gram sums
+``dense_lindblad.source_gram`` takes.  ``seeded_circuit`` is a random
+circuit of a given size, the same for the same seed.
+"""
+
+import math
+
+import numpy as np
+
+from oqwalk.circuits import Circuit, Gate, circuit_unitaries
+from oqwalk.walk import OpenQuantumWalk
+
+#: Kinds ``seeded_circuit`` draws from, as the benchmark's circuit files do.
+SEEDED_KINDS = ("H", "X", "S", "T", "R", "CNOT", "CP")
+
+
+def keyed_chain(unitaries, params):
+    """The chain walk built from its dict of per-edge coins: √λ·I at (0, 0),
+    √ω·U_t at (t − 1, t), √λ·U_t† at (t, t − 1) and √ω·I at (T, T)."""
+    big_t, dim = len(unitaries), unitaries[0].shape[0]
+    sqrt_w, sqrt_l = math.sqrt(params.omega), math.sqrt(params.lam)
+    eye = np.eye(dim, dtype=np.complex128)
+    table = {(0, 0): sqrt_l * eye, (big_t, big_t): sqrt_w * eye}
+    for t, u in enumerate(unitaries, start=1):
+        table[(t - 1, t)] = sqrt_w * u
+        table[(t, t - 1)] = sqrt_l * u.conj().T
+    return OpenQuantumWalk(big_t + 1, dim, table)
+
+
+def dense_chain(circuit, params):
+    """``keyed_chain`` of a circuit's compiled slices."""
+    return keyed_chain(circuit_unitaries(circuit), params)
+
+
+def seeded_circuit(seed, num_qubits, depth):
+    """``depth`` slices of disjoint random gates on ``num_qubits`` qubits;
+    CP takes a random phase."""
+    rng = np.random.default_rng(seed)
+    slices = []
+    for _ in range(depth):
+        free = [int(q) for q in rng.permutation(num_qubits) + 1]
+        gates = []
+        while free and (not gates or rng.random() < 0.7):
+            kind = SEEDED_KINDS[rng.integers(5 if len(free) == 1 else 7)]
+            arity = 2 if kind in ("CNOT", "CP") else 1
+            theta = float(rng.uniform(-math.pi, math.pi)) if kind == "CP" else None
+            gates.append(Gate(kind, tuple(free[:arity]), theta))
+            free = free[arity:]
+        slices.append(tuple(gates))
+    return Circuit(num_qubits, tuple(slices))

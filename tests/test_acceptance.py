@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from dense_chain import dense_chain, keyed_chain
 from oqwalk.circuits import (
     BUILTIN_CIRCUITS,
     basis_state,
@@ -24,12 +25,10 @@ from oqwalk.walk import (
     ChainParams,
     analytic_chain_steady,
     block_diff_norm,
-    build_dqc_chain,
     classical_marginal_step,
     conditional_state,
     run_until_converged,
     step,
-    two_node_gate_walk,
 )
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -43,7 +42,7 @@ SWEEP_TOL = {"toffoli": 1e-7, "qft3": 1e-7, "qft4": 1e-5}
 def chain_run(name, omega, tol, bits=None, max_steps=100_000):
     circuit = BUILTIN_CIRCUITS[name]()
     bits = bits or DEFAULT_INPUT[name]
-    walk = build_dqc_chain(circuit, ChainParams(omega))
+    walk = dense_chain(circuit, ChainParams(omega))
     psi0 = basis_state(circuit.num_qubits, bits)
     init = BlockState.pure(walk.num_nodes, walk.dim, 0, psi0)
     return run_until_converged(walk, init, tol=tol, max_steps=max_steps)
@@ -115,7 +114,7 @@ def test_criterion_04_computation_correctness():
     worst = 1.0
     for name in sorted(BUILTIN_CIRCUITS):
         circuit = BUILTIN_CIRCUITS[name]()
-        walk = build_dqc_chain(circuit, ChainParams(0.7))
+        walk = dense_chain(circuit, ChainParams(0.7))
         product = circuit_product(circuit)
         for _ in range(5):
             psi0 = random_product_state(rng, circuit.num_qubits)
@@ -148,7 +147,7 @@ def test_criterion_06_cp_tp_invariants():
     worst_eig = 0.0
     for name in sorted(BUILTIN_CIRCUITS):
         circuit = BUILTIN_CIRCUITS[name]()
-        walk = build_dqc_chain(circuit, ChainParams(0.7))
+        walk = dense_chain(circuit, ChainParams(0.7))
         psi0 = basis_state(circuit.num_qubits, DEFAULT_INPUT[name])
         state = BlockState.pure(walk.num_nodes, walk.dim, 0, psi0)
         for _ in range(500):
@@ -169,7 +168,7 @@ def test_criterion_07_marginal_equivalence():
         circuit = BUILTIN_CIRCUITS[name]()
         for omega in (0.5, 0.9):
             params = ChainParams(omega)
-            walk = build_dqc_chain(circuit, params)
+            walk = dense_chain(circuit, params)
             psi0 = basis_state(circuit.num_qubits, DEFAULT_INPUT[name])
             state = BlockState.pure(walk.num_nodes, walk.dim, 0, psi0)
             p = state.probabilities()
@@ -190,7 +189,7 @@ def test_criterion_08_two_node_closed_form():
     for u in (H, S, X):
         for omega in (0.3, 0.5, 0.9):
             params = ChainParams(omega)
-            walk = two_node_gate_walk(u, params)
+            walk = keyed_chain([u], params)
             init = BlockState.pure(2, 2, 0, psi0)
             report = run_until_converged(walk, init, tol=1e-9)
             assert report.converged

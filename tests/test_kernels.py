@@ -8,10 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from dense_chain import dense_chain
 from dense_lindblad import source_gram
 from oqwalk import _kernels
 from oqwalk.circuits import BUILTIN_CIRCUITS, Circuit, Gate
-from oqwalk.walk import ChainParams, OpenQuantumWalk, build_dqc_chain
+from oqwalk.walk import ChainParams, OpenQuantumWalk
 from test_linalg import trace_norm
 
 
@@ -73,7 +74,7 @@ class TestStepKernels:
             circuit = Circuit(1, ((Gate("H", (1,)),), (Gate("T", (1,)),)) * 1500)
         else:
             circuit = BUILTIN_CIRCUITS[circuit]()
-        walk = build_dqc_chain(circuit, ChainParams(omega))
+        walk = dense_chain(circuit, ChainParams(omega))
         rng = np.random.default_rng(5)
         n, d = walk.num_nodes, walk.dim
         blocks = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))

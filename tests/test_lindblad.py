@@ -383,14 +383,15 @@ class TestIntegrate:
     def test_matches_balanced_walk_marginals(self):
         # continuous-time stationary registers are uniform, exactly what the
         # discrete walk gives at omega = 1/2: the two models tie together
-        from oqwalk.walk import ChainParams, run_until_converged, two_node_gate_walk
+        from dense_chain import keyed_chain
+        from oqwalk.walk import ChainParams, run_until_converged
 
         model = build_dqc_lindblad(single_gate_circuit())
         rho0 = start_state(model, "0")
         res = integrate(model, rho0, dt=0.01, stop_tol=1e-9, max_time=50.0)
         continuous = node_marginals(res.rho)
 
-        walk = two_node_gate_walk(H, ChainParams(0.5))
+        walk = keyed_chain([H], ChainParams(0.5))
         report = run_until_converged(walk, BlockState(rho0), tol=1e-10)
         assert np.abs(continuous - report.history[-1]).max() < 1e-6
 

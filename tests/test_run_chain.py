@@ -1,11 +1,12 @@
 """run_chain, the history-state-frame engine of chain walks, against
-run_until_converged on the full chain walk."""
+run_until_converged on the dense chain walk."""
 
 import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from dense_chain import dense_chain, keyed_chain
 from oqwalk.circuits import BUILTIN_CIRCUITS, Circuit, Gate, circuit_product
 from oqwalk.errors import DomainError, ShapeError
 from oqwalk.walk import (
@@ -16,8 +17,6 @@ from oqwalk.walk import (
     conditional_state,
     run_chain,
     run_until_converged,
-    two_node_gate_walk,
-    validate,
 )
 from test_circuits import random_slice
 
@@ -38,10 +37,11 @@ def fidelity_at_last_node(report, target):
 
 
 def both_runs(circuit, omega, psi0, tol, max_steps=100_000):
-    chain = build_dqc_chain(circuit, ChainParams(omega))
-    init = BlockState.pure(chain.num_nodes, chain.dim, 0, psi0)
-    full = run_until_converged(chain, init, tol=tol, max_steps=max_steps)
-    frame = run_chain(chain, psi0, tol=tol, max_steps=max_steps)
+    params = ChainParams(omega)
+    dense = dense_chain(circuit, params)
+    init = BlockState.pure(dense.num_nodes, dense.dim, 0, psi0)
+    full = run_until_converged(dense, init, tol=tol, max_steps=max_steps)
+    frame = run_chain(build_dqc_chain(circuit, params), psi0, tol=tol, max_steps=max_steps)
     target = circuit_product(circuit) @ (psi0 / np.linalg.norm(psi0))
     return frame, full, target
 
@@ -104,7 +104,7 @@ def test_exhausting_max_steps_is_reported_like_the_full_chain():
 
 def test_final_state_is_the_lifted_history_state():
     u = np.array([[0, 1], [1, 0]], dtype=complex)
-    chain = two_node_gate_walk(u, ChainParams(0.8))
+    chain = ChainWalk([u], ChainParams(0.8))
     report = run_chain(chain, [2.0, 0.0], tol=1e-10)
     p0, p1 = report.history[-1]
     assert p1 == pytest.approx(0.8)  # ω/(ω + λ) at the last node
@@ -114,15 +114,15 @@ def test_final_state_is_the_lifted_history_state():
     assert fidelity == pytest.approx(1.0, abs=1e-15)
 
 
-def test_chain_walk_is_the_same_walk_with_its_params_and_unitaries():
-    circuit = BUILTIN_CIRCUITS["qft3"]()
-    params = ChainParams(0.7)
-    chain = build_dqc_chain(circuit, params)
-    assert isinstance(chain, ChainWalk)
-    assert chain.params is params
-    assert len(chain.unitaries) == circuit.depth
-    assert (chain.num_nodes, chain.dim) == (circuit.depth + 1, 8)
-    assert validate(chain).max() <= 1e-12
+@pytest.mark.parametrize("omega", [0.5, 0.9, 1.0])
+def test_populations_are_those_of_the_dense_one_by_one_chain(omega):
+    # the population walk is the dense chain of T 1×1 identities, bit for bit
+    params = ChainParams(omega)
+    report = run_chain(build_dqc_chain(BUILTIN_CIRCUITS["qft3"](), params), np.ones(8))
+    ones = keyed_chain([np.ones((1, 1))] * 9, params)
+    full = run_until_converged(ones, BlockState.pure(10, 1, 0, [1.0]))
+    assert (report.steps, report.converged) == (full.steps, full.converged)
+    assert report.history.tobytes() == full.history.tobytes()
 
 
 @pytest.mark.parametrize("psi0, error", [([1.0, 0.0], ShapeError), (np.zeros(8), DomainError)])

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dense_chain import dense_chain, keyed_chain, seeded_circuit
 from dense_lindblad import source_gram
 from oqwalk import _kernels
 from oqwalk.circuits import (
@@ -16,7 +19,6 @@ from oqwalk.circuits import (
     qft,
     toffoli13,
 )
-from oqwalk.config import TOL
 from oqwalk.errors import CircuitError, DomainError, ShapeError
 from oqwalk.walk import (
     BlockState,
@@ -30,23 +32,14 @@ from oqwalk.walk import (
     conditional_state,
     run_until_converged,
     step,
-    two_node_gate_walk,
     validate,
 )
 from test_linalg import trace_norm
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-X = np.array([[0, 1], [1, 0]], dtype=complex)
 S = np.diag([1.0, 1j])
 
 W5 = Path(__file__).parent / "golden" / "w5.circ"
-
-#: Sources 0 and 2 unnormalized, 1 normalized, node 3 without out-edges.
-GENERIC_WALK = OpenQuantumWalk(4, 2, {
-    (0, 0): 0.5 * H, (0, 1): 0.7 * S, (0, 3): 0.9 * X,
-    (1, 2): math.sqrt(0.3) * H, (1, 0): math.sqrt(0.7) * S,
-    (2, 3): 1.2 * np.eye(2), (2, 1): 0.4 * H @ S,
-})
 
 PSI = np.array([math.cos(0.3), math.sin(0.3) * np.exp(0.4j)])
 
@@ -66,22 +59,18 @@ class TestChainParams:
 
 
 class TestValidate:
-    def test_two_node_gate_walk_is_normalized(self):
-        walk = two_node_gate_walk(H, ChainParams(0.7))
-        assert validate(walk).max() <= 1e-10
+    def test_two_node_chain_is_normalized(self):
+        assert validate(ChainWalk([H], ChainParams(0.7))).max() <= 1e-10
 
-    def test_unnormalized_source_has_the_large_residual(self):
-        walk = OpenQuantumWalk(
-            2, 2, {(0, 0): np.eye(2), (0, 1): np.eye(2), (1, 1): np.eye(2)}
-        )
-        residuals = validate(walk)
-        assert residuals[0] == pytest.approx(math.sqrt(2))  # ‖2I − I‖_F
-        assert residuals[1] == 0.0
+    def test_non_unitary_slice_has_the_large_residual(self):
+        # at ω = ½, node 0 sums λ·I + ω·4I and node 1 sums λ·4I + ω·I, both
+        # 2.5·I; node 2 sums λ·I + ω·I = I
+        residuals = validate(ChainWalk([2 * np.eye(2), np.eye(2)], ChainParams(0.5)))
+        assert residuals == pytest.approx([1.5 * math.sqrt(2)] * 2 + [0.0], abs=1e-15)
 
-    @pytest.mark.parametrize(
-        "walk", [GENERIC_WALK, build_dqc_chain(qft(3), ChainParams(0.6))]
-    )
-    def test_matches_per_source_reference(self, walk):
+    def test_matches_per_source_reference(self):
+        params = ChainParams(0.6)
+        walk = dense_chain(qft(3), params)
         expected = []
         for j in range(walk.num_nodes):
             acc = np.zeros((walk.dim, walk.dim), dtype=complex)
@@ -89,32 +78,56 @@ class TestValidate:
                 if src == j:
                     acc += b.conj().T @ b
             expected.append(np.linalg.norm(acc - np.eye(walk.dim)))
-        got = validate(walk)
+        got = validate(build_dqc_chain(qft(3), params))
         assert got.shape == (walk.num_nodes,)
         assert np.abs(got - expected).max() <= 1e-15
 
     @pytest.mark.parametrize("name, omega", [
-        *((name, omega) for name in (*sorted(BUILTIN_CIRCUITS), "w5.circ")
+        *((name, omega)
+          for name in (*sorted(BUILTIN_CIRCUITS), "w5.circ", "4x24", "4x48", "5x24", "5x36")
           for omega in (0.5, 0.9, 1.0)),
-        ("generic", None),
+        ("8x24", 0.7),
     ])
     def test_residuals_are_bit_equal_to_the_gram_oracle(self, name, omega):
-        # the oracle sums the same products B†B in the same edge order, as
-        # one step of the adjoint edges on identity blocks; the generic
-        # walk's node 3 has no out-edges, so residual √d
-        if name == "generic":
-            walk = GENERIC_WALK
+        # node t's two coins give the products B†B that the dense chain's
+        # oracle sums in edge order, as one step of the adjoint edges on
+        # identity blocks; "QxT" is a seeded random circuit of Q qubits and
+        # T slices
+        if name == "w5.circ":
+            circuit = parse_circuit(W5.read_text(encoding="utf-8"))
+        elif name in BUILTIN_CIRCUITS:
+            circuit = BUILTIN_CIRCUITS[name]()
         else:
-            circuit = (parse_circuit(W5.read_text(encoding="utf-8")) if name == "w5.circ"
-                       else BUILTIN_CIRCUITS[name]())
-            walk = build_dqc_chain(circuit, ChainParams(omega))
+            qubits, depth = map(int, name.split("x"))
+            circuit = seeded_circuit(qubits * depth, qubits, depth)
+        params = ChainParams(omega)
+        walk = dense_chain(circuit, params)
         gram = source_gram(walk._b_ops, walk._b_dag, walk._src, walk._dst, walk.num_nodes)
-        eye = np.eye(walk.dim)
-        expected = np.array([np.linalg.norm(g - eye) for g in gram])
-        got = validate(walk)
+        expected = np.array([np.linalg.norm(g - np.eye(walk.dim)) for g in gram])
+        got = validate(build_dqc_chain(circuit, params))
         assert got.tobytes() == expected.tobytes()
-        if name == "generic":
-            assert got[3] == math.sqrt(2)
+
+    def test_holds_no_table_of_coins(self):
+        # 8 qubits × 24 slices, d = 256: one d×d matrix is 1 MiB, and the
+        # compiled slices (24 MiB) are made before tracing.  A table of
+        # 2T + 2 = 50 coins and its daggers takes 100 MiB; building the
+        # chain may allocate at most 1 MiB, and validate's peak, a few d×d
+        # products of one node at a time, at most 12 MiB.
+        circuit = seeded_circuit(192, 8, 24)
+        circuit_unitaries(circuit)
+        mib = 2**20
+        tracemalloc.start()
+        try:
+            chain = build_dqc_chain(circuit, ChainParams(0.7))
+            _, build_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            residuals = validate(chain)
+            _, validate_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert residuals.max() <= 1e-12
+        assert build_peak <= 1 * mib, build_peak / mib
+        assert validate_peak <= 12 * mib, validate_peak / mib
 
     @pytest.mark.parametrize("omega", [0.5, 0.8])
     def test_dqc_chain_is_normalized(self, omega):
@@ -123,7 +136,7 @@ class TestValidate:
 
     def test_dilated_operators_resolve_identity(self):
         # sum over all edges of M†M with M = B ⊗ |i><j| equals the identity
-        walk = two_node_gate_walk(S, ChainParams(0.4))
+        walk = keyed_chain([S], ChainParams(0.4))
         total = np.zeros((4, 4), dtype=complex)
         for (j, i), b in walk.transitions.items():
             ket_bra = np.zeros((2, 2))
@@ -136,7 +149,7 @@ class TestValidate:
 class TestStep:
     def test_first_step_from_node_zero(self):
         params = ChainParams(0.7)
-        walk = two_node_gate_walk(H, params)
+        walk = keyed_chain([H], params)
         state = BlockState.pure(2, 2, 0, PSI)
         rho0 = np.outer(PSI, PSI.conj())
         out = step(walk, state)
@@ -152,14 +165,14 @@ class TestStep:
         assert np.allclose(out.blocks, state.blocks, atol=1e-15)
 
     def test_shape_mismatch(self):
-        walk = two_node_gate_walk(H, ChainParams(0.5))
+        walk = keyed_chain([H], ChainParams(0.5))
         with pytest.raises(ShapeError):
             step(walk, BlockState.pure(3, 2, 0, PSI))
 
     def test_matches_classical_marginals(self):
         params = ChainParams(0.5)
         circuit = toffoli13()
-        walk = build_dqc_chain(circuit, params)
+        walk = dense_chain(circuit, params)
         state = BlockState.pure(walk.num_nodes, walk.dim, 0, basis_state(3, "110"))
         p = state.probabilities()
         for _ in range(100):
@@ -168,7 +181,7 @@ class TestStep:
             assert np.abs(state.probabilities() - p).max() < 1e-12
 
     def test_trace_and_positivity_preserved(self):
-        walk = build_dqc_chain(toffoli13(), ChainParams(0.8))
+        walk = dense_chain(toffoli13(), ChainParams(0.8))
         state = BlockState.pure(walk.num_nodes, walk.dim, 0, basis_state(3, "110"))
         for _ in range(100):
             state = step(walk, state)
@@ -179,7 +192,7 @@ class TestStep:
 
 class TestTwoNodeRecursion:
     def test_matches_hand_coded_recursion_exactly(self):
-        walk = two_node_gate_walk(H, ChainParams(0.7))
+        walk = keyed_chain([H], ChainParams(0.7))
         b00 = walk.transitions[(0, 0)]
         b01 = walk.transitions[(0, 1)]
         b10 = walk.transitions[(1, 0)]
@@ -197,16 +210,13 @@ class TestTwoNodeRecursion:
 
 
 class TestBuildDqcChain:
-    def test_single_slice_equals_two_node_walk(self):
+    def test_single_slice_chain_is_its_gate(self):
         circuit = Circuit(1, ((Gate("H", (1,)),),))
         params = ChainParams(0.6)
         chain = build_dqc_chain(circuit, params)
-        gate_walk = two_node_gate_walk(H, params)
-        assert set(chain.transitions) == set(gate_walk.transitions)
-        for key in chain.transitions:
-            assert np.allclose(
-                chain.transitions[key], gate_walk.transitions[key], atol=1e-15
-            )
+        assert chain.params is params and (chain.num_nodes, chain.dim) == (2, 2)
+        (u,) = chain.unitaries
+        assert u.tobytes() == H.tobytes()
 
     def test_toffoli_chain_has_14_nodes(self):
         chain = build_dqc_chain(toffoli13(), ChainParams(0.9))
@@ -215,7 +225,7 @@ class TestBuildDqcChain:
     def test_interior_normalization_exact(self):
         params = ChainParams(0.8)
         circuit = toffoli13()
-        chain = build_dqc_chain(circuit, params)
+        chain = dense_chain(circuit, params)
         for t in range(1, circuit.depth):
             fwd = chain.transitions[(t, t + 1)]
             back = chain.transitions[(t, t - 1)]
@@ -228,10 +238,10 @@ class TestBuildDqcChain:
             Circuit(2, ())
 
 
-class TestTwoNodeGateWalk:
+class TestTwoNodeChain:
     def test_steady_state_closed_form(self):
         params = ChainParams(0.9)
-        walk = two_node_gate_walk(H, params)
+        walk = keyed_chain([H], params)
         state = BlockState.pure(2, 2, 0, PSI)
         prev = state
         for _ in range(200):
@@ -246,26 +256,13 @@ class TestTwoNodeGateWalk:
         )
 
     def test_identity_gate_balanced(self):
-        walk = two_node_gate_walk(np.eye(2), ChainParams(0.5))
+        walk = keyed_chain([np.eye(2)], ChainParams(0.5))
         report = run_until_converged(
             walk, BlockState.pure(2, 2, 0, PSI), tol=1e-10, max_steps=100
         )
         assert np.allclose(report.history[-1], [0.5, 0.5], atol=1e-12)
         final = report.final_state
         assert np.allclose(final.blocks[0], final.blocks[1], atol=1e-12)
-
-    def test_rejects_non_unitary(self):
-        with pytest.raises(DomainError):
-            two_node_gate_walk(np.eye(2) * 2, ChainParams(0.5))
-
-    def test_unitarity_threshold_is_tol_unitary(self):
-        # s·I on two dimensions has ‖(sI)†(sI) − I‖_F = √2·(s² − 1)
-        inside, outside = (
-            np.sqrt(1 + f * TOL.unitary / np.sqrt(2)) * np.eye(2) for f in (0.5, 2.0)
-        )
-        two_node_gate_walk(inside, ChainParams(0.5))
-        with pytest.raises(DomainError, match="coin matrix must be unitary within 1e-10$"):
-            two_node_gate_walk(outside, ChainParams(0.5))
 
 
 class TestClassicalMarginal:
@@ -331,7 +328,7 @@ class TestAnalyticSteady:
 
 class TestRunUntilConverged:
     def test_toffoli_uniform_detection(self):
-        walk = build_dqc_chain(toffoli13(), ChainParams(0.5))
+        walk = dense_chain(toffoli13(), ChainParams(0.5))
         init = BlockState.pure(walk.num_nodes, walk.dim, 0, basis_state(3, "110"))
         report = run_until_converged(walk, init, tol=1e-7)
         assert report.converged
@@ -341,7 +338,7 @@ class TestRunUntilConverged:
         circuit = toffoli13()
         reports = {}
         for omega in (0.5, 0.9):
-            walk = build_dqc_chain(circuit, ChainParams(omega))
+            walk = dense_chain(circuit, ChainParams(omega))
             init = BlockState.pure(walk.num_nodes, walk.dim, 0, basis_state(3, "110"))
             reports[omega] = run_until_converged(walk, init, tol=1e-7)
         expected = analytic_chain_steady(ChainParams(0.9), 13)[-1]
@@ -355,7 +352,7 @@ class TestRunUntilConverged:
         assert report.steps == 1
 
     def test_max_steps_exhaustion_reported(self):
-        walk = build_dqc_chain(toffoli13(), ChainParams(0.5))
+        walk = dense_chain(toffoli13(), ChainParams(0.5))
         init = BlockState.pure(walk.num_nodes, walk.dim, 0, basis_state(3, "110"))
         report = run_until_converged(walk, init, tol=1e-12, max_steps=5)
         assert not report.converged
@@ -368,7 +365,7 @@ class TestRunUntilConverged:
             run_until_converged(walk, BlockState.pure(1, 2, 0, PSI), tol=tol)
 
     def test_history_rows_are_distributions(self):
-        walk = build_dqc_chain(qft(3), ChainParams(0.7))
+        walk = dense_chain(qft(3), ChainParams(0.7))
         init = BlockState.pure(walk.num_nodes, walk.dim, 0, basis_state(3, "000"))
         report = run_until_converged(walk, init, tol=1e-7)
         sums = report.history.sum(axis=1)
@@ -376,7 +373,7 @@ class TestRunUntilConverged:
 
     def test_forward_sweep_at_unit_omega(self):
         circuit = qft(3)
-        walk = build_dqc_chain(circuit, ChainParams(1.0))
+        walk = dense_chain(circuit, ChainParams(1.0))
         init = BlockState.pure(walk.num_nodes, walk.dim, 0, basis_state(3, "000"))
         report = run_until_converged(walk, init, tol=1e-9)
         t = circuit.depth
@@ -386,7 +383,7 @@ class TestRunUntilConverged:
     def test_steady_state_factorization(self):
         # every node's normalized block is the partial computation on psi0
         circuit = toffoli13()
-        walk = build_dqc_chain(circuit, ChainParams(0.8))
+        walk = dense_chain(circuit, ChainParams(0.8))
         psi0 = basis_state(3, "110")
         init = BlockState.pure(walk.num_nodes, walk.dim, 0, psi0)
         report = run_until_converged(walk, init, tol=1e-9)
@@ -475,42 +472,41 @@ class TestEdgeTable:
             OpenQuantumWalk(num_nodes, dim, {})
 
 
-def keyed_chain(unitaries, params):
-    """The chain walk built from its dict of per-edge coins, keyed
-    (source, target), which ``OpenQuantumWalk`` sorts into key order."""
-    big_t, dim = len(unitaries), unitaries[0].shape[0]
-    sqrt_w, sqrt_l = math.sqrt(params.omega), math.sqrt(params.lam)
-    eye = np.eye(dim, dtype=np.complex128)
-    table = {(0, 0): sqrt_l * eye, (big_t, big_t): sqrt_w * eye}
-    for t, u in enumerate(unitaries, start=1):
-        table[(t - 1, t)] = sqrt_w * u
-        table[(t, t - 1)] = sqrt_l * u.conj().T
-    return OpenQuantumWalk(big_t + 1, dim, table)
+class TestChainWalk:
+    """``ChainWalk`` is a checked, immutable record of its slices and ω."""
+
+    def test_is_a_record_of_the_compiled_slices(self):
+        circuit = qft(3)
+        params = ChainParams(0.7)
+        chain = build_dqc_chain(circuit, params)
+        assert not isinstance(chain, OpenQuantumWalk)
+        assert not any(hasattr(chain, n) for n in ("_src", "_dst", "_b_ops", "_b_dag"))
+        assert chain.params is params
+        assert (chain.num_nodes, chain.dim) == (circuit.depth + 1, 8)
+        for u, compiled in zip(chain.unitaries, circuit_unitaries(circuit), strict=True):
+            assert np.shares_memory(u, compiled) and not u.flags.writeable
+        with pytest.raises(FrozenInstanceError):
+            chain.params = ChainParams(0.5)
+
+    def test_caller_arrays_stay_writeable(self):
+        u = H.copy()
+        chain = ChainWalk([u], ChainParams(0.7))
+        assert u.flags.writeable and not chain.unitaries[0].flags.writeable
+        assert chain.unitaries[0].dtype == np.complex128
+
+    @pytest.mark.parametrize("unitaries, match", [
+        ([], "a chain has at least one slice, got 0"),
+        ([np.zeros((0, 0))], "a chain's unitaries have dimension >= 1, got 0"),
+    ], ids=["no-slice", "zero-dim"])
+    def test_needs_a_slice_and_a_dimension(self, unitaries, match):
+        with pytest.raises(DomainError, match=match):
+            ChainWalk(unitaries, ChainParams(0.7))
 
 
 class TestChainTable:
-    """``ChainWalk`` writes the table ``OpenQuantumWalk`` builds from the dict."""
-
-    @pytest.mark.parametrize("omega", [0.5, 0.9, 1.0])
-    @pytest.mark.parametrize("big_t", [1, 2, 13])
-    @pytest.mark.parametrize("coins", ["toffoli", "populations"])
-    def test_equals_the_table_of_the_keyed_coins(self, coins, big_t, omega):
-        if coins == "toffoli":
-            unitaries = circuit_unitaries(toffoli13())[:big_t]
-        else:
-            unitaries = [np.ones((1, 1))] * big_t
-        params = ChainParams(omega)
-        chain, keyed = ChainWalk(unitaries, params), keyed_chain(unitaries, params)
-        assert (chain.num_nodes, chain.dim) == (keyed.num_nodes, keyed.dim)
-        for name in ("_src", "_dst", "_b_ops", "_b_dag"):
-            got, expected = getattr(chain, name), getattr(keyed, name)
-            assert (got.dtype, got.shape) == (expected.dtype, expected.shape), name
-            assert got.tobytes() == expected.tobytes(), name
-        assert not chain._b_ops.flags.writeable
-        dagger = np.ascontiguousarray(chain._b_ops.conj().transpose(0, 2, 1))
-        assert chain._b_dag.tobytes() == dagger.tobytes()
-        if omega == 1.0:  # λ = 0: every backward coin is zero
-            assert not chain._b_ops[0::2].any()
+    """A chain's slices are checked with the messages of the edge table it
+    would have: the shape of ``U_t``, and the first edge, in key order,
+    whose coin is not finite."""
 
     @pytest.mark.parametrize(
         "unitaries",
@@ -533,7 +529,7 @@ class TestChainTable:
 class TestConditionalState:
     def test_two_node_output_state(self):
         params = ChainParams(0.7)
-        walk = two_node_gate_walk(H, params)
+        walk = keyed_chain([H], params)
         report = run_until_converged(
             walk, BlockState.pure(2, 2, 0, PSI), tol=1e-10
         )
@@ -542,7 +538,7 @@ class TestConditionalState:
         assert np.allclose(rho, expected, atol=1e-12)
 
     def test_toffoli_flips_target(self):
-        walk = build_dqc_chain(toffoli13(), ChainParams(0.8))
+        walk = dense_chain(toffoli13(), ChainParams(0.8))
         init = BlockState.pure(walk.num_nodes, walk.dim, 0, basis_state(3, "110"))
         report = run_until_converged(walk, init, tol=1e-9)
         rho = conditional_state(report.final_state, 13)
@@ -650,7 +646,7 @@ class TestTraceNormSkip:
         self, monkeypatch, make, bits, omega, tol
     ):
         circuit = make()
-        walk = build_dqc_chain(circuit, ChainParams(omega))
+        walk = dense_chain(circuit, ChainParams(omega))
         init = BlockState.pure(
             walk.num_nodes, walk.dim, 0, basis_state(circuit.num_qubits, bits)
         )
