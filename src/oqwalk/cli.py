@@ -167,18 +167,22 @@ def cmd_run(args: argparse.Namespace) -> int:
     omega = _single_omega(args.omega)
     circuit = load_circuit(args.circuit)
     psi0 = _input_state(args, circuit)
+    chain = wk.build_dqc_chain(circuit, wk.ChainParams(omega))
     report = wk.run_chain(
-        wk.build_dqc_chain(circuit, wk.ChainParams(omega)),
-        psi0,
-        tol=_resolve_tol(args.circuit, args.tol),
-        max_steps=args.max_steps,
+        chain, tol=_resolve_tol(args.circuit, args.tol), max_steps=args.max_steps
     )
     # The fidelity of the output register's state to the circuit's output;
-    # undefined while no population has reached that register.
+    # undefined while no population has reached that register.  That state
+    # is the normalized block p_T·v v† of v = U_T···U_1 ψ0 (ψ0 is a unit
+    # basis vector), the one block of the run that is built.
     target = circuit_product(circuit) @ psi0
     fidelity = math.nan
     if report.final_detection > TOL.zero_probability:
-        rho = wk.conditional_state(report.final_state, circuit.depth)
+        v = psi0
+        for u in chain.unitaries:
+            v = u @ v
+        block = (report.final_detection * v)[:, None] * v.conj()[None, :]
+        rho = block / np.trace(block).real
         fidelity = float((target.conj() @ rho @ target).real)
 
     # one row per (step, node); the template of a step's rows is built once

@@ -18,16 +18,18 @@ since W_0 = I: lowering qubit q moves the |1⟩⟨1| sub-block of that qubit in
 resets is G = −½·diag(popcount), which ``lindblad_rhs_kernel`` applies as a
 scaling of the rows and columns of ρ̃_0.
 ``lindblad_rhs`` and ``integrate`` take and give lab-frame blocks
-ρ_t = W_t ρ̃_t W_t†.  The node populations are traces, which the frame
-does not change, so ``integrate`` samples them from the frame blocks and
-lifts the state once, at the end.  The integrator is a fixed-step classical
-Runge-Kutta scheme.
+ρ_t = W_t ρ̃_t W_t†; the model holds the slices, and a lift or lowering
+rebuilds the frames from them one at a time.  The node populations are
+traces, which the frame does not change, so ``integrate`` samples them
+from the frame blocks and lifts the state once, at the end.  The
+integrator is a fixed-step classical Runge-Kutta scheme.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -72,26 +74,18 @@ class LindbladModel:
     registers, and with ``include_reset`` one lowering jump per qubit at
     register 0.
 
-    ``_rates`` is the path Laplacian of the hops.  ``_frames`` holds the
-    history-state frames, the partial products W_t = U_t W_{t−1} written
-    into one (T+1, d, d) stack, and ``_frames_dag`` their daggers.
-    ``_resets`` is the number of qubits lowered at register 0 (0 without
-    resets), and ``_g`` the diagonal of their damping G = −½·diag(popcount)
-    as a real vector of length d, or None.
+    ``_rates`` is the path Laplacian of the hops.  ``_unitaries`` holds
+    U_1..U_T, the circuit's read-only compiled slices, shared, not copied;
+    the history-state frames W_t = U_t W_{t−1} are rebuilt from them, one
+    at a time, by each lift and lowering, and never stored.  ``_resets`` is
+    the number of qubits lowered at register 0 (0 without resets), and
+    ``_g`` the diagonal of their damping G = −½·diag(popcount) as a real
+    vector of length d, or None.
     """
 
     def __init__(self, circuit: Circuit, include_reset: bool = False):
-        unitaries = circuit_unitaries(circuit)
-        self.num_nodes, self.dim = len(unitaries) + 1, 2**circuit.num_qubits
-        frames = np.empty((self.num_nodes, self.dim, self.dim), dtype=np.complex128)
-        frames[0] = np.eye(self.dim)
-        for t, u in enumerate(unitaries, start=1):
-            np.matmul(u, frames[t - 1], out=frames[t])
-        self._frames = frames
-        # conjugating into a C-ordered buffer gives the bits of a copy of
-        # frames.conj().transpose(0, 2, 1) at a fraction of that copy's cost
-        self._frames_dag = np.empty_like(frames)
-        np.conjugate(frames.transpose(0, 2, 1), out=self._frames_dag)
+        self._unitaries = tuple(circuit_unitaries(circuit))
+        self.num_nodes, self.dim = len(self._unitaries) + 1, 2**circuit.num_qubits
         self._rates = path_laplacian(self.num_nodes)
         self._resets = circuit.num_qubits if include_reset else 0
         self._g = None
@@ -114,14 +108,26 @@ def _adjoint(blocks) -> np.ndarray:
     return blocks.conj().transpose(0, 2, 1)
 
 
+def _history_frames(model: LindbladModel):
+    """W_0 = I, then W_t = U_t W_{t−1}, one frame at a time."""
+    eye = np.eye(model.dim, dtype=np.complex128)
+    return accumulate(model._unitaries, lambda w, u: u @ w, initial=eye)
+
+
 def _lift(model: LindbladModel, blocks) -> np.ndarray:
     """Frame blocks ρ̃_n to lab blocks W_n ρ̃_n W_n†."""
-    return model._frames @ blocks @ model._frames_dag
+    out = np.empty_like(blocks)
+    for t, w in enumerate(_history_frames(model)):
+        out[t] = w @ blocks[t] @ w.conj().T
+    return out
 
 
 def _lower(model: LindbladModel, blocks) -> np.ndarray:
     """Lab blocks ρ_n to frame blocks W_n† ρ_n W_n."""
-    return model._frames_dag @ blocks @ model._frames
+    out = np.empty_like(blocks)
+    for t, w in enumerate(_history_frames(model)):
+        out[t] = w.conj().T @ blocks[t] @ w
+    return out
 
 
 def _checked_blocks(model: LindbladModel, rho, name: str) -> np.ndarray:
@@ -193,14 +199,15 @@ def integrate(
 ) -> IntegrationResult:
     """March the master equation to stationarity with classical RK4 steps.
 
-    ``rho0`` and the state are (N, d, d) node blocks.  The state is carried
-    in the model's frame, re-Hermitized each step and its trace renormalized
-    whenever the drift exceeds ``RENORM_TOL``; it is lifted to the lab frame
-    once, for the result.  Its ``node_marginals`` are sampled in the frame,
-    where they equal the lab-frame ones up to rounding, at t = 0 and then
-    every ``round(observe_every/dt)`` steps, plus at the final step when it
-    is off that stride.  Because the generator is linear, its fixed points
-    are fixed points of the RK4 map as well, so the step size affects
+    ``rho0`` and the state are (N, d, d) node blocks.  The state is lowered
+    into the model's frame once and carried there, re-Hermitized each step
+    and its trace renormalized whenever the drift exceeds ``RENORM_TOL``; it
+    is lifted to the lab frame once, for the result.  Both rebuild the
+    frames from the slices.  Its ``node_marginals`` are sampled in the
+    frame, where they equal the lab-frame ones up to rounding, at t = 0 and
+    then every ``round(observe_every/dt)`` steps, plus at the final step
+    when it is off that stride.  Because the generator is linear, its fixed
+    points are fixed points of the RK4 map as well, so the step size affects
     transient rates but not the stationary state the run converges to.  A
     ``dt`` above RK4's stability limit (about 0.70 on a chain, whose path
     Laplacian reaches −4) makes the state grow: a step whose total trace is

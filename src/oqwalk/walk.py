@@ -14,8 +14,9 @@ never a table of coins.  Every coin is a scalar multiple of a unitary, so
 node populations follow a classical birth-death chain, which this module
 also provides, together with its geometric stationary distribution.
 ``validate`` takes each node's residual from its two coins; ``run_chain``
-iterates the populations as a walk with 1×1 coins and applies the circuit
-to the input state once; and ``sweep_chain`` advances the populations of a
+iterates the populations as a walk with 1×1 coins, since node t of the
+state is p_t·U_t···U_1 ρ0 (U_t···U_1)† whatever the input ρ0, and never
+touches the slices; and ``sweep_chain`` advances the populations of a
 whole ω grid in lockstep with the same arithmetic, in blocks of steps whose
 drift and convergence checks run once per block on a buffer of bounded
 size.
@@ -28,7 +29,7 @@ of every node; judging them is left to the caller.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -140,17 +141,6 @@ class OpenQuantumWalk:
         )
 
 
-def _unit_vector(psi, dim: int) -> np.ndarray:
-    """psi as a normalized complex vector of dimension dim."""
-    psi = np.asarray(psi, dtype=np.complex128).reshape(-1)
-    if psi.shape[0] != dim:
-        raise ShapeError(f"psi has dimension {psi.shape[0]}, expected {dim}")
-    norm = np.linalg.norm(psi)
-    if norm == 0:
-        raise DomainError("psi must be non-zero")
-    return psi / norm
-
-
 class BlockState:
     """Walker state: one unnormalized density block per node, stacked (N, d, d)."""
 
@@ -164,8 +154,14 @@ class BlockState:
 
     @classmethod
     def pure(cls, num_nodes: int, dim: int, node: int, psi) -> "BlockState":
-        """All population at one node, in the pure internal state psi."""
-        psi = _unit_vector(psi, dim)
+        """All population at one node, in the pure internal state psi/‖psi‖."""
+        psi = np.asarray(psi, dtype=np.complex128).reshape(-1)
+        if psi.shape[0] != dim:
+            raise ShapeError(f"psi has dimension {psi.shape[0]}, expected {dim}")
+        norm = np.linalg.norm(psi)
+        if norm == 0:
+            raise DomainError("psi must be non-zero")
+        psi = psi / norm
         if not 0 <= node < num_nodes:
             raise DomainError(f"node {node} out of range")
         blocks = np.zeros((num_nodes, dim, dim), dtype=np.complex128)
@@ -231,9 +227,10 @@ class ChainWalk:
     as its checked ``params`` and ``unitaries``; it holds no coin.
 
     Node t's two coins are √λ·U_t† (to max(t − 1, 0)) and √ω·U_{t+1} (to
-    min(t + 1, T)), with U_0 = U_{T+1} = I; ``validate`` and ``run_chain``
-    compute with them from these two fields.  The unitaries are kept as
-    read-only views, so compiled slices are shared, not copied.
+    min(t + 1, T)), with U_0 = U_{T+1} = I; ``validate`` computes with them
+    from these two fields, and ``run_chain`` with ω and the node count.
+    The unitaries are kept as read-only views, so compiled slices are
+    shared, not copied.
     """
 
     unitaries: tuple[np.ndarray, ...]
@@ -358,6 +355,8 @@ class ConvergenceReport:
     #: Row n is the node distribution after n steps (row 0 = initial).
     history: np.ndarray
     final_detection: float
+    #: The state after the last step: the walk's own blocks, so the
+    #: (T+1, 1, 1) populations for ``run_chain``.
     final_state: BlockState = field(repr=False)
 
 
@@ -527,26 +526,22 @@ def sweep_chain(
 
 
 def run_chain(
-    chain: ChainWalk,
-    psi0,
-    tol: float = 1e-7,
-    max_steps: int = 100_000,
+    chain: ChainWalk, tol: float = 1e-7, max_steps: int = 100_000
 ) -> ConvergenceReport:
-    """``run_until_converged`` of a chain walk started in psi0 at node 0,
-    computed in the history-state frame.
+    """``run_until_converged`` of a chain walk started at node 0, on its node
+    populations alone.
 
     Every coin is a scalar times a unitary, so block t of the state after
-    any number of steps is p_t · v_t v_t†, with v_t = U_t···U_1 ψ0/‖ψ0‖ and
-    p the node populations, and the trace-norm distance between two steps
-    is Σ_t |Δp_t|.  The populations are therefore iterated by the same
-    engine on an ``OpenQuantumWalk`` over the chain's T+1 nodes with the
-    1×1 coins √λ and √ω, which keeps its history, stopping rule, drift
-    check and ``max_steps``, and the final state is lifted once to the lab
-    frame as ``final_state``.  Within rounding (see
-    ``run_until_converged``) the report equals that of
-    ``run_until_converged`` on the chain's full d×d blocks.
+    any number of steps is p_t · v_t v_t†, with v_t = U_t···U_1 ψ0/‖ψ0‖ for
+    any input ψ0 and p the node populations, and the trace-norm distance
+    between two steps is Σ_t |Δp_t|.  The populations are therefore iterated
+    by the same engine on an ``OpenQuantumWalk`` over the chain's T+1 nodes
+    with the 1×1 coins √λ and √ω, which keeps its history, stopping rule,
+    drift check and ``max_steps``; its report is returned as it is, so
+    ``final_state`` holds the (T+1, 1, 1) populations.  Within rounding
+    (see ``run_until_converged``) the steps, history and detection equal
+    those of ``run_until_converged`` on the chain's full d×d blocks.
     """
-    v = _unit_vector(psi0, chain.dim)
     sqrt_w, sqrt_l = [[math.sqrt(chain.params.omega)]], [[math.sqrt(chain.params.lam)]]
     last = chain.num_nodes - 1
     coins = {(0, 0): sqrt_l, (last, last): sqrt_w}
@@ -554,11 +549,4 @@ def run_chain(
         coins[t - 1, t], coins[t, t - 1] = sqrt_w, sqrt_l
     populations = OpenQuantumWalk(chain.num_nodes, 1, coins)
     init = BlockState.pure(chain.num_nodes, 1, 0, [1.0])
-    report = run_until_converged(populations, init, tol=tol, max_steps=max_steps)
-    vecs = [v]
-    for u in chain.unitaries:
-        vecs.append(u @ vecs[-1])
-    vecs = np.array(vecs)
-    p = report.history[-1]
-    final = BlockState(p[:, None, None] * vecs[:, :, None] * vecs[:, None, :].conj())
-    return replace(report, final_state=final)
+    return run_until_converged(populations, init, tol=tol, max_steps=max_steps)

@@ -4,8 +4,10 @@ The library keeps a chain walk as its slices and ω and never writes its
 coins.  ``keyed_chain`` writes them: the chain of U_1..U_T as an
 ``OpenQuantumWalk`` built from its dict of per-edge coins, keyed
 (source, target), which the tests step block by block and whose Gram sums
-``dense_lindblad.source_gram`` takes.  ``seeded_circuit`` is a random
-circuit of a given size, the same for the same seed.
+``dense_lindblad.source_gram`` takes.  ``history_state`` writes the lab-frame
+blocks p_t·v_t v_t† of a chain from its populations, which ``run_chain``
+iterates without them.  ``seeded_circuit`` is a random circuit of a given
+size, the same for the same seed.
 """
 
 import math
@@ -13,7 +15,7 @@ import math
 import numpy as np
 
 from oqwalk.circuits import Circuit, Gate, circuit_unitaries
-from oqwalk.walk import OpenQuantumWalk
+from oqwalk.walk import BlockState, OpenQuantumWalk
 
 #: Kinds ``seeded_circuit`` draws from, as the benchmark's circuit files do.
 SEEDED_KINDS = ("H", "X", "S", "T", "R", "CNOT", "CP")
@@ -35,6 +37,17 @@ def keyed_chain(unitaries, params):
 def dense_chain(circuit, params):
     """``keyed_chain`` of a circuit's compiled slices."""
     return keyed_chain(circuit_unitaries(circuit), params)
+
+
+def history_state(unitaries, psi0, p):
+    """The (T+1, d, d) blocks p_t·v_t v_t† of the chain over U_1..U_T, with
+    v_0 = ψ0/‖ψ0‖ and v_t = U_t v_{t−1}: its state at node populations p."""
+    psi0 = np.asarray(psi0, dtype=np.complex128)
+    vecs = [psi0 / np.linalg.norm(psi0)]
+    for u in unitaries:
+        vecs.append(u @ vecs[-1])
+    vecs = np.array(vecs)
+    return BlockState(p[:, None, None] * vecs[:, :, None] * vecs[:, None, :].conj())
 
 
 def seeded_circuit(seed, num_qubits, depth):

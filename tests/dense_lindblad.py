@@ -11,6 +11,11 @@ lowering coin per qubit on the (0 → 0) edge, through the walk's step kernel,
 and its damping as dense products with the Gram sum of ``source_gram``.  The
 model moves sub-blocks and scales by the diagonal instead, and must give the
 same bits.  ``source_gram`` is also the oracle of ``walk.validate``.
+
+``stacked_frames`` writes all T+1 history-state frames into one stack, with
+their daggers, and ``stacked_lift`` and ``stacked_lower`` apply them as two
+batched products; the model rebuilds one frame at a time instead, and must
+give the same bits.
 """
 
 import numpy as np
@@ -84,3 +89,28 @@ def embed_blocks(blocks):
 def node_block(rho, i, j, num_nodes):
     """The (i, j) register block ⟨i|ρ|j⟩ of a dense state."""
     return rho[i::num_nodes, j::num_nodes]
+
+
+def stacked_frames(unitaries):
+    """W_0 = I and W_t = U_t W_{t−1} as one (T+1, d, d) stack, and their
+    daggers conjugated into a C-ordered stack."""
+    dim = unitaries[0].shape[0]
+    frames = np.empty((len(unitaries) + 1, dim, dim), dtype=np.complex128)
+    frames[0] = np.eye(dim)
+    for t, u in enumerate(unitaries, start=1):
+        np.matmul(u, frames[t - 1], out=frames[t])
+    frames_dag = np.empty_like(frames)
+    np.conjugate(frames.transpose(0, 2, 1), out=frames_dag)
+    return frames, frames_dag
+
+
+def stacked_lift(unitaries, blocks):
+    """Frame blocks ρ̃_n to lab blocks W_n ρ̃_n W_n†, on the whole stack."""
+    frames, frames_dag = stacked_frames(unitaries)
+    return frames @ blocks @ frames_dag
+
+
+def stacked_lower(unitaries, blocks):
+    """Lab blocks ρ_n to frame blocks W_n† ρ_n W_n, on the whole stack."""
+    frames, frames_dag = stacked_frames(unitaries)
+    return frames_dag @ blocks @ frames

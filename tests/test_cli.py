@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dense_chain import history_state, seeded_circuit
 import oqwalk
 from oqwalk import circuits, cli
 from oqwalk.cli import MAX_GRID_POINTS, fmt, main, parse_omega_spec
@@ -201,20 +202,20 @@ class TestRunCommand:
 
 def comprehension_run_csv(name, omega, tol, max_steps):
     """``run``'s CSV of a built-in and its exit code, with the history
-    written by one f-string per (step, node), as a per-row comprehension."""
+    written by one f-string per (step, node), as a per-row comprehension,
+    and the fidelity read off the whole lifted state of the chain."""
     circuit = circuits.BUILTIN_CIRCUITS[name]()
     bits = cli._DEFAULT_INPUTS.get(name, "0" * circuit.num_qubits)
     psi0 = circuits.basis_state(circuit.num_qubits, bits)
+    chain = cli.wk.build_dqc_chain(circuit, cli.wk.ChainParams(omega))
     report = cli.wk.run_chain(
-        cli.wk.build_dqc_chain(circuit, cli.wk.ChainParams(omega)),
-        psi0,
-        tol=cli._resolve_tol(name, tol),
-        max_steps=max_steps,
+        chain, tol=cli._resolve_tol(name, tol), max_steps=max_steps
     )
     target = circuits.circuit_product(circuit) @ psi0
     fidelity = float("nan")
     if report.final_detection > cli.TOL.zero_probability:
-        rho = cli.wk.conditional_state(report.final_state, circuit.depth)
+        lifted = history_state(chain.unitaries, psi0, report.history[-1])
+        rho = cli.wk.conditional_state(lifted, circuit.depth)
         fidelity = float((target.conj() @ rho @ target).real)
     rows = ["step,node,probability"]
     rows += [
@@ -527,6 +528,28 @@ def test_too_fine_grid_is_an_input_error_before_it_is_built(step, tmp_path, caps
     assert "Traceback" not in err
     assert peak < 1 << 20
     assert not out.exists()
+
+
+def test_run_builds_only_the_last_block(tmp_path):
+    # 8 qubits × 24 slices, d = 256: one d×d matrix is 1 MiB, and the
+    # compiled slices, made inside the traced call, 24 MiB.  A lift of the
+    # (T+1, d, d) final state alone would take 25 MiB; run holds the slices,
+    # the product of the circuit for the target and node T's block, so its
+    # peak may be at most the slices plus eight d×d matrices (measured:
+    # 30.2 MiB).
+    circuit = tmp_path / "c8x24.txt"
+    circuit.write_text(circuits.render_circuit(seeded_circuit(192, 8, 24)))
+    out = tmp_path / "run.csv"
+    tracemalloc.start()
+    try:
+        code = main(["run", "--circuit", str(circuit), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    _, summary = read_run_csv(out)
+    assert abs(summary["fidelity"] - 1.0) <= 1e-12
+    assert peak <= 32 * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize("key", sorted(WALK_REFERENCE))

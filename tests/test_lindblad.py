@@ -1,9 +1,11 @@
 import tracemalloc
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dense_chain import seeded_circuit
 from dense_lindblad import (
     dense_chain_jumps,
     dense_rhs,
@@ -11,6 +13,9 @@ from dense_lindblad import (
     embed_blocks,
     lowering,
     node_block,
+    stacked_frames,
+    stacked_lift,
+    stacked_lower,
 )
 from oqwalk.circuits import (
     BUILTIN_CIRCUITS,
@@ -18,12 +23,16 @@ from oqwalk.circuits import (
     Gate,
     basis_state,
     circuit_unitaries,
+    parse_circuit,
     qft,
     toffoli13,
 )
 from oqwalk.errors import CircuitError, DomainError, ShapeError
 from oqwalk.lindblad import (
     MAX_RK4_STEPS,
+    _history_frames,
+    _lift,
+    _lower,
     _rhs,
     build_dqc_lindblad,
     integrate,
@@ -31,6 +40,8 @@ from oqwalk.lindblad import (
     node_marginals,
 )
 from oqwalk.walk import BlockState
+
+W5 = Path(__file__).parent / "golden" / "w5.circ"
 
 EPS = np.finfo(np.float64).eps
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -62,7 +73,7 @@ def edge_table(model):
     edges: a rate r off the diagonal of the generator as the coin √r·I, then
     the reset coins at register 0, where W_0 = I, in qubit order."""
     eye = np.eye(model.dim)
-    frames = model._frames
+    frames, _ = stacked_frames(model._unitaries)
     table = defaultdict(list)
     for d, s in zip(*np.nonzero(model._rates)):
         if d != s:
@@ -129,10 +140,19 @@ class TestBuildModel:
 
     def test_frames_are_the_partial_products(self):
         circuit = toffoli13()
-        frames = build_dqc_lindblad(circuit)._frames
+        frames = list(_history_frames(build_dqc_lindblad(circuit)))
+        assert len(frames) == 14
         assert np.array_equal(frames[0], np.eye(8))
         for t, u in enumerate(circuit_unitaries(circuit), start=1):
             assert np.array_equal(frames[t], u @ frames[t - 1])
+
+    def test_holds_the_compiled_slices_not_frames(self):
+        circuit = toffoli13()
+        model = build_dqc_lindblad(circuit)
+        slices = circuit_unitaries(circuit)
+        assert len(model._unitaries) == len(slices)
+        assert all(a is b for a, b in zip(model._unitaries, slices))
+        assert not hasattr(model, "_frames") and not hasattr(model, "_frames_dag")
 
     def test_reset_jumps_added_per_qubit(self):
         base = build_dqc_lindblad(toffoli13())
@@ -163,18 +183,23 @@ class TestBuildModel:
         popcount = [bin(x).count("1") for x in range(16)]
         assert np.array_equal(model._g, -0.5 * np.array(popcount))
 
-    def test_build_peaks_near_the_frames_it_keeps(self):
-        # the chain's hops are scalar edges, so no dense identity coin is
-        # stacked; at 2T + 6 coins that stack would peak near 5× the frames
-        circuit = qft(6)
-        circuit_unitaries(circuit)  # compiled and cached before tracing
+    def test_build_holds_no_frames(self):
+        # 7 qubits × 16 slices, compiled before tracing: one d×d frame is
+        # 256 KiB, and a (T+1, d, d) stack of the frames and its daggers
+        # 8.5 MiB.  The model keeps the shared slices, the path Laplacian
+        # and the reset diagonal, so the build may hold, and peak at, at
+        # most 64 KiB (measured: 4 KiB held, 10 KiB peak).
+        circuit = seeded_circuit(112, 7, 16)
+        circuit_unitaries(circuit)
         tracemalloc.start()
         try:
             model = build_dqc_lindblad(circuit, include_reset=True)
-            _, peak = tracemalloc.get_traced_memory()
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * (model._frames.nbytes + model._frames_dag.nbytes)
+        assert model.dim == 128
+        assert held <= 64 * 1024, held
+        assert peak <= 64 * 1024, peak
 
     def test_resets_add_a_few_vectors_to_the_build(self):
         # the reset is index moves and the diagonal of its damping, not q
@@ -489,7 +514,7 @@ def lift_rounding_bound(model, lifted):
     the cases below the largest gap was 1.7e-16, a twentieth of its bound.
     """
     d = model.dim
-    frames = model._frames
+    frames, _ = stacked_frames(model._unitaries)
     defect = np.linalg.norm(frames.conj().transpose(0, 2, 1) @ frames - np.eye(d),
                             axis=(1, 2))
     norm = np.linalg.norm(lifted, axis=(1, 2))
@@ -523,6 +548,29 @@ class TestFrameSamples:
             gap = np.abs(marginals - node_marginals(result.rho))
             bound = lift_rounding_bound(model, result.rho)
             assert (gap <= bound).all(), (k, gap.max())
+
+
+FRAME_CASES = [*sorted(BUILTIN_CIRCUITS), "w5.circ", "4x16", "5x12", "6x10", "7x8"]
+
+
+class TestFrames:
+    @pytest.mark.parametrize("name", FRAME_CASES)
+    @pytest.mark.parametrize("include_reset", [False, True])
+    def test_lift_and_lower_are_bit_equal_to_the_stacked_frames(self, name, include_reset):
+        # the frames rebuilt one at a time give the bits of the batched
+        # products with the whole (T+1, d, d) stack of frames and daggers
+        if name == "w5.circ":
+            circuit = parse_circuit(W5.read_text(encoding="utf-8"))
+        elif name in BUILTIN_CIRCUITS:
+            circuit = BUILTIN_CIRCUITS[name]()
+        else:
+            qubits, depth = map(int, name.split("x"))
+            circuit = seeded_circuit(qubits * depth, qubits, depth)
+        model = build_dqc_lindblad(circuit, include_reset=include_reset)
+        slices = circuit_unitaries(circuit)
+        rho = random_block_state(np.random.default_rng(model.dim), model.num_nodes, model.dim)
+        assert _lift(model, rho).tobytes() == stacked_lift(slices, rho).tobytes()
+        assert _lower(model, rho).tobytes() == stacked_lower(slices, rho).tobytes()
 
 
 class TestNodeMarginals:

@@ -1,12 +1,18 @@
-"""run_chain, the history-state-frame engine of chain walks, against
-run_until_converged on the dense chain walk."""
+"""run_chain, the population engine of chain walks, against
+run_until_converged on the dense chain walk.
+
+``run_chain`` returns the populations only; the tests lift them to the lab
+frame with ``dense_chain.history_state`` and compare those blocks with the
+dense chain's."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from dense_chain import dense_chain, keyed_chain
+from dense_chain import dense_chain, history_state, keyed_chain
 from oqwalk.circuits import BUILTIN_CIRCUITS, Circuit, Gate, circuit_product
 from oqwalk.errors import DomainError, ShapeError
 from oqwalk.walk import (
@@ -41,7 +47,12 @@ def both_runs(circuit, omega, psi0, tol, max_steps=100_000):
     dense = dense_chain(circuit, params)
     init = BlockState.pure(dense.num_nodes, dense.dim, 0, psi0)
     full = run_until_converged(dense, init, tol=tol, max_steps=max_steps)
-    frame = run_chain(build_dqc_chain(circuit, params), psi0, tol=tol, max_steps=max_steps)
+    chain = build_dqc_chain(circuit, params)
+    report = run_chain(chain, tol=tol, max_steps=max_steps)
+    # its final state is the (T+1, 1, 1) population state, lifted here
+    assert np.array_equal(report.final_state.blocks[:, 0, 0], report.history[-1])
+    lifted = history_state(chain.unitaries, psi0, report.history[-1])
+    frame = replace(report, final_state=lifted)
     target = circuit_product(circuit) @ (psi0 / np.linalg.norm(psi0))
     return frame, full, target
 
@@ -103,14 +114,18 @@ def test_exhausting_max_steps_is_reported_like_the_full_chain():
 
 
 def test_final_state_is_the_lifted_history_state():
+    # run_chain's final state is the populations; lifted, it is p_t·v_t v_t†
     u = np.array([[0, 1], [1, 0]], dtype=complex)
     chain = ChainWalk([u], ChainParams(0.8))
-    report = run_chain(chain, [2.0, 0.0], tol=1e-10)
+    report = run_chain(chain, tol=1e-10)
     p0, p1 = report.history[-1]
     assert p1 == pytest.approx(0.8)  # ω/(ω + λ) at the last node
+    assert np.array_equal(report.final_state.blocks, [[[p0]], [[p1]]])
+    lifted = history_state(chain.unitaries, [2.0, 0.0], report.history[-1])
+    lifted = replace(report, final_state=lifted)
     expected = np.array([np.diag([p0, 0.0]), np.diag([0.0, p1])])
-    assert np.abs(report.final_state.blocks - expected).max() <= 1e-15
-    fidelity = fidelity_at_last_node(report, np.array([0.0, 1.0]))
+    assert np.abs(lifted.final_state.blocks - expected).max() <= 1e-15
+    fidelity = fidelity_at_last_node(lifted, np.array([0.0, 1.0]))
     assert fidelity == pytest.approx(1.0, abs=1e-15)
 
 
@@ -118,7 +133,7 @@ def test_final_state_is_the_lifted_history_state():
 def test_populations_are_those_of_the_dense_one_by_one_chain(omega):
     # the population walk is the dense chain of T 1×1 identities, bit for bit
     params = ChainParams(omega)
-    report = run_chain(build_dqc_chain(BUILTIN_CIRCUITS["qft3"](), params), np.ones(8))
+    report = run_chain(build_dqc_chain(BUILTIN_CIRCUITS["qft3"](), params))
     ones = keyed_chain([np.ones((1, 1))] * 9, params)
     full = run_until_converged(ones, BlockState.pure(10, 1, 0, [1.0]))
     assert (report.steps, report.converged) == (full.steps, full.converged)
@@ -127,9 +142,9 @@ def test_populations_are_those_of_the_dense_one_by_one_chain(omega):
 
 @pytest.mark.parametrize("psi0, error", [([1.0, 0.0], ShapeError), (np.zeros(8), DomainError)])
 def test_rejects_a_bad_input_state(psi0, error):
-    chain = build_dqc_chain(BUILTIN_CIRCUITS["qft3"](), ChainParams(0.7))
+    # a run takes no input state; the start block of a qft3 chain checks it
     with pytest.raises(error):
-        run_chain(chain, psi0)
+        BlockState.pure(10, 8, 0, psi0)
 
 
 @st.composite

@@ -28,9 +28,9 @@ def parse_reference_key(key):
 
 def chain_row(big_t, omega, tol, max_steps=100_000):
     """run_chain's summary on a chain of T slices; populations do not
-    depend on the gates or the input, so 1×1 identities will do."""
+    depend on the gates, so 1×1 identities will do."""
     chain = ChainWalk([np.ones((1, 1))] * big_t, ChainParams(omega))
-    report = run_chain(chain, [1.0], tol=tol, max_steps=max_steps)
+    report = run_chain(chain, tol=tol, max_steps=max_steps)
     return SweepRow(report.steps, report.converged, report.final_detection)
 
 
