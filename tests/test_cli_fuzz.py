@@ -32,9 +32,9 @@ EDGE = ["nan", "inf", "-inf", "-0", "0", "1e-320", "1e308", "", "５", "1_0", HU
 
 #: (option, values that usually run, edge values) per command.  Positive
 #: huge integers are no ``--max-steps``: with a tol no run can meet, the
-#: run would take that many steps.  ``--dt`` and ``--max-time`` take no
-#: small positive step nor a large finite time, so a ``lindblad`` run takes
-#: at most 25 RK4 steps.
+#: run would take that many steps.  Every pair of ``--dt`` and
+#: ``--max-time`` below is either rejected (a step count that is not finite
+#: or above ``MAX_RK4_STEPS``) or plans at most 25 RK4 steps (10 over 0.4).
 OMEGA = ("--omega", ["0.5", "0.7", "0.9", "1"], [*EDGE, "0.5:1:0.25"])
 TOL = ("--tol", ["1e-3", "1e-7"], EDGE)
 INPUT = ("--input", ["110", "1011", "10110", "000"], ["", "0", "５", "1_0", "nan", HUGE])
