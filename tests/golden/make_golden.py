@@ -5,7 +5,7 @@ Run from the root of a checkout, to rewrite ``tests/golden/golden.json``:
     PYTHONPATH=src python tests/golden/make_golden.py
 
 Each case runs ``oqwalk.cli.main`` in-process, in this directory (so
-``w5.circ`` is a relative path), and records the exit code, the output
+``w5.circ`` and the other circuit files are relative paths), and records the exit code, the output
 (stdout) and stderr with their sha256.  The file also records the platform
 it was made on (numpy, its BLAS, the machine and numpy's CPU features):
 ``tests/test_golden.py`` compares digests on that platform, and on any
@@ -86,6 +86,9 @@ CASES = [
     ["sweep", "--circuit", "qft3", "--omega", "0:1:0.1"],
     ["lindblad", "--circuit", "qft3", "--dt", "-1"],
     ["lindblad", "--circuit", "qft3", "--max-time", "inf"],
+    # slice checks of the parser: a qubit used twice, a qubit beyond the count
+    ["validate", "--circuit", "overlap.circ"],
+    ["run", "--circuit", "beyond.circ"],
 ]
 
 
