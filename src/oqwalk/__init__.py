@@ -15,12 +15,9 @@ from .circuits import (
     Gate,
     circuit_product,
     circuit_unitaries,
-    dft_matrix,
     parse_circuit,
     qft,
-    render_circuit,
     toffoli13,
-    toffoli_matrix,
 )
 from .config import TOL
 from .errors import (
@@ -29,7 +26,7 @@ from .errors import (
     DomainError,
     ShapeError,
 )
-from .lindblad import LindbladModel, build_dqc_lindblad, integrate, lindblad_rhs
+from .lindblad import LindbladModel, build_dqc_lindblad, integrate
 from .walk import (
     BlockState,
     ChainParams,
@@ -39,7 +36,6 @@ from .walk import (
     analytic_chain_steady,
     build_dqc_chain,
     classical_marginal_step,
-    conditional_state,
     run_chain,
     run_until_converged,
     step,

@@ -46,15 +46,11 @@ __all__ = [
     "MAX_QUBITS",
     "GATES",
     "apply_on_qubits",
-    "slice_unitary",
     "circuit_unitaries",
     "circuit_product",
     "toffoli13",
     "qft",
     "parse_circuit",
-    "render_circuit",
-    "dft_matrix",
-    "toffoli_matrix",
     "basis_state",
     "BUILTIN_CIRCUITS",
 ]
@@ -166,10 +162,16 @@ class Circuit:
 
     @cached_property
     def _unitaries(self) -> tuple[np.ndarray, ...]:
-        """Read-only [U_1 .. U_T], compiled on first use.  The circuit is
-        immutable, so every chain, product and model built from it shares
-        one compile."""
-        out = tuple(slice_unitary(s, self.num_qubits) for s in self.slices)
+        """Read-only [U_1 .. U_T], compiled on first use: each slice's gates
+        applied to the identity in turn (their order is irrelevant, as they
+        act on disjoint qubits).  The slices were checked on construction,
+        and the circuit is immutable, so every chain, product and model
+        built from it shares one compile."""
+        eye = np.eye(2**self.num_qubits, dtype=np.complex128)
+        out = tuple(
+            reduce(lambda u, g: apply_on_qubits(g.matrix(), g.qubits, u), gates, eye)
+            for gates in self.slices
+        )
         for u in out:
             u.flags.writeable = False
         return out
@@ -210,16 +212,6 @@ def apply_on_qubits(op: np.ndarray, qubits, mat: np.ndarray) -> np.ndarray:
     rows = mat.reshape((2,) * n + (-1,)).transpose(order)
     out = (op @ rows.reshape(op.shape[0], -1)).reshape(rows.shape)
     return out.transpose(np.argsort(order)).reshape(mat.shape)
-
-
-def slice_unitary(gates, num_qubits: int) -> np.ndarray:
-    """The gates of one slice applied to the identity (order irrelevant:
-    disjoint).  The slice is checked as a one-slice circuit."""
-    (gates,) = Circuit(num_qubits, (gates,)).slices
-    out = np.eye(2**num_qubits, dtype=np.complex128)
-    for g in gates:
-        out = apply_on_qubits(g.matrix(), g.qubits, out)
-    return out
 
 
 def circuit_unitaries(circuit: Circuit) -> list[np.ndarray]:
@@ -305,25 +297,6 @@ BUILTIN_CIRCUITS = {
 
 
 # ---------------------------------------------------------------------------
-# Oracle matrices
-# ---------------------------------------------------------------------------
-
-def dft_matrix(dim: int) -> np.ndarray:
-    """Unitary DFT matrix with entries e^{2πi·jk/dim}/√dim."""
-    if dim < 1:
-        raise DomainError("dim must be >= 1")
-    idx = np.arange(dim)
-    return np.exp(2j * math.pi * np.outer(idx, idx) / dim) / math.sqrt(dim)
-
-
-def toffoli_matrix() -> np.ndarray:
-    """8x8 permutation: identity except |110⟩ ↔ |111⟩."""
-    m = np.eye(8, dtype=np.complex128)
-    m[[6, 7]] = m[[7, 6]]
-    return m
-
-
-# ---------------------------------------------------------------------------
 # Text format
 # ---------------------------------------------------------------------------
 
@@ -341,15 +314,6 @@ def _parse_phase(token: str, line_no: int) -> float:
     except (ValueError, ArithmeticError):  # pi/0, or N too long or too large
         pass
     raise CircuitParseError(line_no, f"bad phase literal {token!r}")
-
-
-def _render_phase(theta: float) -> str:
-    for k in (1, 2, 4, 8):
-        value = math.pi / k
-        for sign, prefix in ((value, ""), (-value, "-")):
-            if theta == sign:
-                return f"{prefix}pi" + (f"/{k}" if k > 1 else "")
-    return repr(theta)
 
 
 def _parse_gate(token: str, line_no: int) -> Gate:
@@ -401,17 +365,3 @@ def parse_circuit(text: str, name: str = "") -> Circuit:
         return Circuit(num_qubits, tuple(slices), name=name)
     except CircuitError as exc:
         raise CircuitParseError(header_line, str(exc)) from None
-
-
-def render_circuit(circuit: Circuit) -> str:
-    """Inverse of :func:`parse_circuit` (up to comments and the name)."""
-    lines = [f"qubits {circuit.num_qubits}"]
-    for gates in circuit.slices:
-        rendered = []
-        for g in gates:
-            parts = [g.kind, *map(str, g.qubits)]
-            if g.theta is not None:
-                parts.append(_render_phase(g.theta))
-            rendered.append(" ".join(parts))
-        lines.append(" ; ".join(rendered))
-    return "\n".join(lines) + "\n"

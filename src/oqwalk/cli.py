@@ -12,7 +12,9 @@ The walk engines return residuals, populations and states, and the judgements
 are made here: ``validate`` compares residuals with ``TOL``, and ``run``
 computes the fidelity of the last node's state to the circuit's output.
 
-Exit codes: 0 success, 1 numerical non-convergence, 2 input error.
+Exit codes: 0 success, 1 numerical non-convergence, 2 input error (a
+command line that argparse rejects included), whose stderr is one
+``error:`` line.
 """
 
 from __future__ import annotations
@@ -258,8 +260,16 @@ def cmd_lindblad(args: argparse.Namespace) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a rejected command line as a ValueError, so that ``main``
+    reports it as it reports every other input error."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="oqw",
         description="Open quantum walk simulator for dissipative circuit chains.",
     )
@@ -296,10 +306,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
-    except (ValueError, OSError) as exc:  # bad values, circuits and files
+    except (ValueError, OSError) as exc:  # bad options, values, circuits and files
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ArithmeticError as exc:

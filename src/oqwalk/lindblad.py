@@ -17,12 +17,12 @@ since W_0 = I: lowering qubit q moves the |1⟩⟨1| sub-block of that qubit in
 ρ̃_0 to |0⟩⟨0|, and its damping −½σ⁻†σ⁻ is diagonal, so the damping of all
 resets is G = −½·diag(popcount), which ``lindblad_rhs_kernel`` applies as a
 scaling of the rows and columns of ρ̃_0.
-``lindblad_rhs`` and ``integrate`` take and give lab-frame blocks
-ρ_t = W_t ρ̃_t W_t†; the model holds the slices, and a lift or lowering
-rebuilds the frames from them one at a time.  The node populations are
-traces, which the frame does not change, so ``integrate`` samples them
-from the frame blocks and lifts the state once, at the end.  The
-integrator is a fixed-step classical Runge-Kutta scheme.
+``integrate`` takes and gives lab-frame blocks ρ_t = W_t ρ̃_t W_t†; the
+model holds the slices, and a lift or lowering rebuilds the frames from
+them one at a time.  The node populations are traces, which the frame does
+not change, so ``integrate`` samples them from the frame blocks and lifts
+the state once, at the end.  The integrator is a fixed-step classical
+Runge-Kutta scheme.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ __all__ = [
     "IntegrationResult",
     "build_dqc_lindblad",
     "path_laplacian",
-    "lindblad_rhs",
     "integrate",
     "node_marginals",
 ]
@@ -166,11 +165,6 @@ def _rhs(model: LindbladModel, blocks) -> np.ndarray:
         g = model._g
         out[:1] += _kernels.lindblad_rhs_kernel(jump, g[:, None], g[None, :], node0)
     return out
-
-
-def lindblad_rhs(model: LindbladModel, rho) -> np.ndarray:
-    """Generator applied to lab-frame blocks, with input checks."""
-    return _lift(model, _rhs(model, _lower(model, _checked_blocks(model, rho, "rho"))))
 
 
 @dataclass

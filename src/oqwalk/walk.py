@@ -55,7 +55,6 @@ __all__ = [
     "run_chain",
     "SweepRow",
     "sweep_chain",
-    "conditional_state",
     "block_diff_norm",
 ]
 
@@ -125,14 +124,6 @@ class OpenQuantumWalk:
         self._b_ops = b_ops
         self.num_nodes = int(num_nodes)
         self.dim = int(dim)
-
-    @property
-    def transitions(self) -> dict:
-        """Read-only views of the coins, keyed (source, target), in key order."""
-        table = {
-            (int(s), int(d)): op for s, d, op in zip(self._src, self._dst, self._b_ops)
-        }
-        return dict(sorted(table.items()))
 
     def __repr__(self):
         return (
@@ -323,16 +314,6 @@ def analytic_chain_steady(params: ChainParams, big_t: int) -> np.ndarray:
     log_w = np.arange(big_t + 1) * log_r
     w = np.exp(log_w - log_w.max())
     return w / w.sum()
-
-
-def conditional_state(state: BlockState, node: int) -> np.ndarray:
-    """Normalized density matrix at one node: ρ_node / Tr ρ_node."""
-    if not 0 <= node < state.num_nodes:
-        raise DomainError(f"node {node} out of range")
-    p = float(np.trace(state.blocks[node]).real)
-    if p <= TOL.zero_probability:
-        raise DomainError(f"node {node} has zero probability")
-    return state.blocks[node] / p
 
 
 def block_diff_norm(a: BlockState, b: BlockState) -> float:

@@ -1,13 +1,14 @@
 """The dense chain walk, the tests' oracle for ``walk.ChainWalk``.
 
 The library keeps a chain walk as its slices and ω and never writes its
-coins.  ``keyed_chain`` writes them: the chain of U_1..U_T as an
-``OpenQuantumWalk`` built from its dict of per-edge coins, keyed
-(source, target), which the tests step block by block and whose Gram sums
-``dense_lindblad.source_gram`` takes.  ``history_state`` writes the lab-frame
-blocks p_t·v_t v_t† of a chain from its populations, which ``run_chain``
-iterates without them.  ``seeded_circuit`` is a random circuit of a given
-size, the same for the same seed.
+coins.  ``chain_table`` writes them, as the dict of per-edge coins of the
+chain of U_1..U_T, keyed (source, target), and ``keyed_chain`` is the
+``OpenQuantumWalk`` built from it, which the tests step block by block and
+whose Gram sums ``dense_lindblad.source_gram`` takes.  ``history_state``
+writes the lab-frame blocks p_t·v_t v_t† of a chain from its populations,
+which ``run_chain`` iterates without them, and ``conditional_state`` reads
+one node's normalized block.  ``seeded_circuit`` is a random circuit of a
+given size, the same for the same seed.
 """
 
 import math
@@ -15,14 +16,16 @@ import math
 import numpy as np
 
 from oqwalk.circuits import Circuit, Gate, circuit_unitaries
+from oqwalk.config import TOL
+from oqwalk.errors import DomainError
 from oqwalk.walk import BlockState, OpenQuantumWalk
 
 #: Kinds ``seeded_circuit`` draws from, as the benchmark's circuit files do.
 SEEDED_KINDS = ("H", "X", "S", "T", "R", "CNOT", "CP")
 
 
-def keyed_chain(unitaries, params):
-    """The chain walk built from its dict of per-edge coins: √λ·I at (0, 0),
+def chain_table(unitaries, params):
+    """The chain's per-edge coins, keyed (source, target): √λ·I at (0, 0),
     √ω·U_t at (t − 1, t), √λ·U_t† at (t, t − 1) and √ω·I at (T, T)."""
     big_t, dim = len(unitaries), unitaries[0].shape[0]
     sqrt_w, sqrt_l = math.sqrt(params.omega), math.sqrt(params.lam)
@@ -31,7 +34,13 @@ def keyed_chain(unitaries, params):
     for t, u in enumerate(unitaries, start=1):
         table[(t - 1, t)] = sqrt_w * u
         table[(t, t - 1)] = sqrt_l * u.conj().T
-    return OpenQuantumWalk(big_t + 1, dim, table)
+    return table
+
+
+def keyed_chain(unitaries, params):
+    """The chain walk built from its dict of per-edge coins."""
+    return OpenQuantumWalk(len(unitaries) + 1, unitaries[0].shape[0],
+                           chain_table(unitaries, params))
 
 
 def dense_chain(circuit, params):
@@ -48,6 +57,16 @@ def history_state(unitaries, psi0, p):
         vecs.append(u @ vecs[-1])
     vecs = np.array(vecs)
     return BlockState(p[:, None, None] * vecs[:, :, None] * vecs[:, None, :].conj())
+
+
+def conditional_state(state, node):
+    """Normalized density matrix at one node: ρ_node / Tr ρ_node."""
+    if not 0 <= node < state.num_nodes:
+        raise DomainError(f"node {node} out of range")
+    p = float(np.trace(state.blocks[node]).real)
+    if p <= TOL.zero_probability:
+        raise DomainError(f"node {node} has zero probability")
+    return state.blocks[node] / p
 
 
 def seeded_circuit(seed, num_qubits, depth):

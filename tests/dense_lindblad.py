@@ -15,13 +15,15 @@ same bits.  ``source_gram`` is also the oracle of ``walk.validate``.
 ``stacked_frames`` writes all T+1 history-state frames into one stack, with
 their daggers, and ``stacked_lift`` and ``stacked_lower`` apply them as two
 batched products; the model rebuilds one frame at a time instead, and must
-give the same bits.
+give the same bits.  ``lab_rhs`` is the model's generator on lab-frame
+blocks, lowered into the frame and lifted back with them.
 """
 
 import numpy as np
 
 from oqwalk import _kernels
 from oqwalk.circuits import circuit_unitaries
+from oqwalk.lindblad import _rhs
 
 LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -114,3 +116,9 @@ def stacked_lower(unitaries, blocks):
     """Lab blocks ρ_n to frame blocks W_n† ρ_n W_n, on the whole stack."""
     frames, frames_dag = stacked_frames(unitaries)
     return frames_dag @ blocks @ frames
+
+
+def lab_rhs(model, blocks):
+    """The generator applied to lab-frame blocks: W ``_rhs``(W† ρ W) W†."""
+    slices = model._unitaries
+    return stacked_lift(slices, _rhs(model, stacked_lower(slices, blocks)))

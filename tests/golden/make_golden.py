@@ -86,6 +86,7 @@ CASES = [
     ["sweep", "--circuit", "qft3", "--omega", "0:1:0.1"],
     ["lindblad", "--circuit", "qft3", "--dt", "-1"],
     ["lindblad", "--circuit", "qft3", "--max-time", "inf"],
+    ["run", "--circuit", "toffoli", "--max-steps", "nan"],
     # slice checks of the parser: a qubit used twice, a qubit beyond the count
     ["validate", "--circuit", "overlap.circ"],
     ["run", "--circuit", "beyond.circ"],

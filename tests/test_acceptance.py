@@ -9,27 +9,26 @@ import time
 import numpy as np
 import pytest
 
-from dense_chain import dense_chain, keyed_chain
+from dense_chain import conditional_state, dense_chain, keyed_chain
+from dense_lindblad import lab_rhs
 from oqwalk.circuits import (
     BUILTIN_CIRCUITS,
     basis_state,
     circuit_product,
-    dft_matrix,
     qft,
     toffoli13,
-    toffoli_matrix,
 )
-from oqwalk.lindblad import build_dqc_lindblad, integrate, lindblad_rhs, node_marginals
+from oqwalk.lindblad import build_dqc_lindblad, integrate, node_marginals
 from oqwalk.walk import (
     BlockState,
     ChainParams,
     analytic_chain_steady,
     block_diff_norm,
     classical_marginal_step,
-    conditional_state,
     run_until_converged,
     step,
 )
+from oracles import dft_matrix, toffoli_matrix
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -212,7 +211,7 @@ def test_criterion_09_lindblad_cross_check():
     psi0 = basis_state(1, "0")
     psi1 = H @ psi0
     rho_star = 0.5 * np.stack([np.outer(psi0, psi0.conj()), np.outer(psi1, psi1.conj())])
-    rhs_norm = np.linalg.norm(lindblad_rhs(model, rho_star))
+    rhs_norm = np.linalg.norm(lab_rhs(model, rho_star))
     assert rhs_norm < 1e-10
 
     # integrated stationary marginals on the desk-scale chain.  dt is a free

@@ -10,10 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dense_chain import history_state, seeded_circuit
+from dense_chain import conditional_state, history_state, seeded_circuit
 import oqwalk
 from oqwalk import circuits, cli
 from oqwalk.cli import MAX_GRID_POINTS, fmt, main, parse_omega_spec
+from oracles import render_circuit
 
 #: The walk entries that the benchmark records and checks its outputs against.
 WALK_REFERENCE = json.loads(
@@ -215,7 +216,7 @@ def comprehension_run_csv(name, omega, tol, max_steps):
     fidelity = float("nan")
     if report.final_detection > cli.TOL.zero_probability:
         lifted = history_state(chain.unitaries, psi0, report.history[-1])
-        rho = cli.wk.conditional_state(lifted, circuit.depth)
+        rho = conditional_state(lifted, circuit.depth)
         fidelity = float((target.conj() @ rho @ target).real)
     rows = ["step,node,probability"]
     rows += [
@@ -295,17 +296,19 @@ class TestSweepCommand:
         (["sweep", "--omega", "0.5:0.95:0.05"], False),
     ])
     def test_compiles_each_slice_once(self, argv, once, tmp_path, monkeypatch):
-        # sweep prints no fidelity and reads only the depth: it compiles nothing
-        compiles = []
-        compile_slice = circuits.slice_unitary
+        # one application per gate of the circuit; sweep prints no fidelity
+        # and reads only the depth: it compiles nothing
+        applied = []
+        apply = circuits.apply_on_qubits
 
-        def counted(gates, num_qubits):
-            compiles.append(gates)
-            return compile_slice(gates, num_qubits)
+        def counted(op, qubits, mat):
+            applied.append(qubits)
+            return apply(op, qubits, mat)
 
-        monkeypatch.setattr(circuits, "slice_unitary", counted)
+        monkeypatch.setattr(circuits, "apply_on_qubits", counted)
         assert main([*argv, "--circuit", "toffoli", "--out", str(tmp_path / "x")]) == 0
-        assert len(compiles) == (circuits.toffoli13().depth if once else 0)
+        gates = [g.qubits for gates in circuits.toffoli13().slices for g in gates]
+        assert applied == (gates if once else [])
 
     @pytest.mark.parametrize("option", [
         ["--tol", "nan"], ["--tol", "inf"], ["--tol", "0"], ["--tol", "-1"],
@@ -440,10 +443,16 @@ def test_resolve_tol_defaults():
     ],
 )
 def test_option_the_command_does_not_read_is_rejected(command, option, capsys):
+    assert main([command, "--circuit", "toffoli", option, "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: unrecognized arguments: {option} 1\n"
+
+
+def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
-        main([command, "--circuit", "toffoli", option, "1"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: oqw run")
 
 
 CIRCUIT_FILES = {
@@ -538,7 +547,7 @@ def test_run_builds_only_the_last_block(tmp_path):
     # peak may be at most the slices plus eight d×d matrices (measured:
     # 30.2 MiB).
     circuit = tmp_path / "c8x24.txt"
-    circuit.write_text(circuits.render_circuit(seeded_circuit(192, 8, 24)))
+    circuit.write_text(render_circuit(seeded_circuit(192, 8, 24)))
     out = tmp_path / "run.csv"
     tracemalloc.start()
     try:

@@ -4,10 +4,9 @@ argv runs over the four subcommands, with option values drawn from edge
 literals (``nan``, ``inf``, ``-0``, ``1e-320``, ``1e308``, empty, ``５``,
 ``1_0``, huge integers) and circuit files whose gate lines are mutated from
 valid files.  Whatever the input, ``cli.main`` exits 0, 1 or 2, prints no
-traceback and issues no warning (a warning would print to stderr); an input
-error of its own returns 2 with stderr starting ``error:``, and argparse's
-own rejections exit 2 through ``SystemExit`` after its usage line, with
-``oqw: error:`` or ``oqw <command>: error:``.
+traceback and issues no warning (a warning would print to stderr); every
+input error, a command line that argparse rejects included, returns 2 with
+stderr starting ``error:``.
 
 Every example is cheap: ``run`` and ``sweep`` always get ``--max-steps``,
 and ``lindblad`` always gets ``--dt`` and ``--max-time``, each drawn from
@@ -16,7 +15,6 @@ small values and edge literals, and a fuzzed file has at most six qubits.
 
 import contextlib
 import io
-import re
 import warnings
 from pathlib import Path
 
@@ -126,16 +124,13 @@ def argvs(draw):
 
 
 def call(argv):
-    """Exit code, whether argparse accepted argv, stderr and the warnings."""
+    """Exit code, stderr and the warnings."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        try:
-            code, parsed = main(argv), True
-        except SystemExit as exc:
-            code, parsed = exc.code, False
-    return code, parsed, err.getvalue(), caught
+        code = main(argv)
+    return code, err.getvalue(), caught
 
 
 @pytest.fixture(scope="module")
@@ -150,13 +145,10 @@ def test_exit_codes_and_stderr_hold_the_contract(argv, text, workdir):
     fuzzed = workdir / "fuzz.circ"
     fuzzed.write_text(text, encoding="utf-8")
     argv = [str(fuzzed) if a == "fuzz.circ" else a for a in argv]
-    code, parsed, err, caught = call(argv)
-    event(f"{argv[0]} exit {code}" + ("" if parsed else " from argparse"))
+    code, err, caught = call(argv)
+    event(f"{argv[0]} exit {code}")
     assert code in (0, 1, 2), (code, err)
     assert "Traceback" not in err
     assert not caught, [str(w.message) for w in caught]
-    if not parsed:
-        assert code == 2
-        assert err.startswith("usage: oqw") and re.search(r"^oqw( \w+)?: error: ", err, re.M)
-    elif code == 2:
+    if code == 2:
         assert err.startswith("error:"), err

@@ -3,10 +3,8 @@ import pytest
 
 from oqwalk.config import TOL
 from oqwalk.errors import DomainError, ShapeError
-from oqwalk.linalg import is_unitary
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 def trace_norm(a) -> float:
@@ -90,19 +88,4 @@ class TestTraceNorm:
             trace_norm(np.array([[0, 1], [0, 0]]))
         with pytest.raises(ShapeError):
             trace_norm(np.zeros((2, 3)))
-
-
-class TestIsUnitary:
-    def test_hadamard(self):
-        assert is_unitary(H, 1e-12)
-
-    def test_scaled_identity_fails(self):
-        assert not is_unitary(2 * np.eye(2), 1e-12)
-
-    def test_cnot_on_middle_and_last_qubit(self):
-        # I ⊗ |0><0| ⊗ I + I ⊗ |1><1| ⊗ X on three qubits
-        u6 = np.kron(np.eye(2), np.kron(np.diag([1.0, 0.0]), np.eye(2))) + np.kron(
-            np.eye(2), np.kron(np.diag([0.0, 1.0]), X)
-        )
-        assert is_unitary(u6, 1e-12)
 

@@ -11,6 +11,7 @@ from dense_lindblad import (
     dense_rhs,
     edge_table_reset,
     embed_blocks,
+    lab_rhs,
     lowering,
     node_block,
     stacked_frames,
@@ -36,7 +37,6 @@ from oqwalk.lindblad import (
     _rhs,
     build_dqc_lindblad,
     integrate,
-    lindblad_rhs,
     node_marginals,
 )
 from oqwalk.walk import BlockState
@@ -240,7 +240,7 @@ class TestDenseOracle:
         jumps = dense_chain_jumps(circuit, include_reset)
         for _ in range(3):
             blocks = random_block_state(rng, model.num_nodes, model.dim)
-            got = embed_blocks(lindblad_rhs(model, blocks))
+            got = embed_blocks(lab_rhs(model, blocks))
             expected = dense_rhs(jumps, embed_blocks(blocks))
             assert np.abs(got - expected).max() < 1e-12
 
@@ -281,7 +281,7 @@ class TestRhs:
         model = build_dqc_lindblad(circuit)
         psi0 = basis_state(1, "0")
         rho_star = chain_mixture([H], psi0, 2)
-        assert np.linalg.norm(lindblad_rhs(model, rho_star)) < 1e-10
+        assert np.linalg.norm(lab_rhs(model, rho_star)) < 1e-10
 
     def test_stationary_mixture_two_qubit_gate(self):
         circuit = Circuit(2, ((Gate("CNOT", (1, 2)),),), name="cnot1")
@@ -289,7 +289,7 @@ class TestRhs:
         psi0 = basis_state(2, "10")
         cnot = np.eye(4)[:, [0, 1, 3, 2]].astype(complex)
         rho_star = chain_mixture([cnot], psi0, 2)
-        assert np.linalg.norm(lindblad_rhs(model, rho_star)) < 1e-10
+        assert np.linalg.norm(lab_rhs(model, rho_star)) < 1e-10
 
     def test_amplitude_damping_by_hand(self):
         # the reset's share of the generator is amplitude damping at register
@@ -297,8 +297,8 @@ class TestRhs:
         circuit = single_gate_circuit()
         rho = np.zeros((2, 2, 2), dtype=complex)
         rho[0] = np.diag([0.0, 1.0])
-        reset = lindblad_rhs(build_dqc_lindblad(circuit, include_reset=True), rho)
-        plain = lindblad_rhs(build_dqc_lindblad(circuit), rho)
+        reset = lab_rhs(build_dqc_lindblad(circuit, include_reset=True), rho)
+        plain = lab_rhs(build_dqc_lindblad(circuit), rho)
         assert np.allclose(reset - plain, [np.diag([1.0, -1.0]), np.zeros((2, 2))],
                            atol=1e-14)
 
@@ -306,26 +306,26 @@ class TestRhs:
         rng = np.random.default_rng(0)
         model = build_dqc_lindblad(single_gate_circuit(), include_reset=True)
         for _ in range(10):
-            out = lindblad_rhs(model, random_block_state(rng, 2, 2))
+            out = lab_rhs(model, random_block_state(rng, 2, 2))
             assert abs(np.einsum("nii->", out)) < 1e-10
             assert np.linalg.norm(out - out.conj().transpose(0, 2, 1)) < 1e-10
 
     def test_input_validation(self):
         model = build_dqc_lindblad(single_gate_circuit())
         with pytest.raises(ShapeError):
-            lindblad_rhs(model, np.eye(4) / 4)  # a dense state is not blocks
+            integrate(model, np.eye(4) / 4)  # a dense state is not blocks
         with pytest.raises(ShapeError):
-            lindblad_rhs(model, np.stack([np.eye(3) / 6] * 2))
-        with pytest.raises(DomainError):
-            lindblad_rhs(model, np.stack([np.eye(2)] * 2))  # trace 4
+            integrate(model, np.stack([np.eye(3) / 6] * 2))
+        with pytest.raises(DomainError, match="unit trace"):
+            integrate(model, np.stack([np.eye(2)] * 2))  # trace 4
         skew = np.stack([np.eye(2, dtype=complex) / 4] * 2)
         skew[0, 0, 1] = 1j
-        with pytest.raises(DomainError):
-            lindblad_rhs(model, skew)
+        with pytest.raises(DomainError, match="Hermitian"):
+            integrate(model, skew)
         nan = np.stack([np.eye(2) / 4] * 2)
         nan[1, 0, 1] = nan[1, 1, 0] = np.nan
-        with pytest.raises(DomainError):
-            lindblad_rhs(model, nan)
+        with pytest.raises(DomainError, match="NaN or Inf"):
+            integrate(model, nan)
 
 
 class TestIntegrate:
@@ -377,7 +377,7 @@ class TestIntegrate:
         model = build_dqc_lindblad(circuit, include_reset=True)
         psi0 = basis_state(1, "0")
         rho_star = chain_mixture([H], psi0, 2)
-        assert np.linalg.norm(lindblad_rhs(model, rho_star)) < 1e-10
+        assert np.linalg.norm(lab_rhs(model, rho_star)) < 1e-10
 
     def test_rejects_bad_dt(self):
         model = build_dqc_lindblad(single_gate_circuit())

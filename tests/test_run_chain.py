@@ -12,7 +12,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from dense_chain import dense_chain, history_state, keyed_chain
+from dense_chain import conditional_state, dense_chain, history_state, keyed_chain
 from oqwalk.circuits import BUILTIN_CIRCUITS, Circuit, Gate, circuit_product
 from oqwalk.errors import DomainError, ShapeError
 from oqwalk.walk import (
@@ -20,7 +20,6 @@ from oqwalk.walk import (
     ChainParams,
     ChainWalk,
     build_dqc_chain,
-    conditional_state,
     run_chain,
     run_until_converged,
 )

@@ -6,7 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dense_chain import dense_chain, keyed_chain, seeded_circuit
+from dense_chain import (
+    chain_table,
+    conditional_state,
+    dense_chain,
+    keyed_chain,
+    seeded_circuit,
+)
 from dense_lindblad import source_gram
 from oqwalk import _kernels
 from oqwalk.circuits import (
@@ -29,7 +35,6 @@ from oqwalk.walk import (
     block_diff_norm,
     build_dqc_chain,
     classical_marginal_step,
-    conditional_state,
     run_until_converged,
     step,
     validate,
@@ -70,16 +75,17 @@ class TestValidate:
 
     def test_matches_per_source_reference(self):
         params = ChainParams(0.6)
-        walk = dense_chain(qft(3), params)
+        table = chain_table(circuit_unitaries(qft(3)), params)
+        num_nodes, dim = qft(3).depth + 1, 8
         expected = []
-        for j in range(walk.num_nodes):
-            acc = np.zeros((walk.dim, walk.dim), dtype=complex)
-            for (src, _dst), b in walk.transitions.items():
+        for j in range(num_nodes):
+            acc = np.zeros((dim, dim), dtype=complex)
+            for (src, _dst), b in sorted(table.items()):
                 if src == j:
                     acc += b.conj().T @ b
-            expected.append(np.linalg.norm(acc - np.eye(walk.dim)))
+            expected.append(np.linalg.norm(acc - np.eye(dim)))
         got = validate(build_dqc_chain(qft(3), params))
-        assert got.shape == (walk.num_nodes,)
+        assert got.shape == (num_nodes,)
         assert np.abs(got - expected).max() <= 1e-15
 
     @pytest.mark.parametrize("name, omega", [
@@ -136,9 +142,8 @@ class TestValidate:
 
     def test_dilated_operators_resolve_identity(self):
         # sum over all edges of M†M with M = B ⊗ |i><j| equals the identity
-        walk = keyed_chain([S], ChainParams(0.4))
         total = np.zeros((4, 4), dtype=complex)
-        for (j, i), b in walk.transitions.items():
+        for (j, i), b in chain_table([S], ChainParams(0.4)).items():
             ket_bra = np.zeros((2, 2))
             ket_bra[i, j] = 1.0
             m = np.kron(b, ket_bra)
@@ -192,11 +197,9 @@ class TestStep:
 
 class TestTwoNodeRecursion:
     def test_matches_hand_coded_recursion_exactly(self):
-        walk = keyed_chain([H], ChainParams(0.7))
-        b00 = walk.transitions[(0, 0)]
-        b01 = walk.transitions[(0, 1)]
-        b10 = walk.transitions[(1, 0)]
-        b11 = walk.transitions[(1, 1)]
+        table = chain_table([H], ChainParams(0.7))
+        walk = OpenQuantumWalk(2, 2, table)
+        b00, b01, b10, b11 = (table[k] for k in ((0, 0), (0, 1), (1, 0), (1, 1)))
         state = BlockState.pure(2, 2, 0, PSI)
         r0, r1 = state.blocks[0].copy(), state.blocks[1].copy()
         for _ in range(50):
@@ -225,12 +228,12 @@ class TestBuildDqcChain:
     def test_interior_normalization_exact(self):
         params = ChainParams(0.8)
         circuit = toffoli13()
-        chain = dense_chain(circuit, params)
+        table = chain_table(circuit_unitaries(circuit), params)
         for t in range(1, circuit.depth):
-            fwd = chain.transitions[(t, t + 1)]
-            back = chain.transitions[(t, t - 1)]
+            fwd = table[(t, t + 1)]
+            back = table[(t, t - 1)]
             total = fwd.conj().T @ fwd + back.conj().T @ back
-            assert np.allclose(total, np.eye(chain.dim), atol=1e-14)
+            assert np.allclose(total, np.eye(8), atol=1e-14)
 
     def test_empty_circuit_rejected(self):
         # a chain needs a slice; Circuit refuses to exist without one
