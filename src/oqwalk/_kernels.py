@@ -3,8 +3,8 @@
 The discrete walk is an edge table over stacked (N, d, d) node blocks; one
 step is the sum of sandwiches B ρ B† over its edges, computed by
 ``step_blocks``.  The master equation moves its hops and reset jumps
-itself, and adds the damping of the resets on node 0, a diagonal scaling of
-rows and columns, with ``lindblad_rhs_kernel``.
+itself, and adds the damping of the resets on node 0, a diagonal scaling,
+with ``lindblad_rhs_kernel``.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ def step_blocks(b_ops, b_dag, src, dst, blocks):
 
 
 def lindblad_rhs_kernel(jump, g, g_dag, blocks):
-    """Block master-equation generator jump + G ρ_n + ρ_n G† for a diagonal
-    damping G = −½K: ``g`` is its diagonal as a column and ``g_dag`` that of
-    G† as a row, so both products are elementwise scalings of ``blocks``."""
+    """Master-equation generator jump + G ρ_n + ρ_n G† for a diagonal damping
+    G = −½K, as elementwise scalings: G's diagonal as a column ``g`` and a
+    row ``g_dag`` on (N, d, d) blocks, or both as vectors on their diagonals."""
     return jump + g * blocks + blocks * g_dag
 
 

@@ -7,22 +7,22 @@ with jump operators built from the circuit unitaries: the pair of registers
 undoes it.  Optional reset jumps lower each qubit inside register 0.
 
 These jumps map a state that is block diagonal in the register index to one
-that is again block diagonal, so the state is stored as stacked (N, d, d)
-node blocks.  It is integrated in the history-state frame W_0 = I,
-W_t = U_t W_{t−1}, on the blocks ρ̃_t = W_t† ρ_t W_t.  There both halves of
-every register jump are the identity, so the hops move ρ̃_{t−1} to ρ̃_t and
-back at unit rate: one real (N, N) generator, the path-graph Laplacian,
-acting on every block entry alike.  The resets keep their lab-frame form,
-since W_0 = I: lowering qubit q moves the |1⟩⟨1| sub-block of that qubit in
-ρ̃_0 to |0⟩⟨0|, and its damping −½σ⁻†σ⁻ is diagonal, so the damping of all
-resets is G = −½·diag(popcount), which ``lindblad_rhs_kernel`` applies as a
-scaling of the rows and columns of ρ̃_0.
-``integrate`` takes and gives lab-frame blocks ρ_t = W_t ρ̃_t W_t†; the
-model holds the slices, and a lift or lowering rebuilds the frames from
-them one at a time.  The node populations are traces, which the frame does
-not change, so ``integrate`` samples them from the frame blocks and lifts
-the state once, at the end.  The integrator is a fixed-step classical
-Runge-Kutta scheme.
+that is again block diagonal, so a state is (N, d, d) node blocks.  In the
+history-state frame W_0 = I, W_t = U_t W_{t−1}, on the blocks
+ρ̃_t = W_t† ρ_t W_t, both halves of every register jump are the identity,
+so the hops move ρ̃_{t−1} to ρ̃_t and back at unit rate: the path-graph
+Laplacian, acting on every block entry alike.  The resets keep their
+lab-frame form, since W_0 = I: lowering qubit q moves the |1⟩⟨1| sub-block
+of that qubit in ρ̃_0 to |0⟩⟨0|, so the diagonal entry of each x with bit q
+set to that of x with it cleared, and the damping of all resets is the
+diagonal G = −½·diag(popcount).  So no part of the generator
+feeds the frame diagonal from an off-diagonal entry, and none feeds an
+off-diagonal entry from the diagonal: p[t, x] = ⟨x|ρ̃_t|x⟩ evolves alone,
+as a real Markov chain on (T+1)·2^q probabilities, and a state without
+coherence in the frame keeps none.  ``integrate`` lowers its lab-frame
+input once, rebuilding the frames from the model's slices one at a time,
+and integrates p with fixed classical Runge-Kutta steps; the node
+populations are its row sums, the traces, which the frame does not change.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from . import _kernels
 from .circuits import Circuit, circuit_unitaries
 from .errors import DomainError, ShapeError
 from .linalg import frobenius
-from .walk import BlockState
 
 __all__ = [
     "LindbladModel",
@@ -52,8 +51,9 @@ __all__ = [
 #: ``max_time`` and ``dt`` plan 50 000.
 MAX_RK4_STEPS = 1_000_000
 
-#: Slack of the unit-trace and Hermiticity checks on an input state; looser
-#: than ``TOL``, since ``integrate`` symmetrizes and renormalizes it anyway.
+#: Slack of the unit-trace, Hermiticity and frame-coherence checks on an
+#: input state; looser than ``TOL``, since ``integrate`` keeps only the real
+#: frame diagonal and renormalizes it anyway.
 INPUT_TOL = 1e-8
 #: Trace drift above which an RK4 step renormalizes the state: the generator
 #: preserves the trace, so a smaller drift is rounding, not worth a division.
@@ -76,7 +76,7 @@ class LindbladModel:
     ``_rates`` is the path Laplacian of the hops.  ``_unitaries`` holds
     U_1..U_T, the circuit's read-only compiled slices, shared, not copied;
     the history-state frames W_t = U_t W_{t−1} are rebuilt from them, one
-    at a time, by each lift and lowering, and never stored.  ``_resets`` is
+    at a time, to lower an input state, and never stored.  ``_resets`` is
     the number of qubits lowered at register 0 (0 without resets), and
     ``_g`` the diagonal of their damping G = −½·diag(popcount) as a real
     vector of length d, or None.
@@ -103,83 +103,72 @@ def build_dqc_lindblad(circuit: Circuit, include_reset: bool = False) -> Lindbla
     return LindbladModel(circuit, include_reset)
 
 
-def _adjoint(blocks) -> np.ndarray:
-    return blocks.conj().transpose(0, 2, 1)
-
-
 def _history_frames(model: LindbladModel):
     """W_0 = I, then W_t = U_t W_{t−1}, one frame at a time."""
     eye = np.eye(model.dim, dtype=np.complex128)
     return accumulate(model._unitaries, lambda w, u: u @ w, initial=eye)
 
 
-def _lift(model: LindbladModel, blocks) -> np.ndarray:
-    """Frame blocks ρ̃_n to lab blocks W_n ρ̃_n W_n†."""
-    out = np.empty_like(blocks)
-    for t, w in enumerate(_history_frames(model)):
-        out[t] = w @ blocks[t] @ w.conj().T
-    return out
-
-
-def _lower(model: LindbladModel, blocks) -> np.ndarray:
-    """Lab blocks ρ_n to frame blocks W_n† ρ_n W_n."""
-    out = np.empty_like(blocks)
-    for t, w in enumerate(_history_frames(model)):
-        out[t] = w.conj().T @ blocks[t] @ w
-    return out
-
-
-def _checked_blocks(model: LindbladModel, rho, name: str) -> np.ndarray:
-    """rho as finite (N, d, d) blocks of unit total trace and Hermitian,
-    both within ``INPUT_TOL``."""
-    blocks = np.ascontiguousarray(rho, dtype=np.complex128)
+def _frame_diagonal(model: LindbladModel, rho0) -> np.ndarray:
+    """The real (N, d) diagonal of rho0's frame blocks W_n† ρ_n W_n, lowered
+    one block at a time.  rho0 must be finite (N, d, d) blocks, of unit
+    total trace and Hermitian, and its frame blocks must hold no coherence
+    (off-diagonal or imaginary parts), all within ``INPUT_TOL`` in
+    Frobenius norm."""
+    blocks = np.ascontiguousarray(rho0, dtype=np.complex128)
     shape = (model.num_nodes, model.dim, model.dim)
     if blocks.shape != shape:
-        raise ShapeError(f"{name} must be blocks of shape {shape}, got {blocks.shape}")
+        raise ShapeError(f"rho0 must be blocks of shape {shape}, got {blocks.shape}")
     if not np.isfinite(blocks).all():
-        raise DomainError(f"{name} contains NaN or Inf entries")
+        raise DomainError("rho0 contains NaN or Inf entries")
     if abs(np.einsum("nii->", blocks) - 1.0) > INPUT_TOL:
-        raise DomainError(f"{name} must have unit trace within 1e-8")
-    if frobenius(blocks - _adjoint(blocks)) > INPUT_TOL:
-        raise DomainError(f"{name} must be Hermitian within 1e-8")
-    return blocks
+        raise DomainError("rho0 must have unit trace within 1e-8")
+    p = np.empty((model.num_nodes, model.dim))
+    skew = coherence = 0.0
+    for t, w in enumerate(_history_frames(model)):
+        skew = math.hypot(skew, frobenius(blocks[t] - blocks[t].conj().T))
+        frame = w.conj().T @ blocks[t] @ w
+        diagonal = np.einsum("ii->i", frame)
+        p[t] = diagonal.real
+        diagonal.real = 0.0
+        coherence = math.hypot(coherence, frobenius(frame))
+    if skew > INPUT_TOL:
+        raise DomainError("rho0 must be Hermitian within 1e-8")
+    if coherence > INPUT_TOL:
+        raise DomainError("rho0 must be diagonal in the history-state frame within 1e-8")
+    return p
 
 
-def _rhs(model: LindbladModel, blocks) -> np.ndarray:
-    """The generator on frame blocks: the hops as one real product of the
-    path Laplacian on the (N, 2d²) float view, plus the resets on node 0.
+def _rhs(model: LindbladModel, p) -> np.ndarray:
+    """The generator on the (N, d) frame diagonal: the hops as one real
+    product of the path Laplacian, plus the resets on node 0.
 
-    Lowering qubit q moves the [1, 1] sub-block of its axis pair to the
-    [0, 0] one; the moves are summed from zeros in qubit order, the bits of
-    the sum of σ⁻ ρ̃_0 σ⁺ over the qubits.
+    Lowering qubit q moves the probability of each x with bit q set to x
+    with it cleared; the moves are summed from zeros in qubit order.
     """
-    flat = blocks.reshape(model.num_nodes, -1).view(np.float64)
-    out = (model._rates @ flat).view(np.complex128).reshape(blocks.shape)
+    out = model._rates @ p
     if model._resets:
-        node0 = blocks[:1]
+        node0 = p[:1]
         jump = np.zeros_like(node0)
         for q in range(1, model._resets + 1):
-            axes = (2 ** (q - 1), 2, model.dim >> q) * 2
-            jump.reshape(axes)[:, 0, :, :, 0] += node0.reshape(axes)[:, 1, :, :, 1]
-        # G is real and diagonal, so G† = G: a column scales rows, a row columns
+            axes = (2 ** (q - 1), 2, model.dim >> q)
+            jump.reshape(axes)[:, 0] += node0.reshape(axes)[:, 1]
         g = model._g
-        out[:1] += _kernels.lindblad_rhs_kernel(jump, g[:, None], g[None, :], node0)
+        out[:1] += _kernels.lindblad_rhs_kernel(jump, g, g, node0)
     return out
 
 
 @dataclass
 class IntegrationResult:
-    """Final state of a fixed-step integration run, and its samples."""
+    """How a fixed-step integration run ended, and its samples."""
 
-    #: The final (N, d, d) node blocks, in the lab frame.
-    rho: np.ndarray
     time: float
     steps: int
     #: True when the stopping rule ‖rhs‖_F < stop_tol fired before max_time.
     stationary: bool
     rhs_norm: float
-    #: (time, node marginals) pairs, read as the traces of the frame blocks:
-    #: at t = 0, every ``observe_every``, and at the final step.
+    #: (time, node marginals) pairs: at t = 0, every ``observe_every``, and
+    #: at the final step.
     samples: list[tuple[float, np.ndarray]]
 
 
@@ -193,21 +182,26 @@ def integrate(
 ) -> IntegrationResult:
     """March the master equation to stationarity with classical RK4 steps.
 
-    ``rho0`` and the state are (N, d, d) node blocks.  The state is lowered
-    into the model's frame once and carried there, re-Hermitized each step
-    and its trace renormalized whenever the drift exceeds ``RENORM_TOL``; it
-    is lifted to the lab frame once, for the result.  Both rebuild the
-    frames from the slices.  Its ``node_marginals`` are sampled in the
-    frame, where they equal the lab-frame ones up to rounding, at t = 0 and
-    then every ``round(observe_every/dt)`` steps, plus at the final step
-    when it is off that stride.  Because the generator is linear, its fixed
-    points are fixed points of the RK4 map as well, so the step size affects
-    transient rates but not the stationary state the run converges to.  A
-    ``dt`` above RK4's stability limit (about 0.70 on a chain, whose path
-    Laplacian reaches −4) makes the state grow: a step whose total trace is
-    not finite and positive, or any floating-point overflow, division by
-    zero or invalid operation, raises ``ArithmeticError("RK4 diverged at
-    step n: ...")``, which names the step and ``dt``.
+    ``rho0`` is (N, d, d) lab-frame node blocks, lowered into the model's
+    frame once, where it must be diagonal (every basis state at any register
+    is).  With no coherence, the state is its real (N, d) frame diagonal p,
+    and ‖rhs‖_F of p is that of the whole state.  Its trace is renormalized
+    whenever it drifts from 1 by more than ``RENORM_TOL``.  Its
+    ``node_marginals`` are sampled at t = 0 and then every
+    ``round(observe_every/dt)`` steps, plus at the final step when it is
+    off that stride.  The generator is linear, so its fixed points are those
+    of the RK4 map, and the step size changes the path, not the limit.
+
+    RK4 is stable while ``dt`` times the generator's spectral radius stays
+    below 2.785: up to 0.705 on toffoli, whose path Laplacian reaches −3.95
+    (−4 in the limit).  The resets add the popcount of the input to node
+    0's rate and lower the limit: 0.701 for qft3 from 110, 0.619 for qft4
+    from 1011.  Above it the state grows, hidden by the renormalization
+    until a step's total trace is not finite and positive, or an operation
+    overflows, divides by zero or is invalid: that raises
+    ``ArithmeticError("RK4 diverged at step n: ...")``, naming the step and
+    ``dt``.  A run that ends first returns marginals that may lie outside
+    [0, 1].
     """
     for name, value in (("dt", dt), ("stop_tol", stop_tol), ("max_time", max_time),
                         ("observe_every", observe_every)):
@@ -226,11 +220,10 @@ def integrate(
         raise DomainError(
             f"max_time/dt = {max_time / dt:.17g} RK4 steps; at most {MAX_RK4_STEPS}"
         )
-    rho = _lower(model, _checked_blocks(model, rho0, "rho0"))
-    rho = 0.5 * (rho + _adjoint(rho))
-    rhs = lambda r: _rhs(model, r)
+    p = _frame_diagonal(model, rho0)
+    rhs = lambda x: _rhs(model, x)
 
-    samples = [(0.0, node_marginals(rho))]
+    samples = [(0.0, node_marginals(p))]
     stride = max(1, round(observe_every / dt))
     stationary = False
     rhs_norm = math.nan
@@ -238,17 +231,16 @@ def integrate(
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         for n in range(n_steps):
             try:
-                k1 = rhs(rho)
+                k1 = rhs(p)
                 rhs_norm = frobenius(k1)
                 if rhs_norm < stop_tol:
                     stationary = True
                     break
-                k2 = rhs(rho + (0.5 * dt) * k1)
-                k3 = rhs(rho + (0.5 * dt) * k2)
-                k4 = rhs(rho + dt * k3)
-                rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                rho = 0.5 * (rho + _adjoint(rho))
-                tr = np.einsum("nii->", rho).real
+                k2 = rhs(p + (0.5 * dt) * k1)
+                k3 = rhs(p + (0.5 * dt) * k2)
+                k4 = rhs(p + dt * k3)
+                p = p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                tr = np.cumsum(np.cumsum(p, axis=1)[:, -1])[-1]  # as the marginals
             except FloatingPointError as exc:
                 raise ArithmeticError(
                     f"RK4 diverged at step {n + 1}: {exc} (dt = {dt:g})"
@@ -258,21 +250,25 @@ def integrate(
                     f"RK4 diverged at step {n + 1}: total trace {tr:g} (dt = {dt:g})"
                 )
             if abs(tr - 1.0) > RENORM_TOL:
-                rho = rho / tr
+                p = p * (1.0 / tr)  # as numpy divides a complex array by a real
             steps = n + 1
             if steps % stride == 0:
-                samples.append((steps * dt, node_marginals(rho)))
+                samples.append((steps * dt, node_marginals(p)))
     if not stationary:
-        rhs_norm = frobenius(rhs(rho))
+        rhs_norm = frobenius(rhs(p))
         stationary = rhs_norm < stop_tol
     if steps % stride != 0:
-        samples.append((steps * dt, node_marginals(rho)))
+        samples.append((steps * dt, node_marginals(p)))
     return IntegrationResult(
-        rho=_lift(model, rho), time=steps * dt, steps=steps, stationary=stationary,
-        rhs_norm=rhs_norm, samples=samples,
+        time=steps * dt, steps=steps, stationary=stationary, rhs_norm=rhs_norm,
+        samples=samples,
     )
 
 
-def node_marginals(rho) -> np.ndarray:
-    """Population of each chain register: the trace of its block."""
-    return BlockState(rho).probabilities()
+def node_marginals(p) -> np.ndarray:
+    """Population of each chain register: the sequential sum of its row of
+    the (N, d) frame diagonal, the bits of the trace of its block."""
+    p = np.asarray(p)
+    if p.ndim != 2:
+        raise ShapeError(f"p must be (N, d) frame diagonals, got shape {p.shape}")
+    return np.cumsum(p, axis=1)[:, -1].copy()  # not a view of the (N, d) sums

@@ -15,15 +15,20 @@ same bits.  ``source_gram`` is also the oracle of ``walk.validate``.
 ``stacked_frames`` writes all T+1 history-state frames into one stack, with
 their daggers, and ``stacked_lift`` and ``stacked_lower`` apply them as two
 batched products; the model rebuilds one frame at a time instead, and must
-give the same bits.  ``lab_rhs`` is the model's generator on lab-frame
-blocks, lowered into the frame and lifted back with them.
+give the same bits.
+
+``frame_rhs`` is the model's generator on complex (N, d, d) frame blocks,
+coherences included, and ``frame_rk4`` the RK4 loop on them, Hermitized
+and renormalized each step; the library integrates only the real frame
+diagonal, and must give the bits of this loop's diagonal.  ``lab_rhs`` is
+``frame_rhs`` on lab-frame blocks, lowered into the frame and lifted back
+with the stacked frames.
 """
 
 import numpy as np
 
 from oqwalk import _kernels
 from oqwalk.circuits import circuit_unitaries
-from oqwalk.lindblad import _rhs
 
 LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -118,7 +123,47 @@ def stacked_lower(unitaries, blocks):
     return frames_dag @ blocks @ frames
 
 
+def frame_rhs(model, blocks):
+    """The generator on frame blocks: the hops as one real product of the
+    path Laplacian on the (N, 2d²) float view, plus the resets on node 0.
+
+    Lowering qubit q moves the [1, 1] sub-block of its axis pair to the
+    [0, 0] one; the moves are summed from zeros in qubit order, the bits of
+    the sum of σ⁻ ρ̃_0 σ⁺ over the qubits.
+    """
+    flat = blocks.reshape(model.num_nodes, -1).view(np.float64)
+    out = (model._rates @ flat).view(np.complex128).reshape(blocks.shape)
+    if model._resets:
+        node0 = blocks[:1]
+        jump = np.zeros_like(node0)
+        for q in range(1, model._resets + 1):
+            axes = (2 ** (q - 1), 2, model.dim >> q) * 2
+            jump.reshape(axes)[:, 0, :, :, 0] += node0.reshape(axes)[:, 1, :, :, 1]
+        g = model._g
+        out[:1] += _kernels.lindblad_rhs_kernel(jump, g[:, None], g[None, :], node0)
+    return out
+
+
+def frame_rk4(model, blocks, dt, steps):
+    """The frame blocks after each of ``steps`` RK4 steps of ``frame_rhs``
+    from ``blocks``: Hermitized after each step, and divided by their total
+    trace when it drifts from 1 by more than 1e-12."""
+    rhs = lambda r: frame_rhs(model, r)
+    rho = 0.5 * (blocks + blocks.conj().transpose(0, 2, 1))
+    for _ in range(steps):
+        k1 = rhs(rho)
+        k2 = rhs(rho + (0.5 * dt) * k1)
+        k3 = rhs(rho + (0.5 * dt) * k2)
+        k4 = rhs(rho + dt * k3)
+        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
+        tr = np.einsum("nii->", rho).real
+        if abs(tr - 1.0) > 1e-12:
+            rho = rho / tr
+        yield rho
+
+
 def lab_rhs(model, blocks):
-    """The generator applied to lab-frame blocks: W ``_rhs``(W† ρ W) W†."""
+    """The generator applied to lab-frame blocks: W ``frame_rhs``(W† ρ W) W†."""
     slices = model._unitaries
-    return stacked_lift(slices, _rhs(model, stacked_lower(slices, blocks)))
+    return stacked_lift(slices, frame_rhs(model, stacked_lower(slices, blocks)))

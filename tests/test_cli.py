@@ -383,9 +383,11 @@ class TestLindbladCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
-        # RK4 on the path Laplacian of toffoli (spectrum down to −3.95) is
-        # stable up to dt ≈ 0.70; above it the state grows until its trace
-        # changes sign, or a product overflows at once
+        # RK4 is stable while dt times the generator's spectral radius stays
+        # below 2.785: up to dt = 0.705 on toffoli, whose path Laplacian
+        # reaches −3.95, and 0.714 on qft3 from 000, where no reset acts.
+        # Above it the state grows until its trace changes sign, or a
+        # product overflows at once
         (["--circuit", "toffoli", "--dt", "0.75"], "error: RK4 diverged at step 154:"),
         (["--circuit", "toffoli", "--dt", "1e300"], "error: RK4 diverged at step 1:"),
         (["--circuit", "qft3", "--include-reset", "--dt", "0.9"],
@@ -397,6 +399,21 @@ class TestLindbladCommand:
         err = capsys.readouterr().err
         assert err.startswith(message) and err.count("\n") == 1, err
         assert not out.exists()
+
+    @pytest.mark.parametrize("reset", [[], ["--include-reset"]])
+    def test_output_depends_on_the_depth_and_width_not_the_gates(self, reset, tmp_path):
+        # from a basis state the frame diagonal never reads a gate, so two
+        # different circuits of equal depth and width give the same bytes
+        outputs = []
+        for seed in (3, 4):
+            circ = tmp_path / f"s{seed}.circ"
+            circ.write_text(render_circuit(seeded_circuit(seed, 5, 9)))
+            out = tmp_path / f"s{seed}.csv"
+            assert main(["lindblad", "--circuit", str(circ), "--input", "10110",
+                         "--dt", "0.4", "--max-time", "12", "--out", str(out), *reset]) == 1
+            outputs.append(out.read_bytes())
+        assert (tmp_path / "s3.circ").read_text() != (tmp_path / "s4.circ").read_text()
+        assert outputs[0] == outputs[1]
 
     def test_qft4_relaxes_to_uniform_registers(self, tmp_path):
         # 17 registers of 16-dimensional blocks

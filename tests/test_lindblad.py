@@ -11,6 +11,8 @@ from dense_lindblad import (
     dense_rhs,
     edge_table_reset,
     embed_blocks,
+    frame_rhs,
+    frame_rk4,
     lab_rhs,
     lowering,
     node_block,
@@ -32,8 +34,7 @@ from oqwalk.errors import CircuitError, DomainError, ShapeError
 from oqwalk.lindblad import (
     MAX_RK4_STEPS,
     _history_frames,
-    _lift,
-    _lower,
+    _frame_diagonal,
     _rhs,
     build_dqc_lindblad,
     integrate,
@@ -94,6 +95,25 @@ def random_block_state(rng, num_nodes, dim):
     a = rng.normal(size=(num_nodes, dim, dim)) + 1j * rng.normal(size=(num_nodes, dim, dim))
     blocks = a @ a.conj().transpose(0, 2, 1)
     return blocks / np.einsum("nii->", blocks).real
+
+
+def random_diagonal(rng, num_nodes, dim):
+    """Random (N, d) probabilities of unit total."""
+    p = rng.random((num_nodes, dim))
+    return p / p.sum()
+
+
+def diagonal_blocks(p):
+    """(N, d, d) complex blocks with p on their diagonals."""
+    blocks = np.zeros(p.shape + p.shape[1:], dtype=complex)
+    np.einsum("nii->ni", blocks)[:] = p
+    return blocks
+
+
+def random_diagonal_start(rng, model):
+    """Lab-frame blocks whose frame blocks are a random diagonal state."""
+    p = random_diagonal(rng, model.num_nodes, model.dim)
+    return stacked_lift(model._unitaries, diagonal_blocks(p))
 
 
 class TestBuildModel:
@@ -245,6 +265,26 @@ class TestDenseOracle:
             assert np.abs(got - expected).max() < 1e-12
 
     @pytest.mark.parametrize("include_reset", [False, True])
+    def test_diagonal_rhs_is_the_frame_diagonal_of_the_dense_rhs(self, include_reset):
+        # lift a diagonal frame state, apply the textbook dense generator and
+        # lower the node blocks of the result: its diagonal is ``_rhs`` of the
+        # frame diagonal, and it holds no coherence
+        rng = np.random.default_rng(13)
+        circuit = toffoli13()
+        model = build_dqc_lindblad(circuit, include_reset=include_reset)
+        jumps = dense_chain_jumps(circuit, include_reset)
+        n = model.num_nodes
+        for _ in range(3):
+            p = random_diagonal(rng, n, model.dim)
+            lab = stacked_lift(model._unitaries, diagonal_blocks(p))
+            dense = dense_rhs(jumps, embed_blocks(lab))
+            frame = stacked_lower(model._unitaries,
+                                  np.stack([node_block(dense, i, i, n) for i in range(n)]))
+            got = _rhs(model, p)
+            assert np.abs(np.einsum("nii->ni", frame) - got).max() < 1e-12
+            assert np.abs(frame - diagonal_blocks(got)).max() < 1e-12
+
+    @pytest.mark.parametrize("include_reset", [False, True])
     def test_dense_rhs_keeps_inter_node_blocks_zero(self, include_reset):
         rng = np.random.default_rng(12)
         circuit = toffoli13()
@@ -261,7 +301,7 @@ class TestResetOracle:
     """The reset as index moves against its edge-table form."""
 
     @pytest.mark.parametrize("num_qubits", range(1, 9))
-    def test_rhs_is_bit_equal_to_the_edge_table_reset(self, num_qubits):
+    def test_frame_rhs_is_bit_equal_to_the_edge_table_reset(self, num_qubits):
         rng = np.random.default_rng(40 + num_qubits)
         circuit = Circuit(num_qubits, ((Gate("H", (1,)),),))
         plain = build_dqc_lindblad(circuit)
@@ -269,10 +309,64 @@ class TestResetOracle:
         d = model.dim
         a = rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))
         blocks = a + a.conj().transpose(0, 2, 1)
-        want = _rhs(plain, blocks)
+        want = frame_rhs(plain, blocks)
         want[:1] += edge_table_reset(num_qubits, blocks[:1])
-        got = _rhs(model, blocks)
+        got = frame_rhs(model, blocks)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("num_qubits", range(1, 9))
+    def test_rhs_is_bit_equal_to_the_diagonal_of_the_edge_table_reset(self, num_qubits):
+        rng = np.random.default_rng(50 + num_qubits)
+        circuit = Circuit(num_qubits, ((Gate("H", (1,)),),))
+        plain = build_dqc_lindblad(circuit)
+        model = build_dqc_lindblad(circuit, include_reset=True)
+        p = rng.normal(size=(2, model.dim))
+        reset = edge_table_reset(num_qubits, diagonal_blocks(p[:1]))
+        want = _rhs(plain, p)
+        want[:1] += np.einsum("nii->ni", reset).real
+        got = _rhs(model, p)
+        assert got.tobytes() == want.tobytes()
+        assert not (reset - diagonal_blocks(np.einsum("nii->ni", reset))).any()
+
+
+class TestDiagonal:
+    """The frame diagonal evolves alone: the library's real engine against
+    the complex frame engine of ``tests/dense_lindblad.py``."""
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_CIRCUITS))
+    @pytest.mark.parametrize("include_reset", [False, True])
+    def test_frame_rhs_keeps_a_diagonal_state_diagonal_and_real(self, name, include_reset):
+        # the Laplacian acts entry by entry, a reset moves a diagonal entry to
+        # a diagonal entry and the damping is diagonal: the coherence stays
+        # exactly zero, and the diagonal is ``_rhs``, bit for bit
+        model = build_dqc_lindblad(BUILTIN_CIRCUITS[name](), include_reset=include_reset)
+        p = random_diagonal(np.random.default_rng(60), model.num_nodes, model.dim)
+        out = frame_rhs(model, diagonal_blocks(p))
+        want = _rhs(model, p)
+        assert out.tobytes() == diagonal_blocks(want).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_CIRCUITS))
+    @pytest.mark.parametrize("include_reset", [False, True])
+    @pytest.mark.parametrize("start", ["basis", "random"])
+    def test_samples_are_bit_equal_to_the_complex_frame_loop(self, name, include_reset,
+                                                              start):
+        # integrate's samples, one per step, are the traces of the complex
+        # frame blocks that ``frame_rk4`` steps, Hermitizes and renormalizes;
+        # dt = 0.65 is above the stability limit, so the state grows and is
+        # renormalized on most steps
+        circuit = BUILTIN_CIRCUITS[name]()
+        model = build_dqc_lindblad(circuit, include_reset=include_reset)
+        if start == "basis":
+            rho0 = start_state(model, "1" * circuit.num_qubits)
+        else:
+            rho0 = random_diagonal_start(np.random.default_rng(61), model)
+        for dt in (0.25, 0.65):
+            result = integrate(model, rho0, dt=dt, stop_tol=1e-300, max_time=40 * dt,
+                               observe_every=dt)
+            assert result.steps == 40
+            frames = frame_rk4(model, stacked_lower(model._unitaries, rho0), dt, 40)
+            for (_t, marginals), rho in zip(result.samples[1:], frames, strict=True):
+                assert marginals.tobytes() == np.einsum("nii->n", rho).real.tobytes()
 
 
 class TestRhs:
@@ -327,6 +421,20 @@ class TestRhs:
         with pytest.raises(DomainError, match="NaN or Inf"):
             integrate(model, nan)
 
+    def test_coherence_in_the_frame_is_rejected(self):
+        # |+⟩ at register 1 is H|0⟩, diagonal in its frame W_1 = H; at
+        # register 0, where W_0 = I, it is a coherence
+        model = build_dqc_lindblad(single_gate_circuit())
+        plus = np.outer(H[:, 0], H[:, 0].conj())
+        assert integrate(model, start_state(model, "0")).stationary
+        assert integrate(model, np.stack([np.zeros((2, 2)), plus])).stationary
+        with pytest.raises(DomainError, match="diagonal in the history-state frame"):
+            integrate(model, np.stack([plus, np.zeros((2, 2))]))
+        # an imaginary diagonal entry is not Hermitian, so its own check
+        # fires first; a coherence within INPUT_TOL is dropped
+        near = np.stack([np.diag([1.0, 0.0]) + 1e-10 * (1 - np.eye(2)), np.zeros((2, 2))])
+        assert integrate(model, near, max_time=1.0).steps == 100
+
 
 class TestIntegrate:
     def test_single_gate_relaxes_to_uniform_registers(self):
@@ -334,10 +442,7 @@ class TestIntegrate:
         result = integrate(model, start_state(model, "0"), dt=0.01, stop_tol=1e-9,
                            max_time=50.0)
         assert result.stationary
-        assert np.abs(node_marginals(result.rho) - 0.5).max() < 1e-6
-        # full state matches the uniform mixture
-        rho_star = chain_mixture([H], basis_state(1, "0"), 2)
-        assert np.abs(result.rho - rho_star).max() < 1e-6
+        assert np.abs(result.samples[-1][1] - 0.5).max() < 1e-6
 
     def test_stationary_start_takes_no_step(self):
         model = build_dqc_lindblad(single_gate_circuit())
@@ -345,7 +450,8 @@ class TestIntegrate:
         result = integrate(model, rho0, dt=0.1, stop_tol=1e-12, max_time=5.0)
         assert result.stationary
         assert result.steps == 0
-        assert np.abs(result.rho - rho0).max() < 1e-15
+        assert result.time == 0.0 and len(result.samples) == 1
+        assert np.abs(result.samples[0][1] - 0.5).max() < 1e-15
 
     def test_trajectory_stays_physical(self):
         model = build_dqc_lindblad(single_gate_circuit())
@@ -359,17 +465,16 @@ class TestIntegrate:
         for _t, marginals in samples:
             assert marginals.sum() == pytest.approx(1.0, abs=1e-10)
             assert marginals.min() >= -1e-12
-        rho = result.rho
-        assert np.linalg.norm(rho - rho.conj().transpose(0, 2, 1)) < 1e-10
 
     def test_stationary_state_independent_of_start(self):
-        # empirical uniqueness: two different initial registers, same limit
+        # empirical uniqueness: two different initial registers, same limit;
+        # the state at register 1 is W_1|1⟩ = H|1⟩, so its frame block is |1⟩⟨1|
         model = build_dqc_lindblad(single_gate_circuit())
         final = []
-        for bits, node in [("0", 0), ("1", 1)]:
-            rho0 = start_state(model, bits, node)
+        for psi, node in [(basis_state(1, "0"), 0), (H @ basis_state(1, "1"), 1)]:
+            rho0 = BlockState.pure(model.num_nodes, model.dim, node, psi).blocks
             res = integrate(model, rho0, dt=0.02, stop_tol=1e-10, max_time=100.0)
-            final.append(node_marginals(res.rho))
+            final.append(res.samples[-1][1])
         assert np.abs(final[0] - final[1]).max() < 1e-8
 
     def test_reset_jumps_keep_mixture_stationary_for_zero_input(self):
@@ -378,6 +483,26 @@ class TestIntegrate:
         psi0 = basis_state(1, "0")
         rho_star = chain_mixture([H], psi0, 2)
         assert np.linalg.norm(lab_rhs(model, rho_star)) < 1e-10
+
+    def test_peak_memory_is_below_one_input_stack(self):
+        # 7 qubits × 16 slices with resets, compiled before tracing: the
+        # (17, 128, 128) complex input is 4.3 MiB.  Its checks and its
+        # lowering hold one block and one frame at a time, and the run only
+        # (17, 128) float arrays, so the peak beyond the input stays below
+        # one more stack.  Measured: 0.27 stacks; 7.2 while the state was
+        # the complex frame stack.
+        circuit = seeded_circuit(112, 7, 16)
+        circuit_unitaries(circuit)
+        model = build_dqc_lindblad(circuit, include_reset=True)
+        rho0 = start_state(model, "1111110")
+        tracemalloc.start()
+        try:
+            result = integrate(model, rho0, dt=0.1, stop_tol=1e-300, max_time=1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.steps == 10
+        assert peak <= rho0.nbytes, peak / rho0.nbytes
 
     def test_rejects_bad_dt(self):
         model = build_dqc_lindblad(single_gate_circuit())
@@ -414,7 +539,7 @@ class TestIntegrate:
         model = build_dqc_lindblad(single_gate_circuit())
         rho0 = start_state(model, "0")
         res = integrate(model, rho0, dt=0.01, stop_tol=1e-9, max_time=50.0)
-        continuous = node_marginals(res.rho)
+        continuous = res.samples[-1][1]
 
         walk = keyed_chain([H], ChainParams(0.5))
         report = run_until_converged(walk, BlockState(rho0), tol=1e-10)
@@ -444,33 +569,29 @@ def dense_rk4(jumps, rho, dt, steps, stride):
 
 
 class TestIntegrateOracles:
-    """``integrate``, frame lift included, against models written without it."""
+    """``integrate``, frame diagonal included, against models written without
+    the frame."""
 
     @pytest.mark.parametrize("include_reset", [False, True])
     def test_matches_a_dense_rk4_loop(self, include_reset):
-        # the samples at steps 0, 2, 4 and 5, and the final state of a run
-        # that ends at each of those steps
+        # the samples at steps 0, 2, 4 and 5 against the traces of the node
+        # blocks of the textbook dense RK4 on the full lab-frame state, from a
+        # random diagonal frame state lifted to the lab frame
         rng = np.random.default_rng(31)
         circuit = toffoli13()
         model = build_dqc_lindblad(circuit, include_reset=include_reset)
-        blocks = random_block_state(rng, model.num_nodes, model.dim)
-
-        def run(steps):
-            result = integrate(model, blocks, dt=0.4, stop_tol=1e-300,
-                               max_time=steps * 0.4, observe_every=0.8)
-            assert result.steps == steps
-            return result
-
+        blocks = random_diagonal_start(rng, model)
+        result = integrate(model, blocks, dt=0.4, stop_tol=1e-300, max_time=2.0,
+                           observe_every=0.8)
+        assert result.steps == 5
         expected = dense_rk4(dense_chain_jumps(circuit, include_reset),
                              embed_blocks(blocks), 0.4, 5, 2)
-        samples = run(5).samples
-        assert [t for t, _ in samples] == pytest.approx([0.0, 0.8, 1.6, 2.0])
+        assert [t for t, _ in result.samples] == pytest.approx([0.0, 0.8, 1.6, 2.0])
         assert len(expected) == 4
         n = model.num_nodes
-        for (_t, marginals), steps, dense in zip(samples, (0, 2, 4, 5), expected):
-            want = np.stack([node_block(dense, i, i, n) for i in range(n)])
-            assert np.abs(run(steps).rho - want).max() < 1e-12
-            assert np.abs(marginals - node_marginals(want)).max() < 1e-12
+        for (_t, marginals), dense in zip(result.samples, expected, strict=True):
+            want = [np.trace(node_block(dense, i, i, n)).real for i in range(n)]
+            assert np.abs(marginals - want).max() < 1e-12
 
     def test_populations_follow_the_path_laplacian(self):
         # without resets the node populations obey p' = L p exactly, with L
@@ -522,31 +643,31 @@ def lift_rounding_bound(model, lifted):
 
 
 class TestFrameSamples:
-    """The samples are the traces of the frame blocks; lifting the state at
-    the same step moves them only by rounding."""
+    """The samples are the traces of the frame state; lifting that state to
+    the lab frame at the same step moves them only by rounding."""
 
     @pytest.mark.parametrize("name", sorted(BUILTIN_CIRCUITS))
     @pytest.mark.parametrize("include_reset", [False, True])
     @pytest.mark.parametrize("start", ["basis", "random"])
     def test_samples_are_the_lifted_marginals_within_rounding(self, name, include_reset,
                                                                start):
-        # dt = 0.25 is a binary fraction, so a run to k·dt takes exactly k
-        # steps and ends on the state of the k-th sample
+        # the frame state of step k is that of the complex frame loop, whose
+        # traces the samples are, bit for bit (TestDiagonal)
         circuit = BUILTIN_CIRCUITS[name]()
         model = build_dqc_lindblad(circuit, include_reset=include_reset)
         if start == "basis":
             rho0 = start_state(model, "1" * circuit.num_qubits)
         else:
-            rho0 = random_block_state(np.random.default_rng(50), model.num_nodes, model.dim)
-        run = lambda max_time: integrate(model, rho0, dt=0.25, stop_tol=1e-300,
-                                         max_time=max_time, observe_every=0.25)
-        samples = run(2.0).samples
+            rho0 = random_diagonal_start(np.random.default_rng(50), model)
+        samples = integrate(model, rho0, dt=0.25, stop_tol=1e-300, max_time=2.0,
+                            observe_every=0.25).samples
         assert len(samples) == 9
-        for k, (t, marginals) in enumerate(samples):
-            result = run(t)
-            assert result.steps == k
-            gap = np.abs(marginals - node_marginals(result.rho))
-            bound = lift_rounding_bound(model, result.rho)
+        frame0 = stacked_lower(model._unitaries, rho0)
+        frames = [frame0, *frame_rk4(model, frame0, 0.25, 8)]
+        for k, ((_t, marginals), frame) in enumerate(zip(samples, frames, strict=True)):
+            lifted = stacked_lift(model._unitaries, frame)
+            gap = np.abs(marginals - np.einsum("nii->n", lifted).real)
+            bound = lift_rounding_bound(model, lifted)
             assert (gap <= bound).all(), (k, gap.max())
 
 
@@ -556,9 +677,10 @@ FRAME_CASES = [*sorted(BUILTIN_CIRCUITS), "w5.circ", "4x16", "5x12", "6x10", "7x
 class TestFrames:
     @pytest.mark.parametrize("name", FRAME_CASES)
     @pytest.mark.parametrize("include_reset", [False, True])
-    def test_lift_and_lower_are_bit_equal_to_the_stacked_frames(self, name, include_reset):
-        # the frames rebuilt one at a time give the bits of the batched
-        # products with the whole (T+1, d, d) stack of frames and daggers
+    def test_frame_diagonal_is_bit_equal_to_the_stacked_frames(self, name, include_reset):
+        # the frames rebuilt one at a time give the bits of the diagonal of
+        # the batched products with the whole (T+1, d, d) stack of frames and
+        # daggers, on a lab-frame state whose frame blocks are diagonal
         if name == "w5.circ":
             circuit = parse_circuit(W5.read_text(encoding="utf-8"))
         elif name in BUILTIN_CIRCUITS:
@@ -568,18 +690,33 @@ class TestFrames:
             circuit = seeded_circuit(qubits * depth, qubits, depth)
         model = build_dqc_lindblad(circuit, include_reset=include_reset)
         slices = circuit_unitaries(circuit)
-        rho = random_block_state(np.random.default_rng(model.dim), model.num_nodes, model.dim)
-        assert _lift(model, rho).tobytes() == stacked_lift(slices, rho).tobytes()
-        assert _lower(model, rho).tobytes() == stacked_lower(slices, rho).tobytes()
+        rho = random_diagonal_start(np.random.default_rng(model.dim), model)
+        want = np.einsum("nii->ni", stacked_lower(slices, rho)).real
+        assert _frame_diagonal(model, rho).tobytes() == want.tobytes()
 
 
 class TestNodeMarginals:
-    def test_traces_of_node_blocks(self):
+    def test_row_sums_of_the_frame_diagonal(self):
         # population on internal basis 1 at node 2 of three nodes
-        blocks = np.zeros((3, 2, 2), dtype=complex)
-        blocks[2, 1, 1] = 1.0
-        assert np.allclose(node_marginals(blocks), [0.0, 0.0, 1.0])
+        p = np.zeros((3, 2))
+        p[2, 1] = 1.0
+        assert np.array_equal(node_marginals(p), [0.0, 0.0, 1.0])
+
+    def test_sums_have_the_bits_of_the_block_traces(self):
+        # sequential sums, as the trace of a block sums its diagonal; numpy's
+        # pairwise sum differs in the last bits on some of these rows
+        rng = np.random.default_rng(70)
+        pairwise_differs = False
+        for d in (8, 32, 128):
+            p = random_diagonal(rng, 5, d)
+            traces = np.einsum("nii->n", diagonal_blocks(p)).real
+            assert node_marginals(p).tobytes() == traces.tobytes()
+            pairwise_differs |= p.sum(axis=1).tobytes() != traces.tobytes()
+        assert pairwise_differs
 
     def test_shape_guard(self):
+        # a stack of (N, d, d) blocks is not the (N, d) frame diagonal
         with pytest.raises(ShapeError):
-            node_marginals(np.eye(6))
+            node_marginals(np.zeros((3, 2, 2)))
+        with pytest.raises(ShapeError):
+            node_marginals(np.ones(6))
