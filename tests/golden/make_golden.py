@@ -75,6 +75,10 @@ CASES = [
     ["lindblad", "--circuit", "w5.circ", "--input", "10110", *_SHORT, "--max-time", "24",
      "--include-reset"],
     ["lindblad", "--circuit", "qft3", "--input", "110", "--dt", "0.75", "--include-reset"],
+    # all-ones inputs: every reset move carries population, and one run diverges
+    ["lindblad", "--circuit", "qft4", "--input", "1111", *_SHORT, "--max-time", "40",
+     "--include-reset"],
+    ["lindblad", "--circuit", "qft3", "--input", "111", "--dt", "0.75", "--include-reset"],
     # d = 128: a seeded seven-qubit file
     ["run", "--circuit", "seeded7.circ", "--omega", "0.8", "--input", "1011001"],
     ["lindblad", "--circuit", "seeded7.circ", "--input", "1011001", *_SHORT,
