@@ -244,15 +244,18 @@ def cmd_lindblad(args: argparse.Namespace) -> int:
         max_time=args.max_time,
         observe_every=args.record_every,
     )
-    rows = ["time,node,probability"]
-    for t, marg in result.samples:
-        for node, p in enumerate(marg):
-            rows.append(f"{fmt(t)},{node},{fmt(p)}")
+    # one row per (sample, node); the template of a sample's rows is built once
+    sample_rows = "".join(
+        f"{{0:.17g}},{n},{{{n + 1}:.17g}}\n" for n in range(model.num_nodes)
+    )
+    history = "".join(sample_rows.format(t, *marg.tolist()) for t, marg in result.samples)
     uniform = 1.0 / model.num_nodes
     deviation = float(np.abs(result.samples[-1][1] - uniform).max())
-    rows.append("max_deviation_from_uniform,stationary")
-    rows.append(f"{fmt(deviation)},{str(result.stationary).lower()}")
-    _emit(args.out, "\n".join(rows) + "\n")
+    _emit(
+        args.out,
+        f"time,node,probability\n{history}max_deviation_from_uniform,stationary\n"
+        f"{fmt(deviation)},{str(result.stationary).lower()}\n",
+    )
     return EXIT_OK if result.stationary else EXIT_NUMERIC
 
 

@@ -114,7 +114,12 @@ def _frame_diagonal(model: LindbladModel, rho0) -> np.ndarray:
     one block at a time.  rho0 must be finite (N, d, d) blocks, of unit
     total trace and Hermitian, and its frame blocks must hold no coherence
     (off-diagonal or imaginary parts), all within ``INPUT_TOL`` in
-    Frobenius norm."""
+    Frobenius norm.
+
+    An exactly zero block has no skew and no coherence and lowers to zero,
+    so it is left at zero, and no frame past the last non-zero block is
+    built: a basis state at register 0, the CLI's input, lowers only W_0.
+    """
     blocks = np.ascontiguousarray(rho0, dtype=np.complex128)
     shape = (model.num_nodes, model.dim, model.dim)
     if blocks.shape != shape:
@@ -123,9 +128,13 @@ def _frame_diagonal(model: LindbladModel, rho0) -> np.ndarray:
         raise DomainError("rho0 contains NaN or Inf entries")
     if abs(np.einsum("nii->", blocks) - 1.0) > INPUT_TOL:
         raise DomainError("rho0 must have unit trace within 1e-8")
-    p = np.empty((model.num_nodes, model.dim))
+    p = np.zeros((model.num_nodes, model.dim))
+    filled = blocks.any(axis=(1, 2))
+    last = np.flatnonzero(filled)[-1]  # a unit trace fills some block
     skew = coherence = 0.0
-    for t, w in enumerate(_history_frames(model)):
+    for t, w in zip(range(last + 1), _history_frames(model)):
+        if not filled[t]:
+            continue
         skew = math.hypot(skew, frobenius(blocks[t] - blocks[t].conj().T))
         frame = w.conj().T @ blocks[t] @ w
         diagonal = np.einsum("ii->i", frame)
@@ -139,22 +148,34 @@ def _frame_diagonal(model: LindbladModel, rho0) -> np.ndarray:
     return p
 
 
-def _rhs(model: LindbladModel, p) -> np.ndarray:
+def _reset_moves(model: LindbladModel) -> tuple[np.ndarray, np.ndarray]:
+    """The reset jumps as one (src, dst) index list on node 0's row: for
+    each lowered qubit q in order, every x with bit d >> q set, and x with
+    that bit cleared.  Empty without resets."""
+    bits = model.dim >> np.arange(1, model._resets + 1)[:, None]
+    x = np.arange(model.dim)
+    moved = (x & bits) != 0
+    return np.broadcast_to(x, moved.shape)[moved], (x ^ bits)[moved]
+
+
+def _rhs(model: LindbladModel, p, moves) -> np.ndarray:
     """The generator on the (N, d) frame diagonal: the hops as one real
     product of the path Laplacian, plus the resets on node 0.
 
-    Lowering qubit q moves the probability of each x with bit q set to x
-    with it cleared; the moves are summed from zeros in qubit order.
+    ``moves`` is ``_reset_moves(model)``.  One ``np.add.at`` (numpy's 1-D
+    fast path) sums the moved probabilities into each target from zero, in
+    list order, so in qubit order, and raises on overflow under
+    ``np.errstate``; ``np.bincount`` gives the same bits but overflows to
+    inf silently.
     """
     out = model._rates @ p
     if model._resets:
-        node0 = p[:1]
-        jump = np.zeros_like(node0)
-        for q in range(1, model._resets + 1):
-            axes = (2 ** (q - 1), 2, model.dim >> q)
-            jump.reshape(axes)[:, 0] += node0.reshape(axes)[:, 1]
+        src, dst = moves
+        node0 = p[0]
+        jump = np.zeros(model.dim)
+        np.add.at(jump, dst, node0[src])
         g = model._g
-        out[:1] += _kernels.lindblad_rhs_kernel(jump, g, g, node0)
+        out[0] += _kernels.lindblad_rhs_kernel(jump, g, g, node0)
     return out
 
 
@@ -221,7 +242,8 @@ def integrate(
             f"max_time/dt = {max_time / dt:.17g} RK4 steps; at most {MAX_RK4_STEPS}"
         )
     p = _frame_diagonal(model, rho0)
-    rhs = lambda x: _rhs(model, x)
+    moves = _reset_moves(model)
+    rhs = lambda x: _rhs(model, x, moves)
 
     samples = [(0.0, node_marginals(p))]
     stride = max(1, round(observe_every / dt))

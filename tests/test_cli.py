@@ -251,6 +251,54 @@ def test_run_csv_is_that_of_the_per_row_comprehension(name, omega, tol, max_step
     assert code == (1 if max_steps == 7 else 0)
 
 
+def comprehension_lindblad_csv(name, bits, include_reset, dt, stop_tol, max_time,
+                               record_every):
+    """``lindblad``'s CSV of a built-in and its exit code, with the samples
+    written by one f-string per (sample, node), as a per-row loop."""
+    circuit = circuits.BUILTIN_CIRCUITS[name]()
+    psi0 = circuits.basis_state(circuit.num_qubits, bits)
+    model = cli.lb.build_dqc_lindblad(circuit, include_reset=include_reset)
+    rho0 = cli.wk.BlockState.pure(model.num_nodes, model.dim, 0, psi0).blocks
+    result = cli.lb.integrate(model, rho0, dt=dt, stop_tol=stop_tol, max_time=max_time,
+                              observe_every=record_every)
+    rows = ["time,node,probability"]
+    for t, marg in result.samples:
+        for node, p in enumerate(marg):
+            rows.append(f"{fmt(t)},{node},{fmt(p)}")
+    deviation = float(np.abs(result.samples[-1][1] - 1.0 / model.num_nodes).max())
+    rows.append("max_deviation_from_uniform,stationary")
+    rows.append(f"{fmt(deviation)},{str(result.stationary).lower()}")
+    return "\n".join(rows) + "\n", 0 if result.stationary else 1
+
+
+@pytest.mark.parametrize(
+    "input_kind, stop_tol, record_every, samples",
+    [("default", 1e-8, 1.0, 51), ("ones", 1e-8, 1.0, 51), ("ones", 1e-8, 1.2, 35),
+     ("ones", 1e9, 1.0, 1)],
+    ids=["default-input", "all-ones", "last-sample-off-stride", "stationary-start"],
+)
+@pytest.mark.parametrize("include_reset", [False, True], ids=["plain", "reset"])
+@pytest.mark.parametrize("name", sorted(circuits.BUILTIN_CIRCUITS))
+def test_lindblad_csv_is_that_of_the_per_row_loop(name, include_reset, input_kind, stop_tol,
+                                                   record_every, samples, tmp_path):
+    # dt 0.4 plans 100 steps to t = 40, sampled every 2; a 1.2 stride of 3
+    # leaves step 100 off it, and a stop tolerance of 1e9 takes no step
+    num_qubits = circuits.BUILTIN_CIRCUITS[name]().num_qubits
+    bits = (cli._DEFAULT_INPUTS.get(name, "0" * num_qubits) if input_kind == "default"
+            else "1" * num_qubits)
+    out = tmp_path / "lindblad.csv"
+    argv = ["lindblad", "--circuit", name, "--input", bits, "--dt", "0.4",
+            "--stop-tol", repr(stop_tol), "--max-time", "40",
+            "--record-every", repr(record_every), "--out", str(out)]
+    if include_reset:
+        argv.append("--include-reset")
+    text, code = comprehension_lindblad_csv(name, bits, include_reset, 0.4, stop_tol, 40.0,
+                                            record_every)
+    assert main(argv) == code
+    assert out.read_bytes() == text.encode("utf-8")
+    assert sum(line.split(",")[1:2] == ["0"] for line in text.splitlines()) == samples
+
+
 class TestSweepCommand:
     def test_detection_increases(self, tmp_path):
         out = tmp_path / "sweep.csv"

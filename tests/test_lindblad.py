@@ -20,6 +20,7 @@ from dense_lindblad import (
     stacked_lift,
     stacked_lower,
 )
+from oqwalk import _kernels, lindblad
 from oqwalk.circuits import (
     BUILTIN_CIRCUITS,
     Circuit,
@@ -35,6 +36,7 @@ from oqwalk.lindblad import (
     MAX_RK4_STEPS,
     _history_frames,
     _frame_diagonal,
+    _reset_moves,
     _rhs,
     build_dqc_lindblad,
     integrate,
@@ -280,7 +282,7 @@ class TestDenseOracle:
             dense = dense_rhs(jumps, embed_blocks(lab))
             frame = stacked_lower(model._unitaries,
                                   np.stack([node_block(dense, i, i, n) for i in range(n)]))
-            got = _rhs(model, p)
+            got = _rhs(model, p, _reset_moves(model))
             assert np.abs(np.einsum("nii->ni", frame) - got).max() < 1e-12
             assert np.abs(frame - diagonal_blocks(got)).max() < 1e-12
 
@@ -322,11 +324,46 @@ class TestResetOracle:
         model = build_dqc_lindblad(circuit, include_reset=True)
         p = rng.normal(size=(2, model.dim))
         reset = edge_table_reset(num_qubits, diagonal_blocks(p[:1]))
-        want = _rhs(plain, p)
+        want = _rhs(plain, p, _reset_moves(plain))
         want[:1] += np.einsum("nii->ni", reset).real
-        got = _rhs(model, p)
+        got = _rhs(model, p, _reset_moves(model))
         assert got.tobytes() == want.tobytes()
         assert not (reset - diagonal_blocks(np.einsum("nii->ni", reset))).any()
+
+
+    def test_an_overflow_in_the_moves_raises(self):
+        # 7e307 at node 0's one-bit entries 1, 2 and 4: all three move to 0,
+        # and their sum, 2.1e308, overflows, while no other operation of the
+        # generator leaves the floats.  ``np.add.at`` raises on it, as the
+        # per-qubit loop of ``frame_rhs`` does, so a diverging RK4 step
+        # reports the overflow
+        model = build_dqc_lindblad(qft(3), include_reset=True)
+        p = np.zeros((model.num_nodes, model.dim))
+        p[0, [1, 2, 4]] = 7e307
+        moves = _reset_moves(model)
+        for rhs in (lambda: _rhs(model, p, moves), lambda: frame_rhs(model, diagonal_blocks(p))):
+            with np.errstate(over="raise"), pytest.raises(
+                FloatingPointError, match="^overflow encountered in add$"
+            ):
+                rhs()
+        # the same moves by ``np.bincount`` overflow to inf without raising,
+        # and so does the rest of the generator on that inf
+        src, dst = moves
+        with np.errstate(over="raise"):
+            jump = np.bincount(dst, weights=p[0, src], minlength=model.dim)
+            out = model._rates @ p
+            out[0] += _kernels.lindblad_rhs_kernel(jump, model._g, model._g, p[0])
+        assert np.isinf(jump[0]) and np.isinf(out[0, 0])
+        assert np.isfinite(np.delete(out, 0)).all()
+
+    def test_moves_go_qubit_by_qubit(self):
+        # qubit 1 is the top bit of x: its moves come first, then qubit 2's, ...
+        model = build_dqc_lindblad(qft(3), include_reset=True)
+        src, dst = _reset_moves(model)
+        assert src.tolist() == [4, 5, 6, 7, 2, 3, 6, 7, 1, 3, 5, 7]
+        assert dst.tolist() == [0, 1, 2, 3, 0, 1, 4, 5, 0, 2, 4, 6]
+        src, dst = _reset_moves(build_dqc_lindblad(qft(3)))
+        assert src.size == dst.size == 0
 
 
 class TestDiagonal:
@@ -342,7 +379,7 @@ class TestDiagonal:
         model = build_dqc_lindblad(BUILTIN_CIRCUITS[name](), include_reset=include_reset)
         p = random_diagonal(np.random.default_rng(60), model.num_nodes, model.dim)
         out = frame_rhs(model, diagonal_blocks(p))
-        want = _rhs(model, p)
+        want = _rhs(model, p, _reset_moves(model))
         assert out.tobytes() == diagonal_blocks(want).tobytes()
 
     @pytest.mark.parametrize("name", sorted(BUILTIN_CIRCUITS))
@@ -693,6 +730,39 @@ class TestFrames:
         rho = random_diagonal_start(np.random.default_rng(model.dim), model)
         want = np.einsum("nii->ni", stacked_lower(slices, rho)).real
         assert _frame_diagonal(model, rho).tobytes() == want.tobytes()
+
+
+    @pytest.mark.parametrize("filled", [(0,), (0, 4), (3,), (2, 5, 9)])
+    def test_zero_blocks_stay_zero_and_no_frame_past_the_last_is_built(self, filled,
+                                                                        monkeypatch):
+        # qft3 has 10 nodes; the frames are built up to the last non-zero
+        # block, through the zero ones before it, and the non-zero blocks
+        # lower to the bits of the stacked frames
+        model = build_dqc_lindblad(qft(3))
+        built = []
+        frames = lindblad._history_frames
+        monkeypatch.setattr(lindblad, "_history_frames",
+                            lambda m: (built.append(w) or w for w in frames(m)))
+        p = random_diagonal(np.random.default_rng(80), model.num_nodes, model.dim)
+        empty = [t for t in range(model.num_nodes) if t not in filled]
+        p[empty] = 0.0
+        p /= p.sum()
+        rho = stacked_lift(model._unitaries, diagonal_blocks(p))
+        got = _frame_diagonal(model, rho)
+        want = np.einsum("nii->ni", stacked_lower(model._unitaries, rho)).real
+        assert got[list(filled)].tobytes() == want[list(filled)].tobytes()
+        assert not got[empty].any() and not want[empty].any()
+        assert len(built) == filled[-1] + 1
+
+    def test_a_block_past_a_zero_block_is_still_checked(self):
+        # node 1 is empty, node 2 holds a coherence of its frame block
+        model = build_dqc_lindblad(qft(3))
+        frame = np.zeros((model.num_nodes, model.dim, model.dim), dtype=complex)
+        frame[0, 0, 0] = frame[2, 1, 1] = 0.5
+        frame[2, 0, 1] = frame[2, 1, 0] = 0.25
+        rho = stacked_lift(model._unitaries, frame)
+        with pytest.raises(DomainError, match="history-state frame"):
+            _frame_diagonal(model, rho)
 
 
 class TestNodeMarginals:
