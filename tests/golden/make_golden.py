@@ -83,6 +83,9 @@ CASES = [
     ["run", "--circuit", "seeded7.circ", "--omega", "0.8", "--input", "1011001"],
     ["lindblad", "--circuit", "seeded7.circ", "--input", "1011001", *_SHORT,
      "--max-time", "8", "--include-reset"],
+    # d = 128 from all ones: every reset move carries population, below the RK4 limit 0.341
+    ["lindblad", "--circuit", "seeded7.circ", "--input", "1111111", "--include-reset",
+     "--dt", "0.25", "--record-every", "8", "--max-time", "16"],
     # input errors
     ["validate", "--circuit", "missing.circ"],
     ["run", "--circuit", "toffoli", "--omega", "nan"],
