@@ -235,10 +235,12 @@ def cmd_lindblad(args: argparse.Namespace) -> int:
     circuit = load_circuit(args.circuit)
     psi0 = _input_state(args, circuit)
     model = lb.build_dqc_lindblad(circuit, include_reset=args.include_reset)
-    rho0 = wk.BlockState.pure(model.num_nodes, model.dim, 0, psi0).blocks
+    # a basis state at register 0, where W_0 = I, is its own frame diagonal
+    p0 = np.zeros((model.num_nodes, model.dim))
+    p0[0] = psi0.real
     result = lb.integrate(
         model,
-        rho0,
+        p0,
         dt=args.dt,
         stop_tol=args.stop_tol,
         max_time=args.max_time,

@@ -14,8 +14,9 @@ same bits.  ``source_gram`` is also the oracle of ``walk.validate``.
 
 ``stacked_frames`` writes all T+1 history-state frames into one stack, with
 their daggers, and ``stacked_lift`` and ``stacked_lower`` apply them as two
-batched products; the model rebuilds one frame at a time instead, and must
-give the same bits.
+batched products.  The library never builds a frame: ``integrate`` takes the
+real frame diagonal, and ``frame_diagonal`` lowers a lab-frame test state to
+it.
 
 ``frame_rhs`` is the model's generator on complex (N, d, d) frame blocks,
 coherences included, and ``frame_rk4`` the RK4 loop on them, Hermitized
@@ -121,6 +122,12 @@ def stacked_lower(unitaries, blocks):
     """Lab blocks ρ_n to frame blocks W_n† ρ_n W_n, on the whole stack."""
     frames, frames_dag = stacked_frames(unitaries)
     return frames_dag @ blocks @ frames
+
+
+def frame_diagonal(unitaries, blocks):
+    """The real (N, d) diagonal of the frame blocks W_n† ρ_n W_n of lab
+    blocks ρ_n: the input of ``integrate``."""
+    return np.einsum("nii->ni", stacked_lower(unitaries, blocks)).real.copy()
 
 
 def frame_rhs(model, blocks):

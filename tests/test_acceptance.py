@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from dense_chain import conditional_state, dense_chain, keyed_chain
-from dense_lindblad import lab_rhs
+from dense_lindblad import frame_diagonal, lab_rhs
 from oqwalk.circuits import (
     BUILTIN_CIRCUITS,
     basis_state,
@@ -224,7 +224,8 @@ def test_criterion_09_lindblad_cross_check():
     psi = basis_state(3, "110")
     rho0 = BlockState.pure(big.num_nodes, big.dim, 0, psi).blocks
     start = time.perf_counter()
-    result = integrate(big, rho0, dt=0.4, stop_tol=2e-6, max_time=400.0)
+    result = integrate(big, frame_diagonal(big._unitaries, rho0), dt=0.4, stop_tol=2e-6,
+                       max_time=400.0)
     elapsed = time.perf_counter() - start
     assert result.stationary
     marginals = result.samples[-1][1]
@@ -239,7 +240,8 @@ def test_criterion_09_lindblad_cross_check():
         history.append(u @ history[-1])
     mixture = np.stack([np.outer(v, v.conj()) for v in history]) / big.num_nodes
     assert np.linalg.norm(lab_rhs(big, mixture)) < 1e-10
-    assert integrate(big, mixture, dt=0.4, stop_tol=2e-6).steps == 0
+    assert integrate(big, frame_diagonal(big._unitaries, mixture), dt=0.4,
+                     stop_tol=2e-6).steps == 0
     block = mixture[-1] / np.trace(mixture[-1]).real
     target = circuit_product(circuit) @ psi
     fidelity = float((target.conj() @ block @ target).real)

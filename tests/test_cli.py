@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from dense_chain import conditional_state, history_state, seeded_circuit
+from dense_lindblad import frame_diagonal
 import oqwalk
 from oqwalk import circuits, cli
 from oqwalk.cli import MAX_GRID_POINTS, fmt, main, parse_omega_spec
@@ -259,7 +261,8 @@ def comprehension_lindblad_csv(name, bits, include_reset, dt, stop_tol, max_time
     psi0 = circuits.basis_state(circuit.num_qubits, bits)
     model = cli.lb.build_dqc_lindblad(circuit, include_reset=include_reset)
     rho0 = cli.wk.BlockState.pure(model.num_nodes, model.dim, 0, psi0).blocks
-    result = cli.lb.integrate(model, rho0, dt=dt, stop_tol=stop_tol, max_time=max_time,
+    result = cli.lb.integrate(model, frame_diagonal(model._unitaries, rho0), dt=dt,
+                              stop_tol=stop_tol, max_time=max_time,
                               observe_every=record_every)
     rows = ["time,node,probability"]
     for t, marg in result.samples:
@@ -624,6 +627,57 @@ def test_run_builds_only_the_last_block(tmp_path):
     _, summary = read_run_csv(out)
     assert abs(summary["fidelity"] - 1.0) <= 1e-12
     assert peak <= 32 * 2**20, peak / 2**20
+
+
+def test_lindblad_holds_the_compile_and_a_few_diagonals(tmp_path):
+    # 8 qubits × 16 slices with resets, from all ones: the compiled slices,
+    # made inside the traced call, are 16 MiB, built from d × d temporaries
+    # of 1 MiB.  The run holds only (17, 256) float arrays of 34 KiB, so the
+    # peak may be at most the slices plus four d × d matrices and eight
+    # diagonals (measured: 18.0 MiB; 36.2 MiB with a dense (17, 256, 256)
+    # complex input stack and its lowering).
+    circuit = tmp_path / "c8x16.txt"
+    circuit.write_text(render_circuit(seeded_circuit(96, 8, 16)))
+    out = tmp_path / "lindblad.csv"
+    tracemalloc.start()
+    try:
+        code = main(["lindblad", "--circuit", str(circuit), "--input", "11111111",
+                     "--include-reset", "--dt", "0.1", "--max-time", "1", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert out.read_text().count("\n1,0,") == 1  # the sample at t = 1, after 10 steps
+    block, diagonal = 256 * 256 * 16, 17 * 256 * 8
+    assert peak <= 20 * block + 8 * diagonal, peak / 2**20
+
+
+def test_lindblad_with_reset_at_twelve_qubits_fits_in_three_gigabytes(tmp_path):
+    # seeded_circuit(12, 12, 4): the four compiled slices are 256 MiB each.
+    # Under a 3 GB address-space limit, set in the child only, the run ends
+    # with exit 0 or 1 and no traceback, its peak resident set being the
+    # compile (measured: 1820 MB).  A dense (5, 4096, 4096) complex input
+    # stack on top of the slices ended in an _ArrayMemoryError traceback.
+    circuit = tmp_path / "s12.circ"
+    circuit.write_text(render_circuit(seeded_circuit(12, 12, 4)))
+    src = str(Path(oqwalk.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    limit = 3_000_000 * 1024
+    argv = [sys.executable, "-m", "oqwalk", "lindblad", "--circuit", str(circuit),
+            "--include-reset", "--dt", "0.1", "--max-time", "0.1",
+            "--out", str(tmp_path / "s12.csv")]
+    with open(tmp_path / "stderr.txt", "w+", encoding="utf-8") as err:
+        proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=err,
+                                preexec_fn=lambda: resource.setrlimit(
+                                    resource.RLIMIT_AS, (limit, limit)))
+        _, status, usage = os.wait4(proc.pid, 0)  # the child's own peak
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        stderr = err.read()
+    assert proc.returncode in (0, 1), stderr
+    assert "Traceback" not in stderr, stderr
+    assert usage.ru_maxrss <= 2_200_000, usage.ru_maxrss  # kB
 
 
 @pytest.mark.parametrize("key", sorted(WALK_REFERENCE))

@@ -1,6 +1,5 @@
 import tracemalloc
 from collections import defaultdict
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from dense_lindblad import (
     dense_rhs,
     edge_table_reset,
     embed_blocks,
+    frame_diagonal,
     frame_rhs,
     frame_rk4,
     lab_rhs,
@@ -20,22 +20,19 @@ from dense_lindblad import (
     stacked_lift,
     stacked_lower,
 )
-from oqwalk import _kernels, lindblad
+from oqwalk import _kernels
 from oqwalk.circuits import (
     BUILTIN_CIRCUITS,
     Circuit,
     Gate,
     basis_state,
     circuit_unitaries,
-    parse_circuit,
     qft,
     toffoli13,
 )
 from oqwalk.errors import CircuitError, DomainError, ShapeError
 from oqwalk.lindblad import (
     MAX_RK4_STEPS,
-    _history_frames,
-    _frame_diagonal,
     _reset_moves,
     _rhs,
     build_dqc_lindblad,
@@ -43,8 +40,6 @@ from oqwalk.lindblad import (
     node_marginals,
 )
 from oqwalk.walk import BlockState
-
-W5 = Path(__file__).parent / "golden" / "w5.circ"
 
 EPS = np.finfo(np.float64).eps
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -67,8 +62,14 @@ def chain_mixture(unitaries, psi0, num_nodes):
 
 
 def start_state(model, bits, node=0):
+    """Lab-frame blocks of a basis state at one register."""
     psi = basis_state(len(bits), bits)
     return BlockState.pure(model.num_nodes, model.dim, node, psi).blocks
+
+
+def start_diagonal(model, bits, node=0):
+    """The frame diagonal of ``start_state``, as ``integrate`` takes it."""
+    return frame_diagonal(model._unitaries, start_state(model, bits, node))
 
 
 def edge_table(model):
@@ -159,14 +160,6 @@ class TestBuildModel:
         model = build_dqc_lindblad(toffoli13())
         assert np.array_equal(model._rates, path_laplacian(14))
         assert model._resets == 0 and model._g is None
-
-    def test_frames_are_the_partial_products(self):
-        circuit = toffoli13()
-        frames = list(_history_frames(build_dqc_lindblad(circuit)))
-        assert len(frames) == 14
-        assert np.array_equal(frames[0], np.eye(8))
-        for t, u in enumerate(circuit_unitaries(circuit), start=1):
-            assert np.array_equal(frames[t], u @ frames[t - 1])
 
     def test_holds_the_compiled_slices_not_frames(self):
         circuit = toffoli13()
@@ -397,11 +390,13 @@ class TestDiagonal:
             rho0 = start_state(model, "1" * circuit.num_qubits)
         else:
             rho0 = random_diagonal_start(np.random.default_rng(61), model)
+        frame0 = stacked_lower(model._unitaries, rho0)
+        p0 = np.einsum("nii->ni", frame0).real
         for dt in (0.25, 0.65):
-            result = integrate(model, rho0, dt=dt, stop_tol=1e-300, max_time=40 * dt,
+            result = integrate(model, p0, dt=dt, stop_tol=1e-300, max_time=40 * dt,
                                observe_every=dt)
             assert result.steps == 40
-            frames = frame_rk4(model, stacked_lower(model._unitaries, rho0), dt, 40)
+            frames = frame_rk4(model, frame0, dt, 40)
             for (_t, marginals), rho in zip(result.samples[1:], frames, strict=True):
                 assert marginals.tobytes() == np.einsum("nii->n", rho).real.tobytes()
 
@@ -442,49 +437,35 @@ class TestRhs:
             assert np.linalg.norm(out - out.conj().transpose(0, 2, 1)) < 1e-10
 
     def test_input_validation(self):
+        # the input is the (N, d) frame diagonal: (N, d, d) blocks, a wrong
+        # width, a total off 1 by more than INPUT_TOL and NaN are refused
         model = build_dqc_lindblad(single_gate_circuit())
+        with pytest.raises(ShapeError, match=r"frame diagonal of shape \(2, 2\)"):
+            integrate(model, np.stack([np.eye(2) / 4] * 2))
         with pytest.raises(ShapeError):
-            integrate(model, np.eye(4) / 4)  # a dense state is not blocks
-        with pytest.raises(ShapeError):
-            integrate(model, np.stack([np.eye(3) / 6] * 2))
-        with pytest.raises(DomainError, match="unit trace"):
-            integrate(model, np.stack([np.eye(2)] * 2))  # trace 4
-        skew = np.stack([np.eye(2, dtype=complex) / 4] * 2)
-        skew[0, 0, 1] = 1j
-        with pytest.raises(DomainError, match="Hermitian"):
-            integrate(model, skew)
-        nan = np.stack([np.eye(2) / 4] * 2)
-        nan[1, 0, 1] = nan[1, 1, 0] = np.nan
+            integrate(model, np.full((2, 3), 1 / 6))
+        with pytest.raises(DomainError, match="unit total"):
+            integrate(model, np.ones((2, 2)))
+        near = np.array([[1.0 + 1e-10, 0.0], [0.0, 0.0]])
+        assert integrate(model, near, max_time=1.0).steps == 100
+        nan = np.full((2, 2), 0.25)
+        nan[1, 0] = np.nan
         with pytest.raises(DomainError, match="NaN or Inf"):
             integrate(model, nan)
-
-    def test_coherence_in_the_frame_is_rejected(self):
-        # |+⟩ at register 1 is H|0⟩, diagonal in its frame W_1 = H; at
-        # register 0, where W_0 = I, it is a coherence
-        model = build_dqc_lindblad(single_gate_circuit())
-        plus = np.outer(H[:, 0], H[:, 0].conj())
-        assert integrate(model, start_state(model, "0")).stationary
-        assert integrate(model, np.stack([np.zeros((2, 2)), plus])).stationary
-        with pytest.raises(DomainError, match="diagonal in the history-state frame"):
-            integrate(model, np.stack([plus, np.zeros((2, 2))]))
-        # an imaginary diagonal entry is not Hermitian, so its own check
-        # fires first; a coherence within INPUT_TOL is dropped
-        near = np.stack([np.diag([1.0, 0.0]) + 1e-10 * (1 - np.eye(2)), np.zeros((2, 2))])
-        assert integrate(model, near, max_time=1.0).steps == 100
 
 
 class TestIntegrate:
     def test_single_gate_relaxes_to_uniform_registers(self):
         model = build_dqc_lindblad(single_gate_circuit())
-        result = integrate(model, start_state(model, "0"), dt=0.01, stop_tol=1e-9,
+        result = integrate(model, start_diagonal(model, "0"), dt=0.01, stop_tol=1e-9,
                            max_time=50.0)
         assert result.stationary
         assert np.abs(result.samples[-1][1] - 0.5).max() < 1e-6
 
     def test_stationary_start_takes_no_step(self):
         model = build_dqc_lindblad(single_gate_circuit())
-        rho0 = chain_mixture([H], basis_state(1, "0"), 2)
-        result = integrate(model, rho0, dt=0.1, stop_tol=1e-12, max_time=5.0)
+        p0 = frame_diagonal(model._unitaries, chain_mixture([H], basis_state(1, "0"), 2))
+        result = integrate(model, p0, dt=0.1, stop_tol=1e-12, max_time=5.0)
         assert result.stationary
         assert result.steps == 0
         assert result.time == 0.0 and len(result.samples) == 1
@@ -493,7 +474,7 @@ class TestIntegrate:
     def test_trajectory_stays_physical(self):
         model = build_dqc_lindblad(single_gate_circuit())
         result = integrate(
-            model, start_state(model, "0"), dt=0.01, stop_tol=1e-9, max_time=30.0,
+            model, start_diagonal(model, "0"), dt=0.01, stop_tol=1e-9, max_time=30.0,
             observe_every=1.0,
         )
         samples = result.samples
@@ -510,7 +491,8 @@ class TestIntegrate:
         final = []
         for psi, node in [(basis_state(1, "0"), 0), (H @ basis_state(1, "1"), 1)]:
             rho0 = BlockState.pure(model.num_nodes, model.dim, node, psi).blocks
-            res = integrate(model, rho0, dt=0.02, stop_tol=1e-10, max_time=100.0)
+            p0 = frame_diagonal(model._unitaries, rho0)
+            res = integrate(model, p0, dt=0.02, stop_tol=1e-10, max_time=100.0)
             final.append(res.samples[-1][1])
         assert np.abs(final[0] - final[1]).max() < 1e-8
 
@@ -521,38 +503,18 @@ class TestIntegrate:
         rho_star = chain_mixture([H], psi0, 2)
         assert np.linalg.norm(lab_rhs(model, rho_star)) < 1e-10
 
-    def test_peak_memory_is_below_one_input_stack(self):
-        # 7 qubits × 16 slices with resets, compiled before tracing: the
-        # (17, 128, 128) complex input is 4.3 MiB.  Its checks and its
-        # lowering hold one block and one frame at a time, and the run only
-        # (17, 128) float arrays, so the peak beyond the input stays below
-        # one more stack.  Measured: 0.27 stacks; 7.2 while the state was
-        # the complex frame stack.
-        circuit = seeded_circuit(112, 7, 16)
-        circuit_unitaries(circuit)
-        model = build_dqc_lindblad(circuit, include_reset=True)
-        rho0 = start_state(model, "1111110")
-        tracemalloc.start()
-        try:
-            result = integrate(model, rho0, dt=0.1, stop_tol=1e-300, max_time=1.0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert result.steps == 10
-        assert peak <= rho0.nbytes, peak / rho0.nbytes
-
     def test_rejects_bad_dt(self):
         model = build_dqc_lindblad(single_gate_circuit())
         with pytest.raises(DomainError):
-            integrate(model, np.stack([np.eye(2)] * 2) / 4, dt=0.0)
+            integrate(model, np.full((2, 2), 0.25), dt=0.0)
 
     def test_step_count_is_bounded(self):
         model = build_dqc_lindblad(single_gate_circuit())
-        rho0 = chain_mixture([H], basis_state(1, "0"), 2)
+        p0 = frame_diagonal(model._unitaries, chain_mixture([H], basis_state(1, "0"), 2))
         # exactly the bound is planned, and the stationary start stops at once
-        assert integrate(model, rho0, dt=1.0, max_time=MAX_RK4_STEPS).steps == 0
+        assert integrate(model, p0, dt=1.0, max_time=MAX_RK4_STEPS).steps == 0
         with pytest.raises(DomainError, match="max_time/dt"):
-            integrate(model, rho0, dt=1.0, max_time=MAX_RK4_STEPS + 0.5)
+            integrate(model, p0, dt=1.0, max_time=MAX_RK4_STEPS + 0.5)
 
     @pytest.mark.parametrize("dt, detail", [
         (3.0, "total trace 0 (dt = 3)"),
@@ -563,7 +525,7 @@ class TestIntegrate:
         # to dt ≈ 1.39, so both step sizes grow the state
         model = build_dqc_lindblad(single_gate_circuit())
         with pytest.raises(ArithmeticError, match=r"^RK4 diverged at step \d+: ") as info:
-            integrate(model, start_state(model, "0"), dt=dt, max_time=100 * dt)
+            integrate(model, start_diagonal(model, "0"), dt=dt, max_time=100 * dt)
         assert type(info.value) is ArithmeticError
         assert str(info.value).endswith(detail)
 
@@ -575,7 +537,8 @@ class TestIntegrate:
 
         model = build_dqc_lindblad(single_gate_circuit())
         rho0 = start_state(model, "0")
-        res = integrate(model, rho0, dt=0.01, stop_tol=1e-9, max_time=50.0)
+        res = integrate(model, start_diagonal(model, "0"), dt=0.01, stop_tol=1e-9,
+                        max_time=50.0)
         continuous = res.samples[-1][1]
 
         walk = keyed_chain([H], ChainParams(0.5))
@@ -618,8 +581,8 @@ class TestIntegrateOracles:
         circuit = toffoli13()
         model = build_dqc_lindblad(circuit, include_reset=include_reset)
         blocks = random_diagonal_start(rng, model)
-        result = integrate(model, blocks, dt=0.4, stop_tol=1e-300, max_time=2.0,
-                           observe_every=0.8)
+        result = integrate(model, frame_diagonal(model._unitaries, blocks), dt=0.4,
+                           stop_tol=1e-300, max_time=2.0, observe_every=0.8)
         assert result.steps == 5
         expected = dense_rk4(dense_chain_jumps(circuit, include_reset),
                              embed_blocks(blocks), 0.4, 5, 2)
@@ -635,7 +598,7 @@ class TestIntegrateOracles:
         # the unit-rate path Laplacian on T+1 nodes, so RK4 on the master
         # equation is RK4 on p
         model = build_dqc_lindblad(toffoli13())
-        result = integrate(model, start_state(model, "110"), dt=0.4, stop_tol=2e-6,
+        result = integrate(model, start_diagonal(model, "110"), dt=0.4, stop_tol=2e-6,
                            max_time=500.0, observe_every=0.4)
         assert result.stationary and result.steps == 457
         lap = path_laplacian(14)
@@ -696,73 +659,16 @@ class TestFrameSamples:
             rho0 = start_state(model, "1" * circuit.num_qubits)
         else:
             rho0 = random_diagonal_start(np.random.default_rng(50), model)
-        samples = integrate(model, rho0, dt=0.25, stop_tol=1e-300, max_time=2.0,
-                            observe_every=0.25).samples
-        assert len(samples) == 9
         frame0 = stacked_lower(model._unitaries, rho0)
+        samples = integrate(model, np.einsum("nii->ni", frame0).real, dt=0.25,
+                            stop_tol=1e-300, max_time=2.0, observe_every=0.25).samples
+        assert len(samples) == 9
         frames = [frame0, *frame_rk4(model, frame0, 0.25, 8)]
         for k, ((_t, marginals), frame) in enumerate(zip(samples, frames, strict=True)):
             lifted = stacked_lift(model._unitaries, frame)
             gap = np.abs(marginals - np.einsum("nii->n", lifted).real)
             bound = lift_rounding_bound(model, lifted)
             assert (gap <= bound).all(), (k, gap.max())
-
-
-FRAME_CASES = [*sorted(BUILTIN_CIRCUITS), "w5.circ", "4x16", "5x12", "6x10", "7x8"]
-
-
-class TestFrames:
-    @pytest.mark.parametrize("name", FRAME_CASES)
-    @pytest.mark.parametrize("include_reset", [False, True])
-    def test_frame_diagonal_is_bit_equal_to_the_stacked_frames(self, name, include_reset):
-        # the frames rebuilt one at a time give the bits of the diagonal of
-        # the batched products with the whole (T+1, d, d) stack of frames and
-        # daggers, on a lab-frame state whose frame blocks are diagonal
-        if name == "w5.circ":
-            circuit = parse_circuit(W5.read_text(encoding="utf-8"))
-        elif name in BUILTIN_CIRCUITS:
-            circuit = BUILTIN_CIRCUITS[name]()
-        else:
-            qubits, depth = map(int, name.split("x"))
-            circuit = seeded_circuit(qubits * depth, qubits, depth)
-        model = build_dqc_lindblad(circuit, include_reset=include_reset)
-        slices = circuit_unitaries(circuit)
-        rho = random_diagonal_start(np.random.default_rng(model.dim), model)
-        want = np.einsum("nii->ni", stacked_lower(slices, rho)).real
-        assert _frame_diagonal(model, rho).tobytes() == want.tobytes()
-
-
-    @pytest.mark.parametrize("filled", [(0,), (0, 4), (3,), (2, 5, 9)])
-    def test_zero_blocks_stay_zero_and_no_frame_past_the_last_is_built(self, filled,
-                                                                        monkeypatch):
-        # qft3 has 10 nodes; the frames are built up to the last non-zero
-        # block, through the zero ones before it, and the non-zero blocks
-        # lower to the bits of the stacked frames
-        model = build_dqc_lindblad(qft(3))
-        built = []
-        frames = lindblad._history_frames
-        monkeypatch.setattr(lindblad, "_history_frames",
-                            lambda m: (built.append(w) or w for w in frames(m)))
-        p = random_diagonal(np.random.default_rng(80), model.num_nodes, model.dim)
-        empty = [t for t in range(model.num_nodes) if t not in filled]
-        p[empty] = 0.0
-        p /= p.sum()
-        rho = stacked_lift(model._unitaries, diagonal_blocks(p))
-        got = _frame_diagonal(model, rho)
-        want = np.einsum("nii->ni", stacked_lower(model._unitaries, rho)).real
-        assert got[list(filled)].tobytes() == want[list(filled)].tobytes()
-        assert not got[empty].any() and not want[empty].any()
-        assert len(built) == filled[-1] + 1
-
-    def test_a_block_past_a_zero_block_is_still_checked(self):
-        # node 1 is empty, node 2 holds a coherence of its frame block
-        model = build_dqc_lindblad(qft(3))
-        frame = np.zeros((model.num_nodes, model.dim, model.dim), dtype=complex)
-        frame[0, 0, 0] = frame[2, 1, 1] = 0.5
-        frame[2, 0, 1] = frame[2, 1, 0] = 0.25
-        rho = stacked_lift(model._unitaries, frame)
-        with pytest.raises(DomainError, match="history-state frame"):
-            _frame_diagonal(model, rho)
 
 
 class TestNodeMarginals:
