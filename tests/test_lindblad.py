@@ -61,15 +61,15 @@ def chain_mixture(unitaries, psi0, num_nodes):
     return blocks
 
 
-def start_state(model, bits, node=0):
-    """Lab-frame blocks of a basis state at one register."""
+def start_state(model, bits):
+    """Lab-frame blocks of a basis state at register 0."""
     psi = basis_state(len(bits), bits)
-    return BlockState.pure(model.num_nodes, model.dim, node, psi).blocks
+    return BlockState.pure(model.num_nodes, model.dim, 0, psi).blocks
 
 
-def start_diagonal(model, bits, node=0):
+def start_diagonal(model, bits):
     """The frame diagonal of ``start_state``, as ``integrate`` takes it."""
-    return frame_diagonal(model._unitaries, start_state(model, bits, node))
+    return frame_diagonal(model._unitaries, start_state(model, bits))
 
 
 def edge_table(model):
