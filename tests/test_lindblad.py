@@ -1,5 +1,6 @@
 import tracemalloc
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,16 +21,19 @@ from dense_lindblad import (
     stacked_lift,
     stacked_lower,
 )
-from oqwalk import _kernels
+from oracles import render_circuit
+from oqwalk import _kernels, lindblad
 from oqwalk.circuits import (
     BUILTIN_CIRCUITS,
     Circuit,
     Gate,
     basis_state,
     circuit_unitaries,
+    parse_circuit,
     qft,
     toffoli13,
 )
+from oqwalk.cli import main
 from oqwalk.errors import CircuitError, DomainError, ShapeError
 from oqwalk.lindblad import (
     MAX_RK4_STEPS,
@@ -40,6 +44,8 @@ from oqwalk.lindblad import (
     node_marginals,
 )
 from oqwalk.walk import BlockState
+
+W5 = Path(__file__).parent / "golden" / "w5.circ"
 
 EPS = np.finfo(np.float64).eps
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -160,6 +166,17 @@ class TestBuildModel:
         model = build_dqc_lindblad(toffoli13())
         assert np.array_equal(model._rates, path_laplacian(14))
         assert model._resets == 0 and model._g is None
+
+    def test_frames_are_the_partial_products(self):
+        # the stacked frames that the tests lower lab-frame states with are
+        # W_0 = I and W_t = U_t W_{t−1} of the model's slices, and their daggers
+        circuit = toffoli13()
+        frames, frames_dag = stacked_frames(build_dqc_lindblad(circuit)._unitaries)
+        assert len(frames) == 14
+        assert np.array_equal(frames[0], np.eye(8))
+        for t, u in enumerate(circuit_unitaries(circuit), start=1):
+            assert np.array_equal(frames[t], u @ frames[t - 1])
+        assert np.array_equal(frames_dag, frames.conj().transpose(0, 2, 1))
 
     def test_holds_the_compiled_slices_not_frames(self):
         circuit = toffoli13()
@@ -516,6 +533,26 @@ class TestIntegrate:
         with pytest.raises(DomainError, match="max_time/dt"):
             integrate(model, p0, dt=1.0, max_time=MAX_RK4_STEPS + 0.5)
 
+    def test_peak_memory_is_below_one_input_stack(self):
+        # 7 qubits × 16 slices with resets, compiled before tracing: the
+        # (17, 128) frame diagonal is 17 KiB, where a lab-frame input stack
+        # of (17, 128, 128) complex blocks was 4.3 MiB.  The run holds only
+        # the state, the four RK4 stages, their sums and the reset moves, so
+        # its peak is a few diagonals (measured: 8.6), far below one stack
+        circuit = seeded_circuit(112, 7, 16)
+        circuit_unitaries(circuit)
+        model = build_dqc_lindblad(circuit, include_reset=True)
+        p0 = start_diagonal(model, "1111110")
+        tracemalloc.start()
+        try:
+            result = integrate(model, p0, dt=0.1, stop_tol=1e-300, max_time=1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.steps == 10
+        assert peak <= 12 * p0.nbytes, peak / p0.nbytes
+        assert 12 * p0.nbytes < model.num_nodes * model.dim**2 * 16
+
     @pytest.mark.parametrize("dt, detail", [
         (3.0, "total trace 0 (dt = 3)"),
         (1e300, "overflow encountered in multiply (dt = 1e+300)"),
@@ -669,6 +706,85 @@ class TestFrameSamples:
             gap = np.abs(marginals - np.einsum("nii->n", lifted).real)
             bound = lift_rounding_bound(model, lifted)
             assert (gap <= bound).all(), (k, gap.max())
+
+
+FRAME_CASES = [*sorted(BUILTIN_CIRCUITS), "w5.circ", "4x16", "5x12", "6x10", "7x8"]
+
+
+class TestFrames:
+    """The input is the frame diagonal: the CLI builds it without a frame,
+    and ``integrate`` neither lowers it nor reads a frame."""
+
+    @pytest.mark.parametrize("name", FRAME_CASES)
+    @pytest.mark.parametrize("include_reset", [False, True])
+    def test_frame_diagonal_is_bit_equal_to_the_stacked_frames(self, name, include_reset,
+                                                               tmp_path, monkeypatch):
+        # the one-hot row that ``oqw lindblad`` passes has the bits of the
+        # diagonal of its lab-frame basis state at register 0, lowered by the
+        # batched products with the whole (T+1, d, d) stack of frames
+        if name == "w5.circ":
+            circuit, arg = parse_circuit(W5.read_text(encoding="utf-8")), str(W5)
+        elif name in BUILTIN_CIRCUITS:
+            circuit, arg = BUILTIN_CIRCUITS[name](), name
+        else:
+            qubits, depth = map(int, name.split("x"))
+            circuit = seeded_circuit(qubits * depth, qubits, depth)
+            arg = str(tmp_path / f"{name}.circ")
+            Path(arg).write_text(render_circuit(circuit), encoding="utf-8")
+        dim = 2**circuit.num_qubits
+        x = int(np.random.default_rng(dim).integers(dim))
+        bits = format(x, f"0{circuit.num_qubits}b")
+        seen = []
+        run = lindblad.integrate
+
+        def spy(model, p0, **kwargs):
+            seen.append((model, p0))
+            return run(model, p0, **kwargs)
+
+        monkeypatch.setattr(lindblad, "integrate", spy)
+        argv = ["lindblad", "--circuit", arg, "--input", bits, "--dt", "0.1",
+                "--max-time", "0.1", "--out", str(tmp_path / "out.csv")]
+        assert main(argv + ["--include-reset"] * include_reset) in (0, 1)
+        [(model, p0)] = seen
+        assert model._resets == (circuit.num_qubits if include_reset else 0)
+        rho = start_state(model, bits)
+        want = frame_diagonal(circuit_unitaries(circuit), rho)
+        assert p0.dtype == want.dtype and p0.shape == want.shape
+        assert p0.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("filled", [(0,), (0, 4), (3,), (2, 5, 9)])
+    def test_zero_blocks_stay_zero_and_no_frame_past_the_last_is_built(self, filled):
+        # qft3 with resets has 10 nodes; integrate never reads the slices, so
+        # no frame is built at all, and from a diagonal whose only non-zero
+        # rows are ``filled`` its samples are the traces of the complex frame
+        # loop, bit for bit, starting with exact zeros on the empty nodes
+        model = build_dqc_lindblad(qft(3), include_reset=True)
+        p = random_diagonal(np.random.default_rng(80), model.num_nodes, model.dim)
+        empty = [t for t in range(model.num_nodes) if t not in filled]
+        p[empty] = 0.0
+        p /= p.sum()
+        frames = list(frame_rk4(model, diagonal_blocks(p), 0.25, 4))
+        model._unitaries = None
+        result = integrate(model, p, dt=0.25, stop_tol=1e-300, max_time=1.0,
+                           observe_every=0.25)
+        first = result.samples[0][1]
+        assert not first[empty].any()
+        assert first[list(filled)].tobytes() == node_marginals(p)[list(filled)].tobytes()
+        assert len(result.samples) == 5
+        for (_t, marginals), rho in zip(result.samples[1:], frames, strict=True):
+            assert marginals.tobytes() == np.einsum("nii->n", rho).real.tobytes()
+
+    def test_a_block_past_a_zero_block_is_still_checked(self):
+        # node 1 is empty, node 2 holds a NaN or the excess of the total
+        model = build_dqc_lindblad(qft(3))
+        p = np.zeros((model.num_nodes, model.dim))
+        p[0, 0] = p[2, 1] = 0.5
+        cases = [(np.nan, "NaN or Inf"), (np.inf, "NaN or Inf"), (1.0, "unit total")]
+        for bad, match in cases:
+            q = p.copy()
+            q[2, 3] = bad
+            with pytest.raises(DomainError, match=match):
+                integrate(model, q)
 
 
 class TestNodeMarginals:
