@@ -60,6 +60,10 @@ CASES = [
     ["run", "--circuit", "qft3", "--omega", "0.9", "--tol", "1e-12"],
     ["run", "--circuit", "w5.circ", "--omega", "0.8", "--input", "10110"],
     ["run", "--circuit", "toffoli", "--max-steps", "7"],
+    # run at the defaults (ω 0.5, 586 steps); out of steps after 64 and 65
+    ["run", "--circuit", "toffoli"],
+    ["run", "--circuit", "toffoli", "--max-steps", "64"],
+    ["run", "--circuit", "toffoli", "--max-steps", "65"],
     # sweep: grids on every built-in, one at a tight tol
     ["sweep", "--circuit", "toffoli", "--omega", "0.5:1.0:0.1"],
     ["sweep", "--circuit", "qft3", "--omega", "0.5:1:0.05", "--tol", "1e-12"],
