@@ -337,9 +337,12 @@ def _parse_gate(token: str, line_no: int) -> Gate:
 def parse_circuit(text: str, name: str = "") -> Circuit:
     """Parse the line-oriented circuit format; errors carry line numbers,
     and a qubit count or depth outside the limits of ``Circuit`` is an
-    error of the header line."""
+    error of the header line.  A ``Gate`` is immutable, so each distinct
+    gate token is parsed once and its gate shared by every slice that
+    repeats it."""
     num_qubits = None
     slices: list[tuple[Gate, ...]] = []
+    parsed: dict[str, Gate] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -353,7 +356,10 @@ def parse_circuit(text: str, name: str = "") -> Circuit:
         tokens = [t.strip() for t in line.split(";")]
         if any(not t for t in tokens):
             raise CircuitParseError(line_no, "empty gate between ';' separators")
-        gates = tuple(_parse_gate(t, line_no) for t in tokens)
+        for t in tokens:
+            if t not in parsed:
+                parsed[t] = _parse_gate(t, line_no)
+        gates = tuple(parsed[t] for t in tokens)
         try:
             _check_slice(gates, num_qubits)
         except CircuitError as exc:

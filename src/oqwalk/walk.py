@@ -17,9 +17,11 @@ also provides, together with its geometric stationary distribution.
 iterates the populations as a walk with 1×1 coins, since node t of the
 state is p_t·U_t···U_1 ρ0 (U_t···U_1)† whatever the input ρ0, and never
 touches the slices; and ``sweep_chain`` advances the populations of a
-whole ω grid in lockstep with the same arithmetic, in blocks of steps whose
-drift and convergence checks run once per block on a buffer of bounded
-size.
+whole ω grid in lockstep with the same arithmetic.  Both engines, the
+generic ``run_until_converged`` and ``sweep_chain``, advance in blocks of
+steps of one rule, with buffers of bounded size, and check drift and
+convergence once per block, through one helper, with the outcome of
+checking after every step.
 
 The engines return what they measure (steps, population history, detection
 at the last node, final state), and ``validate`` the normalization residual
@@ -355,8 +357,22 @@ def run_until_converged(
     change bounds the distance from below, so on the other steps the run
     cannot converge, and the result is the same as computing it every step.
     The node distribution is recorded every step; exhausting ``max_steps``
-    yields ``converged=False`` rather than an exception.
-    ``final_detection`` is the population of the last node.
+    yields ``converged=False`` rather than an exception, and ``converged``
+    is a ``bool``.  ``final_detection`` is the population of the last node.
+
+    The walk advances in blocks of B steps, each through ``step``, and the
+    checks run once per block: the node distributions of the block's states
+    are one ``einsum`` over their stack, into contiguous rows whose totals
+    and changes sum in the order of a step-by-step loop; the distance is
+    computed on the steps that may converge, in order, up to the first that
+    does and before the first step whose total has drifted from 1, which is
+    raised if no step before it converges.  Steps, convergence, history,
+    final state and the drift's error are those of a step-by-step loop, bit
+    for bit, though the last block may step past the converged step.  B
+    follows the rule of ``sweep_chain`` (``_block_steps``), with the block's
+    states, their stack and the state carried into it held to
+    ``_BLOCK_FLOATS`` floats: a walk whose state alone exceeds that runs
+    one step per block and holds what a step-by-step loop holds.
     """
     _check_run_limits(tol, max_steps)
     validate_state(init)
@@ -374,29 +390,42 @@ def run_until_converged(
     # computed a distance of at least tol: the decision, the step count, the
     # history and the final state are those of computing it every step.
     margin = tol * 1e-6 + 64 * walk.dim * np.finfo(np.float64).eps
-    history = [init.probabilities()]
+    last = init.probabilities()
+    history = [last[None]]
     prev = init
     converged = False
-    steps = 0
-    for n in range(1, max_steps + 1):
-        cur = step(walk, prev)
-        probs = cur.probabilities()
-        if abs(probs.sum() - 1.0) > TOL.trace:
-            raise ArithmeticError(
-                f"trace drifted to {probs.sum()} at step {n}; walk is not trace preserving"
-            )
-        moved = float(np.abs(probs - history[-1]).sum())
-        history.append(probs)
-        steps = n
-        converged = moved <= tol + margin and block_diff_norm(cur, prev) < tol
-        prev = cur
-        if converged:
-            break
+    n = 0
+    while n < max_steps and not converged:
+        # a step holds its complex state and that state's copy in the stack
+        b = _block_steps(n, max_steps, 4 * init.blocks.size)
+        states = []
+        cur = prev
+        for _ in range(b):
+            cur = step(walk, cur)
+            states.append(cur)
+        rows = np.empty((b + 1, len(last)))
+        rows[0] = last
+        stack = np.concatenate([s.blocks for s in states])
+        rows[1:] = np.einsum("nii->n", stack).real.reshape(b, -1)
+        del stack
+        moved = np.abs(rows[1:] - rows[:-1]).sum(axis=1)
+        first = int(_first_converged(
+            rows[1:].sum(axis=1)[:, None],
+            (moved <= tol + margin)[:, None],
+            n,
+            lambda j, _: block_diff_norm(states[j], states[j - 1] if j else prev) < tol,
+        )[0])
+        converged = first < b
+        kept = min(first, b - 1) + 1
+        history.append(rows[1 : kept + 1])
+        prev, last = states[kept - 1], rows[kept]
+        n += kept
 
+    history = np.concatenate(history)
     return ConvergenceReport(
-        steps=steps,
+        steps=n,
         converged=converged,
-        history=np.array(history),
+        history=history,
         final_detection=float(history[-1][-1]),
         final_state=prev,
     )
@@ -417,10 +446,57 @@ class SweepRow(NamedTuple):
     final_detection: float
 
 
-#: Steps per block; of 16, 32, 64 and 128, 64 swept the built-in grids fastest.
+#: Steps per block at most; of 16, 32, 64 and 128, 64 swept the built-in
+#: grids fastest.
 _BLOCK_STEPS = 64
-#: Floats a block buffer may hold (1 MB), so its memory never grows with B·K·T.
+#: Floats a block's buffers may hold (1 MB), so their memory never grows
+#: with B·K·T.
 _BLOCK_FLOATS = 2**17
+
+
+def _block_steps(n: int, max_steps: int, step_floats: int) -> int:
+    """Steps of an engine's block after its first n steps: as many as came
+    before it, from 16 up to ``_BLOCK_STEPS`` (blocks of 16, 16, 32, then
+    64), so a run that converges early runs few steps past it; shortened to
+    end at ``max_steps`` and so that the block's steps and the one carried
+    into it, ``step_floats`` floats each, fit in ``_BLOCK_FLOATS``; one step
+    when two do not fit."""
+    return max(1, min(max(16, n), _BLOCK_STEPS, max_steps - n, _BLOCK_FLOATS // step_floats - 1))
+
+
+def _first_converged(totals, candidates, n, confirm=None) -> np.ndarray:
+    """Each row's first converged step in a block of b steps run from step
+    n, b where it has none, or the trace drift a step-by-step loop raises.
+
+    ``totals[j, i]`` is row i's total population after step n + j + 1, and
+    ``candidates[j, i]`` says whether row i may converge on that step.  A
+    step-by-step loop checks a step's drift before its convergence, so a
+    row's candidates count only before its first drifting step.  With
+    ``confirm``, each row's counted candidates are passed to
+    ``confirm(j, i)`` in step order up to the first it accepts, which is
+    that row's converged step; without, the first counted one is.  A row
+    that drifts before it converges raises at the earliest such step,
+    with its total.
+    """
+    b = len(totals)
+    drifted = np.abs(totals - 1.0) > TOL.trace
+    candidates = candidates & ~np.logical_or.accumulate(drifted, axis=0)
+    if confirm is not None:
+        accepted = np.zeros_like(candidates)
+        for j, i in np.argwhere(candidates):
+            if not accepted[:, i].any() and confirm(j, i):
+                accepted[j, i] = True
+        candidates = accepted
+    first = np.where(candidates.any(axis=0), candidates.argmax(axis=0), b)
+    # a row that converges does so before its first drift
+    drifted &= first == b
+    if drifted.any():
+        j, i = divmod(int(drifted.argmax()), drifted.shape[1])
+        raise ArithmeticError(
+            f"trace drifted to {totals[j, i]} at step {n + j + 1}; "
+            "walk is not trace preserving"
+        )
+    return first
 
 
 def sweep_chain(
@@ -439,17 +515,16 @@ def sweep_chain(
     The drift check and ``max_steps`` are those of ``run_until_converged``.
     Rows are returned in the order of ``omegas``.
 
-    The rows advance in blocks of B = ``_BLOCK_STEPS`` steps into a
+    The rows advance in blocks of B steps (``_block_steps``) into a
     (B+1, K, T+1) buffer, so the per-step loop is the recurrence alone, in
     place.  After each block, the totals, ``moved`` and each row's first
     converged step are computed for the whole block at once, with the
-    summation order of a step-by-step loop.  A drift counts only on steps
-    where its row is still live (not converged on an earlier step), so it
-    raises at the step, and with the total, of a step-by-step loop.  B is
-    shortened so that the last block ends at ``max_steps`` and so that the
-    buffer holds at most ``_BLOCK_FLOATS`` floats; a grid too large for
-    that runs with B = 1, whose buffer is the two population arrays of a
-    step-by-step loop.
+    summation order of a step-by-step loop (``_first_converged``).  A drift
+    counts only on steps where its row is still live (not converged on an
+    earlier step), so it raises at the step, and with the total, of a
+    step-by-step loop.  The buffer holds at most ``_BLOCK_FLOATS`` floats;
+    a grid too large for that runs with B = 1, whose buffer is the two
+    population arrays of a step-by-step loop.
     """
     _check_run_limits(tol, max_steps)
     if big_t < 1:
@@ -472,7 +547,7 @@ def sweep_chain(
     scratch = np.empty_like(coef)
     n = 0
     while len(rows) and n < max_steps:
-        b = max(1, min(_BLOCK_STEPS, max_steps - n, _BLOCK_FLOATS // p.size - 1))
+        b = _block_steps(n, max_steps, p.size)
         buf = np.empty((b + 1, *p.shape))
         buf[0] = p
         terms = scratch[: len(rows)]
@@ -482,18 +557,10 @@ def sweep_chain(
             np.multiply(coef, terms, out=terms)
             np.multiply(terms, coef, out=terms)
             np.add(terms[:, 0], terms[:, 1], out=buf[j + 1])
-        # conv[j, i]: row i converges at step n + j + 1; it is live up to
-        # its first such step (first[i] = b when it has none in the block)
-        conv = np.abs(buf[1:] - buf[:-1]).sum(axis=2) < tol
-        first = np.where(conv.any(axis=0), conv.argmax(axis=0), b)
-        totals = buf[1:].sum(axis=2)
-        drifted = (np.abs(totals - 1.0) > TOL.trace) & (np.arange(b)[:, None] <= first)
-        if drifted.any():
-            j, i = divmod(int(drifted.argmax()), len(rows))
-            raise ArithmeticError(
-                f"trace drifted to {totals[j, i]} at step {n + j + 1}; "
-                "walk is not trace preserving"
-            )
+        # row i converges at step n + j + 1 when that step moved it < tol;
+        # it is live up to its first such step (first[i] = b when none)
+        moved = np.abs(buf[1:] - buf[:-1]).sum(axis=2)
+        first = _first_converged(buf[1:].sum(axis=2), moved < tol, n)
         n += b
         done = (first < b) | (n == max_steps)
         for i in np.flatnonzero(done):
@@ -518,8 +585,9 @@ def run_chain(
     between two steps is Σ_t |Δp_t|.  The populations are therefore iterated
     by the same engine on an ``OpenQuantumWalk`` over the chain's T+1 nodes
     with the 1×1 coins √λ and √ω, which keeps its history, stopping rule,
-    drift check and ``max_steps``; its report is returned as it is, so
-    ``final_state`` holds the (T+1, 1, 1) populations.  Within rounding
+    drift check, ``max_steps`` and blocks of steps; its report is returned
+    as it is, so ``final_state`` holds the (T+1, 1, 1) populations and
+    ``converged`` is a ``bool``.  Within rounding
     (see ``run_until_converged``) the steps, history and detection equal
     those of ``run_until_converged`` on the chain's full d×d blocks.
     """

@@ -8,7 +8,9 @@ whose Gram sums ``dense_lindblad.source_gram`` takes.  ``history_state``
 writes the lab-frame blocks p_t·v_t v_t† of a chain from its populations,
 which ``run_chain`` iterates without them, and ``conditional_state`` reads
 one node's normalized block.  ``seeded_circuit`` is a random circuit of a
-given size, the same for the same seed.
+given size, the same for the same seed.  ``stepwise_run`` is
+``run_until_converged`` as a step-by-step loop, with its checks after every
+step: the oracle of the block-stepped engine.
 """
 
 import math
@@ -18,7 +20,15 @@ import numpy as np
 from oqwalk.circuits import Circuit, Gate, circuit_unitaries
 from oqwalk.config import TOL
 from oqwalk.errors import DomainError
-from oqwalk.walk import BlockState, OpenQuantumWalk
+from oqwalk.walk import (
+    BlockState,
+    ConvergenceReport,
+    OpenQuantumWalk,
+    _check_run_limits,
+    block_diff_norm,
+    step,
+    validate_state,
+)
 
 #: Kinds ``seeded_circuit`` draws from, as the benchmark's circuit files do.
 SEEDED_KINDS = ("H", "X", "S", "T", "R", "CNOT", "CP")
@@ -85,3 +95,40 @@ def seeded_circuit(seed, num_qubits, depth):
             free = free[arity:]
         slices.append(tuple(gates))
     return Circuit(num_qubits, tuple(slices))
+
+
+def stepwise_run(walk, init, tol=1e-7, max_steps=100_000):
+    """``run_until_converged`` one step at a time: each step's distribution,
+    drift check, population change and, where that change leaves it in
+    doubt, trace-norm distance, before the next step.  ``converged`` is
+    numpy's bool where the last step's change already rules it out."""
+    _check_run_limits(tol, max_steps)
+    validate_state(init)
+
+    margin = tol * 1e-6 + 64 * walk.dim * np.finfo(np.float64).eps
+    history = [init.probabilities()]
+    prev = init
+    converged = False
+    steps = 0
+    for n in range(1, max_steps + 1):
+        cur = step(walk, prev)
+        probs = cur.probabilities()
+        if abs(probs.sum() - 1.0) > TOL.trace:
+            raise ArithmeticError(
+                f"trace drifted to {probs.sum()} at step {n}; walk is not trace preserving"
+            )
+        moved = float(np.abs(probs - history[-1]).sum())
+        history.append(probs)
+        steps = n
+        converged = moved <= tol + margin and block_diff_norm(cur, prev) < tol
+        prev = cur
+        if converged:
+            break
+
+    return ConvergenceReport(
+        steps=steps,
+        converged=converged,
+        history=np.array(history),
+        final_detection=float(history[-1][-1]),
+        final_state=prev,
+    )
