@@ -405,9 +405,9 @@ def run_until_converged(
             states.append(cur)
         rows = np.empty((b + 1, len(last)))
         rows[0] = last
-        stack = np.concatenate([s.blocks for s in states])
+        stack = np.concatenate([s.blocks for s in states])  # (b·N, d, d)
         rows[1:] = np.einsum("nii->n", stack).real.reshape(b, -1)
-        del stack
+        del stack  # before the distances, which need a difference of states
         moved = np.abs(rows[1:] - rows[:-1]).sum(axis=1)
         first = int(_first_converged(
             rows[1:].sum(axis=1)[:, None],
