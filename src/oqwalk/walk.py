@@ -369,10 +369,11 @@ def run_until_converged(
     raised if no step before it converges.  Steps, convergence, history,
     final state and the drift's error are those of a step-by-step loop, bit
     for bit, though the last block may step past the converged step.  B
-    follows the rule of ``sweep_chain`` (``_block_steps``), with the block's
-    states, their stack and the state carried into it held to
-    ``_BLOCK_FLOATS`` floats: a walk whose state alone exceeds that runs
-    one step per block and holds what a step-by-step loop holds.
+    is that of ``sweep_chain`` (``_block_steps``): ``_BLOCK_STEPS``,
+    shortened to end at ``max_steps`` and so that the block's states, their
+    stack and the state carried into it fit in ``_BLOCK_FLOATS`` floats; a
+    walk whose state alone exceeds that runs one step per block and holds
+    what a step-by-step loop holds.
     """
     _check_run_limits(tol, max_steps)
     validate_state(init)
@@ -397,7 +398,7 @@ def run_until_converged(
     n = 0
     while n < max_steps and not converged:
         # a step holds its complex state and that state's copy in the stack
-        b = _block_steps(n, max_steps, 4 * init.blocks.size)
+        b = _block_steps(max_steps - n, 4 * init.blocks.size)
         states = []
         cur = prev
         for _ in range(b):
@@ -446,22 +447,19 @@ class SweepRow(NamedTuple):
     final_detection: float
 
 
-#: Steps per block at most; of 16, 32, 64 and 128, 64 swept the built-in
-#: grids fastest.
+#: Steps per block; of 16, 32, 64 and 128, 64 swept the built-in grids fastest.
 _BLOCK_STEPS = 64
 #: Floats a block's buffers may hold (1 MB), so their memory never grows
 #: with B·K·T.
 _BLOCK_FLOATS = 2**17
 
 
-def _block_steps(n: int, max_steps: int, step_floats: int) -> int:
-    """Steps of an engine's block after its first n steps: as many as came
-    before it, from 16 up to ``_BLOCK_STEPS`` (blocks of 16, 16, 32, then
-    64), so a run that converges early runs few steps past it; shortened to
-    end at ``max_steps`` and so that the block's steps and the one carried
+def _block_steps(remaining: int, step_floats: int) -> int:
+    """Steps of an engine's next block: ``_BLOCK_STEPS``, shortened to the
+    ``remaining`` steps and so that the block's steps and the one carried
     into it, ``step_floats`` floats each, fit in ``_BLOCK_FLOATS``; one step
     when two do not fit."""
-    return max(1, min(max(16, n), _BLOCK_STEPS, max_steps - n, _BLOCK_FLOATS // step_floats - 1))
+    return max(1, min(_BLOCK_STEPS, remaining, _BLOCK_FLOATS // step_floats - 1))
 
 
 def _first_converged(totals, candidates, n, confirm=None) -> np.ndarray:
@@ -515,16 +513,17 @@ def sweep_chain(
     The drift check and ``max_steps`` are those of ``run_until_converged``.
     Rows are returned in the order of ``omegas``.
 
-    The rows advance in blocks of B steps (``_block_steps``) into a
+    The rows advance in blocks of B = ``_BLOCK_STEPS`` steps into a
     (B+1, K, T+1) buffer, so the per-step loop is the recurrence alone, in
     place.  After each block, the totals, ``moved`` and each row's first
     converged step are computed for the whole block at once, with the
     summation order of a step-by-step loop (``_first_converged``).  A drift
     counts only on steps where its row is still live (not converged on an
     earlier step), so it raises at the step, and with the total, of a
-    step-by-step loop.  The buffer holds at most ``_BLOCK_FLOATS`` floats;
-    a grid too large for that runs with B = 1, whose buffer is the two
-    population arrays of a step-by-step loop.
+    step-by-step loop.  B is shortened (``_block_steps``) so that the last
+    block ends at ``max_steps`` and so that the buffer holds at most
+    ``_BLOCK_FLOATS`` floats; a grid too large for that runs with B = 1,
+    whose buffer is the two population arrays of a step-by-step loop.
     """
     _check_run_limits(tol, max_steps)
     if big_t < 1:
@@ -547,7 +546,7 @@ def sweep_chain(
     scratch = np.empty_like(coef)
     n = 0
     while len(rows) and n < max_steps:
-        b = _block_steps(n, max_steps, p.size)
+        b = _block_steps(max_steps - n, p.size)
         buf = np.empty((b + 1, *p.shape))
         buf[0] = p
         terms = scratch[: len(rows)]

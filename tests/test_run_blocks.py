@@ -32,7 +32,7 @@ from oqwalk.walk import (
 )
 from test_walk import random_mixed_state
 
-#: Steps per block of the engines, once their first blocks have grown.
+#: Steps per block of the engines.
 B = walk._BLOCK_STEPS
 
 
@@ -95,9 +95,9 @@ def chain_unitaries(dim, big_t, seed):
 # ω = 1 on T slices converges on step T + 1; from a mixed start the
 # internal states go on mixing, so some steps whose populations have
 # settled are checked and fail.  A leak of 3e-12·ω² drifts after tens of
-# steps: at ω = 1 on step 34, inside the block of steps 33 to 64, where at
-# T = 9 and a tol no step meets it raises, and at T = 32 the run has
-# converged on step 33 of the same block.
+# steps: at ω = 1 on step 34, inside the first block, where at T = 9 and a
+# tol no step meets it raises, and at T = 32 the run has converged on step
+# 33 of the same block.
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     dim=st.sampled_from([1, 2, 8, 16]),

@@ -44,11 +44,10 @@ def run_chain_error(big_t, omega, tol):
 
 
 # ω = 1 takes exactly T + 1 steps.  At T = 4, tol = 1e-7, ω = 0.66 converges
-# on step B (the last of a block) and ω = 0.65 on step B + 1 (the first of
-# the next); at T = 4, tol = 1e-12, ω = 0.54 does on step 2B + 1, also the
-# first of a block.  A block_cap of c lowers the float budget to
-# (c + 1)·K·(T + 1), so the first block has c steps and the blocks lengthen
-# as rows retire.
+# on step B (the last of the first block) and ω = 0.65 on step B + 1 (the
+# first of the second); at T = 4, tol = 1e-12, ω = 0.54 does on step 2B + 1.
+# A block_cap of c lowers the float budget to (c + 1)·K·(T + 1), so the
+# first block has c steps and the blocks lengthen as rows retire.
 @settings(max_examples=100, deadline=None)
 @given(
     big_t=st.integers(1, 48),
@@ -136,7 +135,7 @@ def test_a_drift_that_starts_mid_block_is_raised_where_run_chain_raises(
 ):
     # each step leaks 3e-12·ω² of weight, so a row drifts past TOL.trace
     # after tens of steps; ω = 1 would do so on step 34 but converges on
-    # step 10 first, so its later steps must not count
+    # step 10 first, so its later steps in the same block must not count
     monkeypatch.setattr(
         ChainParams, "lam", property(lambda s: 1.0 - s.omega + 3e-12 * s.omega**2)
     )
@@ -149,19 +148,6 @@ def test_a_drift_that_starts_mid_block_is_raised_where_run_chain_raises(
     with pytest.raises(ArithmeticError) as info:
         sweep_chain(9, grid, 1e-7)
     assert str(info.value) == expected
-
-
-def test_a_row_that_converges_before_its_drift_in_the_same_block_does_not_raise(
-    monkeypatch,
-):
-    # with the same leak, T = 32 at ω = 1 converges on step 33 and would
-    # drift on step 34, both in the block of steps 33 to 64
-    monkeypatch.setattr(
-        ChainParams, "lam", property(lambda s: 1.0 - s.omega + 3e-12 * s.omega**2)
-    )
-    [row] = sweep_chain(32, [1.0])
-    assert row == chain_row(32, 1.0, 1e-7)
-    assert (row.steps, row.converged) == (33, True)
 
 
 def test_the_block_buffer_is_bounded():
