@@ -20,6 +20,7 @@ from oqwalk.circuits import (
     qft,
     toffoli13,
 )
+from oqwalk import circuits
 from oqwalk.errors import CircuitError, CircuitParseError
 from oqwalk.linalg import frobenius
 from oracles import dft_matrix, render_circuit, toffoli_matrix
@@ -502,6 +503,20 @@ class TestParse:
         # int() also reads "_" separators, signs and non-ASCII digits
         with pytest.raises(CircuitParseError, match=match):
             parse_circuit(text)
+
+    def test_a_repeated_token_is_parsed_once_and_checked_on_its_own_line(self, monkeypatch):
+        # a Gate is immutable, so each distinct token is parsed once and its
+        # gate shared; the slice checks still run on every line and name it
+        parsed = []
+        parse_gate = circuits._parse_gate
+        monkeypatch.setattr(
+            circuits, "_parse_gate", lambda t, n: parsed.append(t) or parse_gate(t, n)
+        )
+        c = parse_circuit("qubits 3\nH 1 ; X 2\nH 1\nX 2 ; H 1\n")
+        assert parsed == ["H 1", "X 2"]
+        assert c.slices[1][0] is c.slices[0][0] is c.slices[2][1]
+        with pytest.raises(CircuitParseError, match=r"line 4: .*\[1\] used twice"):
+            parse_circuit("qubits 3\nH 1\nX 2\nH 1 ; H 1\n")
 
     def test_cp_normalizes_order(self):
         c = parse_circuit("qubits 3\nCP 3 1 pi/2\n")
