@@ -90,6 +90,9 @@ CASES = [
     # d = 128 from all ones: every reset move carries population, below the RK4 limit 0.341
     ["lindblad", "--circuit", "seeded7.circ", "--input", "1111111", "--include-reset",
      "--dt", "0.25", "--record-every", "8", "--max-time", "16"],
+    # one slice, two nodes: each step's and each sample's rows are two lines
+    ["run", "--circuit", "one.circ"],
+    ["lindblad", "--circuit", "one.circ", *_SHORT, "--include-reset"],
     # input errors
     ["validate", "--circuit", "missing.circ"],
     ["run", "--circuit", "toffoli", "--omega", "nan"],

@@ -18,6 +18,9 @@ from oqwalk import circuits, cli
 from oqwalk.cli import MAX_GRID_POINTS, fmt, main, parse_omega_spec
 from oracles import render_circuit
 
+#: A committed circuit file of two qubits and one slice: a chain of two nodes.
+ONE_SLICE = str(Path(__file__).resolve().parent / "golden" / "one.circ")
+
 #: The walk entries that the benchmark records and checks its outputs against.
 WALK_REFERENCE = json.loads(
     (Path(__file__).resolve().parent.parent / "perfbench" / "reference.json").read_text(
@@ -204,10 +207,11 @@ class TestRunCommand:
 
 
 def comprehension_run_csv(name, omega, tol, max_steps):
-    """``run``'s CSV of a built-in and its exit code, with the history
-    written by one f-string per (step, node), as a per-row comprehension,
-    and the fidelity read off the whole lifted state of the chain."""
-    circuit = circuits.BUILTIN_CIRCUITS[name]()
+    """``run``'s CSV of a built-in or a circuit file and its exit code, with
+    the history written by one f-string per (step, node), as a per-row
+    comprehension, and the fidelity read off the whole lifted state of the
+    chain."""
+    circuit = cli.load_circuit(name)
     bits = cli._DEFAULT_INPUTS.get(name, "0" * circuit.num_qubits)
     psi0 = circuits.basis_state(circuit.num_qubits, bits)
     chain = cli.wk.build_dqc_chain(circuit, cli.wk.ChainParams(omega))
@@ -253,11 +257,32 @@ def test_run_csv_is_that_of_the_per_row_comprehension(name, omega, tol, max_step
     assert code == (1 if max_steps == 7 else 0)
 
 
+@pytest.mark.parametrize(
+    "omega, tol, max_steps, code",
+    [("0.5", None, 100_000, 0), ("1.0", None, 100_000, 0), ("0.5", 1e-12, 100_000, 0),
+     ("0.5", None, 1, 1)],
+    ids=["omega-0.5", "omega-1.0", "tol-1e-12", "max-steps-1"],
+)
+def test_run_csv_of_a_one_slice_file_is_that_of_the_per_row_comprehension(
+        omega, tol, max_steps, code, tmp_path):
+    # two nodes: each step's rows are two lines, one newline between them
+    out = tmp_path / "run.csv"
+    argv = ["run", "--circuit", ONE_SLICE, "--omega", omega, "--max-steps", str(max_steps),
+            "--out", str(out)]
+    if tol is not None:
+        argv += ["--tol", repr(tol)]
+    text, expected_code = comprehension_run_csv(ONE_SLICE, float(omega), tol, max_steps)
+    assert main(argv) == expected_code == code
+    assert out.read_bytes() == text.encode("utf-8")
+    assert text.splitlines()[1:3] == ["0,0,1", "0,1,0"]
+
+
 def comprehension_lindblad_csv(name, bits, include_reset, dt, stop_tol, max_time,
                                record_every):
-    """``lindblad``'s CSV of a built-in and its exit code, with the samples
-    written by one f-string per (sample, node), as a per-row loop."""
-    circuit = circuits.BUILTIN_CIRCUITS[name]()
+    """``lindblad``'s CSV of a built-in or a circuit file and its exit code,
+    with the samples written by one f-string per (sample, node), as a
+    per-row loop."""
+    circuit = cli.load_circuit(name)
     psi0 = circuits.basis_state(circuit.num_qubits, bits)
     model = cli.lb.build_dqc_lindblad(circuit, include_reset=include_reset)
     rho0 = cli.wk.BlockState.pure(model.num_nodes, model.dim, 0, psi0).blocks
@@ -274,32 +299,69 @@ def comprehension_lindblad_csv(name, bits, include_reset, dt, stop_tol, max_time
     return "\n".join(rows) + "\n", 0 if result.stationary else 1
 
 
-@pytest.mark.parametrize(
-    "input_kind, stop_tol, record_every, samples",
-    [("default", 1e-8, 1.0, 51), ("ones", 1e-8, 1.0, 51), ("ones", 1e-8, 1.2, 35),
-     ("ones", 1e9, 1.0, 1)],
-    ids=["default-input", "all-ones", "last-sample-off-stride", "stationary-start"],
-)
-@pytest.mark.parametrize("include_reset", [False, True], ids=["plain", "reset"])
-@pytest.mark.parametrize("name", sorted(circuits.BUILTIN_CIRCUITS))
-def test_lindblad_csv_is_that_of_the_per_row_loop(name, include_reset, input_kind, stop_tol,
-                                                   record_every, samples, tmp_path):
-    # dt 0.4 plans 100 steps to t = 40, sampled every 2; a 1.2 stride of 3
-    # leaves step 100 off it, and a stop tolerance of 1e9 takes no step
-    num_qubits = circuits.BUILTIN_CIRCUITS[name]().num_qubits
+def check_lindblad_csv(name, include_reset, input_kind, dt, stop_tol, max_time,
+                       record_every, tmp_path):
+    """Run ``lindblad`` and compare its CSV with the per-row loop's; the
+    loop's text."""
+    num_qubits = cli.load_circuit(name).num_qubits
     bits = (cli._DEFAULT_INPUTS.get(name, "0" * num_qubits) if input_kind == "default"
             else "1" * num_qubits)
     out = tmp_path / "lindblad.csv"
-    argv = ["lindblad", "--circuit", name, "--input", bits, "--dt", "0.4",
-            "--stop-tol", repr(stop_tol), "--max-time", "40",
+    argv = ["lindblad", "--circuit", name, "--input", bits, "--dt", repr(dt),
+            "--stop-tol", repr(stop_tol), "--max-time", repr(max_time),
             "--record-every", repr(record_every), "--out", str(out)]
     if include_reset:
         argv.append("--include-reset")
-    text, code = comprehension_lindblad_csv(name, bits, include_reset, 0.4, stop_tol, 40.0,
+    text, code = comprehension_lindblad_csv(name, bits, include_reset, dt, stop_tol, max_time,
                                             record_every)
     assert main(argv) == code
     assert out.read_bytes() == text.encode("utf-8")
-    assert sum(line.split(",")[1:2] == ["0"] for line in text.splitlines()) == samples
+    return text
+
+
+def sample_count(text):
+    return sum(line.split(",")[1:2] == ["0"] for line in text.splitlines())
+
+
+@pytest.mark.parametrize(
+    "input_kind, dt, stop_tol, max_time, record_every, samples",
+    [("default", 0.4, 1e-8, 40.0, 1.0, 51), ("ones", 0.4, 1e-8, 40.0, 1.0, 51),
+     ("ones", 0.4, 1e-8, 40.0, 1.2, 35), ("ones", 0.4, 1e9, 40.0, 1.0, 1),
+     ("default", 2.5e-05, 1e-8, 1e-4, 2.5e-05, 5)],
+    ids=["default-input", "all-ones", "last-sample-off-stride", "stationary-start",
+         "exponent-times"],
+)
+@pytest.mark.parametrize("include_reset", [False, True], ids=["plain", "reset"])
+@pytest.mark.parametrize("name", sorted(circuits.BUILTIN_CIRCUITS))
+def test_lindblad_csv_is_that_of_the_per_row_loop(name, include_reset, input_kind, dt,
+                                                   stop_tol, max_time, record_every, samples,
+                                                   tmp_path):
+    # dt 0.4 plans 100 steps to t = 40, sampled every 2; a 1.2 stride of 3
+    # leaves step 100 off it, and a stop tolerance of 1e9 takes no step.
+    # dt 2.5e-05 samples every step, at times that print in exponent form
+    text = check_lindblad_csv(name, include_reset, input_kind, dt, stop_tol, max_time,
+                              record_every, tmp_path)
+    assert sample_count(text) == samples
+    if dt == 2.5e-05:
+        assert text.splitlines()[-3].startswith("0.0001,")
+        assert "\n2.5000000000000001e-05,0," in text
+
+
+@pytest.mark.parametrize(
+    "input_kind, include_reset, dt, stop_tol, max_time, record_every, samples",
+    [("default", False, 0.4, 1e-8, 40.0, 1.0, 13), ("ones", True, 0.4, 1e-8, 40.0, 1.0, 51),
+     ("ones", True, 0.4, 1e-8, 40.0, 1.2, 35), ("ones", False, 0.4, 1e9, 40.0, 1.0, 1),
+     ("default", True, 2.5e-05, 1e-8, 1e-4, 2.5e-05, 5)],
+    ids=["default-input", "all-ones-reset", "last-sample-off-stride", "stationary-start",
+         "exponent-times"],
+)
+def test_lindblad_csv_of_a_one_slice_file_is_that_of_the_per_row_loop(
+        input_kind, include_reset, dt, stop_tol, max_time, record_every, samples, tmp_path):
+    # two nodes: each sample's rows are two lines, one newline between them;
+    # without reset the chain is stationary by t = 12
+    text = check_lindblad_csv(ONE_SLICE, include_reset, input_kind, dt, stop_tol, max_time,
+                              record_every, tmp_path)
+    assert sample_count(text) == samples
 
 
 class TestSweepCommand:
