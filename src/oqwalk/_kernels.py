@@ -2,7 +2,8 @@
 
 The discrete walk is an edge table over stacked (N, d, d) node blocks; one
 step is the sum of sandwiches B ρ B† over its edges, computed by
-``step_blocks``.  The master equation moves its hops and reset jumps
+``step_blocks``.  The table's targets enter the kernel as its flat scatter
+index, which ``scatter_index`` builds once per table.  The master equation moves its hops and reset jumps
 itself, and adds the damping of the resets on node 0, a diagonal scaling,
 with ``lindblad_rhs_kernel``.
 """
@@ -12,21 +13,30 @@ from __future__ import annotations
 import numpy as np
 
 
-def step_blocks(b_ops, b_dag, src, dst, blocks):
+def scatter_index(dst, dim):
+    """The flat scatter index of an edge table with targets ``dst`` and d×d
+    coins: entry k of edge e's term goes to dst[e]·d² + k of the flattened
+    (N, d, d) output.  A read-only ``intp`` array of E·d² entries."""
+    d2 = dim * dim
+    index = np.asarray(dst, dtype=np.intp)[:, None] * d2 + np.arange(d2, dtype=np.intp)
+    index = index.reshape(-1)
+    index.flags.writeable = False
+    return index
+
+
+def step_blocks(b_ops, b_dag, src, scatter, blocks):
     """Apply one CP-map step to the stacked density blocks:
-    out[i] = sum over edges e with dst[e] == i of B_e ρ_src[e] B_e†.
+    out[i] = sum over edges e with dst[e] == i of B_e ρ_src[e] B_e†, where
+    ``scatter`` is ``scatter_index(dst, d)``.
 
     Targets may repeat and come in any order.  The terms are scattered by
-    one ``np.add.at`` on the flattened output, entry k of edge e going to
-    dst[e]·d² + k (numpy's fast ``ufunc.at`` path is 1-D only), so each
-    target sums its terms in edge order from zeros, bit for bit as an
-    edge-by-edge scatter-add does.
+    one ``np.add.at`` on the flattened output (numpy's fast ``ufunc.at``
+    path is 1-D only), so each target sums its terms in edge order from
+    zeros, bit for bit as an edge-by-edge scatter-add does.
     """
     terms = b_ops @ blocks[src] @ b_dag
-    d2 = blocks.shape[1] * blocks.shape[2]
     out = np.zeros(blocks.size, dtype=terms.dtype)
-    index = (dst[:, None] * d2 + np.arange(d2)).reshape(-1)
-    np.add.at(out, index, terms.reshape(-1))
+    np.add.at(out, scatter, terms.reshape(-1))
     return out.reshape(blocks.shape)
 
 

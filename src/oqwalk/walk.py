@@ -93,8 +93,10 @@ class OpenQuantumWalk:
 
     Instances are immutable after construction and safe to share across
     threads.  The edge table is checked and stored once, in key order, as
-    the stacked source, target, coin and coin-dagger arrays that the step
-    kernel takes; the coin stack is read-only.  ``run_chain`` builds its 1×1
+    the stacked source, target, coin and coin-dagger arrays, and the
+    targets' flat scatter index (``_kernels.scatter_index``), which the step
+    kernel takes in their place; the coin stack and the index are
+    read-only.  ``run_chain`` builds its 1×1
     population walk here; a ``ChainWalk`` holds no table.
     """
 
@@ -118,6 +120,7 @@ class OpenQuantumWalk:
             raise DomainError(f"coin for edge ({s}, {d}) contains NaN or Inf entries")
         self._src = np.array([s for s, _ in keys], dtype=np.int64)
         self._dst = np.array([d for _, d in keys], dtype=np.int64)
+        self._scatter = _kernels.scatter_index(self._dst, dim)
         b_ops.flags.writeable = False
         # conjugating into a C-ordered buffer gives the bits of a copy of
         # b_ops.conj().transpose(0, 2, 1) at a fraction of that copy's cost
@@ -209,7 +212,7 @@ def step(walk: OpenQuantumWalk, state: BlockState) -> BlockState:
             f"({walk.num_nodes}, {walk.dim}, {walk.dim})"
         )
     new = _kernels.step_blocks(
-        walk._b_ops, walk._b_dag, walk._src, walk._dst, state.blocks
+        walk._b_ops, walk._b_dag, walk._src, walk._scatter, state.blocks
     )
     return BlockState(new)
 

@@ -61,12 +61,19 @@ def lowering(num_qubits, q):
     return np.kron(np.kron(np.eye(2 ** (q - 1)), LOWER), np.eye(2 ** (num_qubits - q)))
 
 
+def target_step(b_ops, b_dag, src, dst, blocks):
+    """``_kernels.step_blocks`` on an edge table given by its target nodes,
+    through the table's scatter index."""
+    index = _kernels.scatter_index(dst, blocks.shape[1])
+    return _kernels.step_blocks(b_ops, b_dag, src, index, blocks)
+
+
 def source_gram(b_ops, b_dag, src, dst, num_nodes):
     """Per node j, Σ_{e: src[e] = j} B_e†B_e: the step on the adjoint edges,
     applied to identity blocks."""
     dim = b_ops.shape[1]
     eye = np.broadcast_to(np.eye(dim, dtype=np.complex128), (num_nodes, dim, dim))
-    return _kernels.step_blocks(b_dag, b_ops, dst, src, eye)
+    return target_step(b_dag, b_ops, dst, src, eye)
 
 
 def edge_table_reset(num_qubits, node0):
@@ -79,7 +86,7 @@ def edge_table_reset(num_qubits, node0):
     src = dst = np.zeros(num_qubits, dtype=np.int64)
     g = -0.5 * source_gram(coins, dag, src, dst, 1)
     g_dag = np.ascontiguousarray(g.conj().transpose(0, 2, 1))
-    jump = _kernels.step_blocks(coins, dag, src, dst, node0)
+    jump = target_step(coins, dag, src, dst, node0)
     return jump + g @ node0 + node0 @ g_dag
 
 

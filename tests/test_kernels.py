@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dense_chain import dense_chain
-from dense_lindblad import source_gram
+from dense_lindblad import source_gram, target_step
 from oqwalk import _kernels
 from oqwalk.circuits import BUILTIN_CIRCUITS, Circuit, Gate
-from oqwalk.walk import ChainParams, OpenQuantumWalk
+from oqwalk.walk import BlockState, ChainParams, OpenQuantumWalk, step
 from test_linalg import trace_norm
 
 
@@ -53,14 +53,14 @@ class TestStepKernels:
         rng = np.random.default_rng(0)
         args = random_edge_problem(rng)
         assert np.allclose(
-            _kernels.step_blocks(*args), reference_step(*args), atol=1e-13
+            target_step(*args), reference_step(*args), atol=1e-13
         )
 
     def test_repeated_targets_accumulate(self):
         rng = np.random.default_rng(2)
         b_ops, b_dag, src, dst, blocks = random_edge_problem(rng, num_edges=6)
         dst[:] = 0  # all edges funnel into one node
-        got = _kernels.step_blocks(b_ops, b_dag, src, dst, blocks)
+        got = target_step(b_ops, b_dag, src, dst, blocks)
         assert np.allclose(
             got, reference_step(b_ops, b_dag, src, dst, blocks), atol=1e-13
         )
@@ -81,8 +81,7 @@ class TestStepKernels:
         key = np.lexsort((walk._dst, walk._src))
         edges = (walk._b_ops[key], walk._b_dag[key], walk._src[key], walk._dst[key])
         assert np.array_equal(
-            _kernels.step_blocks(walk._b_ops, walk._b_dag, walk._src, walk._dst, blocks),
-            scatter_add_step(*edges, blocks),
+            step(walk, BlockState(blocks)).blocks, scatter_add_step(*edges, blocks)
         )
 
     @settings(max_examples=200, deadline=None)
@@ -112,7 +111,7 @@ class TestStepKernels:
         expected = np.zeros_like(blocks)
         for k in range(e):
             expected[dst[k]] += terms[k]
-        got = _kernels.step_blocks(b_ops, b_dag, src, dst, blocks)
+        got = target_step(b_ops, b_dag, src, dst, blocks)
         assert got.shape == blocks.shape and got.dtype == blocks.dtype
         assert got.tobytes() == expected.tobytes()
 
@@ -143,7 +142,7 @@ class TestStepKernels:
         a = gaussian(n, d, d)
         blocks = a @ a.conj().transpose(0, 2, 1)
         blocks /= np.einsum("nii->", blocks).real
-        out = _kernels.step_blocks(b_ops, b_dag, src, dst, blocks)
+        out = target_step(b_ops, b_dag, src, dst, blocks)
         assert abs(np.einsum("nii->", out) - 1) < 1e-12
         assert np.abs(out - out.conj().transpose(0, 2, 1)).max() < 1e-14
         assert np.linalg.eigvalsh(out).min() >= -1e-12
@@ -153,14 +152,40 @@ class TestStepKernels:
         args = random_edge_problem(rng, num_nodes=6, num_edges=40)
         b_ops, _, src, dst, blocks = args
         expected = scatter_add_step(*args)
-        assert np.array_equal(_kernels.step_blocks(*args), expected)
+        assert np.array_equal(target_step(*args), expected)
         # a walk's stored table, whose daggers are conjugated in place, gives
         # the bits of a scatter with copied daggers
         walk = OpenQuantumWalk(6, 4, {(int(s), int(d)): b for s, d, b in zip(src, dst, b_ops)})
         copied = np.ascontiguousarray(walk._b_ops.conj().transpose(0, 2, 1))
         expected = scatter_add_step(walk._b_ops, copied, walk._src, walk._dst, blocks)
-        got = _kernels.step_blocks(walk._b_ops, walk._b_dag, walk._src, walk._dst, blocks)
-        assert np.array_equal(got, expected)
+        assert np.array_equal(step(walk, BlockState(blocks)).blocks, expected)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), d=st.sampled_from([1, 2, 8]))
+    def test_walk_step_is_bitwise_edge_by_edge_scatter(self, data, d):
+        # a table keyed in random order, with targets that repeat: the walk's
+        # stored index is its definition, read-only, and its step gives the
+        # bits of one add per edge in key order
+        n = data.draw(st.integers(1, 5), label="nodes")
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        keys = data.draw(st.lists(pairs, min_size=1, max_size=12, unique=True), label="keys")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+
+        def gaussian(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        walk = OpenQuantumWalk(n, d, {key: gaussian(d, d) for key in keys})
+        dst = np.array([t for _, t in sorted(keys)])
+        assert np.array_equal(walk._scatter, (dst[:, None] * d * d + np.arange(d * d)).ravel())
+        assert walk._scatter.dtype == np.intp and not walk._scatter.flags.writeable
+        blocks = gaussian(n, d, d)
+        src = np.array([s for s, _ in sorted(keys)])
+        copied = np.ascontiguousarray(walk._b_ops.conj().transpose(0, 2, 1))
+        terms = walk._b_ops @ blocks[src] @ copied
+        expected = np.zeros_like(blocks)
+        for e, t in enumerate(dst):
+            expected[t] += terms[e]
+        assert step(walk, BlockState(blocks)).blocks.tobytes() == expected.tobytes()
 
 
 class TestLindbladKernels:
@@ -176,7 +201,7 @@ class TestLindbladKernels:
         expected = np.diag(g) @ blocks + blocks @ np.diag(g)
         for e in range(len(src)):
             expected[dst[e]] += b_ops[e] @ blocks[src[e]] @ b_dag[e]
-        jump = _kernels.step_blocks(b_ops, b_dag, src, dst, blocks)
+        jump = target_step(b_ops, b_dag, src, dst, blocks)
         got = _kernels.lindblad_rhs_kernel(jump, g[:, None], g[None, :], blocks)
         assert np.allclose(got, expected, atol=1e-12)
 

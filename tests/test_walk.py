@@ -483,7 +483,7 @@ class TestChainWalk:
         params = ChainParams(0.7)
         chain = build_dqc_chain(circuit, params)
         assert not isinstance(chain, OpenQuantumWalk)
-        assert not any(hasattr(chain, n) for n in ("_src", "_dst", "_b_ops", "_b_dag"))
+        assert not any(hasattr(chain, n) for n in ("_src", "_dst", "_scatter", "_b_ops", "_b_dag"))
         assert chain.params is params
         assert (chain.num_nodes, chain.dim) == (circuit.depth + 1, 8)
         for u, compiled in zip(chain.unitaries, circuit_unitaries(circuit), strict=True):
