@@ -404,17 +404,21 @@ def run_until_converged(
         b = _block_steps(max_steps - n, 4 * init.blocks.size)
         states = []
         cur = prev
-        for _ in range(b):
-            cur = step(walk, cur)
-            states.append(cur)
-        rows = np.empty((b + 1, len(last)))
-        rows[0] = last
-        stack = np.concatenate([s.blocks for s in states])  # (b·N, d, d)
-        rows[1:] = np.einsum("nii->n", stack).real.reshape(b, -1)
-        del stack  # before the distances, which need a difference of states
-        moved = np.abs(rows[1:] - rows[:-1]).sum(axis=1)
+        # the block may step past a drift that a step-by-step loop raises,
+        # into overflow: its inf and nan are left to the drift check
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(b):
+                cur = step(walk, cur)
+                states.append(cur)
+            rows = np.empty((b + 1, len(last)))
+            rows[0] = last
+            stack = np.concatenate([s.blocks for s in states])  # (b·N, d, d)
+            rows[1:] = np.einsum("nii->n", stack).real.reshape(b, -1)
+            del stack  # before the distances, which need a difference of states
+            moved = np.abs(rows[1:] - rows[:-1]).sum(axis=1)
+            totals = rows[1:].sum(axis=1)
         first = int(_first_converged(
-            rows[1:].sum(axis=1)[:, None],
+            totals[:, None],
             (moved <= tol + margin)[:, None],
             n,
             lambda j, _: block_diff_norm(states[j], states[j - 1] if j else prev) < tol,

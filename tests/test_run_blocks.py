@@ -157,6 +157,17 @@ def test_a_drift_on_a_step_that_would_converge_is_raised_unmeasured():
     assert re.fullmatch(r"trace drifted to \S+ at step 6; walk is not trace preserving", error)
 
 
+@pytest.mark.parametrize("block_cap", [None, 3])
+def test_a_walk_that_overflows_past_its_drift_raises_the_drift(block_cap):
+    # the coin squares the trace by 1e40 a step: it drifts on step 1, and the
+    # rest of the block overflows to inf and nan, which must not warn (the
+    # suite turns warnings into errors) but leave the drift to be raised
+    walk_ = OpenQuantumWalk(1, 1, {(0, 0): [[1e20]]})
+    init = BlockState.pure(1, 1, 0, [1.0])
+    error = assert_same_run(walk_, init, 1e-7, 100_000, block_cap)
+    assert error == "trace drifted to 1e+40 at step 1; walk is not trace preserving"
+
+
 @pytest.mark.parametrize("leak, max_steps", [(0.0, B + 1), (1e-12, 2000)])
 def test_rows_longer_than_the_ufunc_buffer_sum_as_the_loop_sums(leak, max_steps):
     # 8193 nodes: each row's total and change sum more entries than the
