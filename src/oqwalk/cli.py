@@ -131,6 +131,19 @@ def _resolve_tol(circuit: str, tol: float | None) -> float:
     return _DEFAULT_TOLS.get(circuit, 1e-7) if tol is None else tol
 
 
+def _node_csv(header: str, labels, rows) -> str:
+    """A per-node CSV: the header line, then one line ``label,node,value``
+    per label and node, with the label's row of values, in 17 significant
+    digits.  A label's lines are one ``%`` template over the nodes, filled
+    from its row's tuple, with the label spliced in after each newline."""
+    template = "".join(f"\n{node},%.17g" for node in range(len(rows[0])))
+    lines = [
+        (template % tuple(row)).replace("\n", f"\n{label},")
+        for label, row in zip(labels, rows)
+    ]
+    return header + "".join(lines) + "\n"
+
+
 def _emit(out: str | None, text: str) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -187,19 +200,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         rho = block / np.trace(block).real
         fidelity = float((target.conj() @ rho @ target).real)
 
-    # one row per (step, node); the template of a step's rows is built once
-    step_rows = "".join(f"{{0}},{t},{{{t + 1}:.17g}}\n" for t in range(circuit.depth + 1))
-    history = "".join(
-        step_rows.format(n, *dist) for n, dist in enumerate(report.history.tolist())
-    )
+    history = report.history.tolist()
     summary = (
         f"{report.steps},{fmt(report.final_detection)},"
         f"{fmt(fidelity)},{str(report.converged).lower()}"
     )
     _emit(
         args.out,
-        f"step,node,probability\n{history}"
-        f"steps_to_converge,final_detection,final_fidelity,converged\n{summary}\n",
+        _node_csv("step,node,probability", range(len(history)), history)
+        + f"steps_to_converge,final_detection,final_fidelity,converged\n{summary}\n",
     )
     return EXIT_OK if report.converged else EXIT_NUMERIC
 
@@ -246,16 +255,14 @@ def cmd_lindblad(args: argparse.Namespace) -> int:
         max_time=args.max_time,
         observe_every=args.record_every,
     )
-    # one row per (sample, node); the template of a sample's rows is built once
-    sample_rows = "".join(
-        f"{{0:.17g}},{n},{{{n + 1}:.17g}}\n" for n in range(model.num_nodes)
-    )
-    history = "".join(sample_rows.format(t, *marg.tolist()) for t, marg in result.samples)
+    times = [fmt(t) for t, _ in result.samples]
+    marginals = [marg.tolist() for _, marg in result.samples]
     uniform = 1.0 / model.num_nodes
     deviation = float(np.abs(result.samples[-1][1] - uniform).max())
     _emit(
         args.out,
-        f"time,node,probability\n{history}max_deviation_from_uniform,stationary\n"
+        _node_csv("time,node,probability", times, marginals)
+        + "max_deviation_from_uniform,stationary\n"
         f"{fmt(deviation)},{str(result.stationary).lower()}\n",
     )
     return EXIT_OK if result.stationary else EXIT_NUMERIC
