@@ -3,9 +3,9 @@
 The discrete walk is an edge table over stacked (N, d, d) node blocks; one
 step is the sum of sandwiches B ρ B† over its edges, computed by
 ``step_blocks``.  The table's targets enter the kernel as its flat scatter
-index, which ``scatter_index`` builds once per table.  The master equation moves its hops and reset jumps
-itself, and adds the damping of the resets on node 0, a diagonal scaling,
-with ``lindblad_rhs_kernel``.
+index, which ``scatter_index`` builds once per table.  The master equation
+moves its hops and reset jumps itself, and adds the damping of the resets on
+node 0, a diagonal scaling, with ``lindblad_rhs_kernel``.
 """
 
 from __future__ import annotations

@@ -93,11 +93,11 @@ class OpenQuantumWalk:
 
     Instances are immutable after construction and safe to share across
     threads.  The edge table is checked and stored once, in key order, as
-    the stacked source, target, coin and coin-dagger arrays, and the
+    the stacked source, target, coin and coin-dagger arrays, with the
     targets' flat scatter index (``_kernels.scatter_index``), which the step
-    kernel takes in their place; the coin stack and the index are
-    read-only.  ``run_chain`` builds its 1×1
-    population walk here; a ``ChainWalk`` holds no table.
+    kernel takes in place of the targets; the coin stack and the index are
+    read-only.  ``run_chain`` builds its 1×1 population walk here; a
+    ``ChainWalk`` holds no table.
     """
 
     def __init__(self, num_nodes: int, dim: int, transitions):

@@ -10,7 +10,9 @@ so it is an independent oracle for the block model.
 lowering coin per qubit on the (0 → 0) edge, through the walk's step kernel,
 and its damping as dense products with the Gram sum of ``source_gram``.  The
 model moves sub-blocks and scales by the diagonal instead, and must give the
-same bits.  ``source_gram`` is also the oracle of ``walk.validate``.
+same bits.  ``source_gram`` is also the oracle of ``walk.validate``.  Both
+call the step kernel through ``target_step``, which builds its scatter index
+from the edges' target nodes, as the tests of the kernel do.
 
 ``stacked_frames`` writes all T+1 history-state frames into one stack, with
 their daggers, and ``stacked_lift`` and ``stacked_lower`` apply them as two
