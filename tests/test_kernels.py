@@ -175,11 +175,10 @@ class TestStepKernels:
             return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
         walk = OpenQuantumWalk(n, d, {key: gaussian(d, d) for key in keys})
-        dst = np.array([t for _, t in sorted(keys)])
+        src, dst = np.array(sorted(keys)).T
         assert np.array_equal(walk._scatter, (dst[:, None] * d * d + np.arange(d * d)).ravel())
         assert walk._scatter.dtype == np.intp and not walk._scatter.flags.writeable
         blocks = gaussian(n, d, d)
-        src = np.array([s for s, _ in sorted(keys)])
         copied = np.ascontiguousarray(walk._b_ops.conj().transpose(0, 2, 1))
         terms = walk._b_ops @ blocks[src] @ copied
         expected = np.zeros_like(blocks)
