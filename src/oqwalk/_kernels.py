@@ -4,8 +4,8 @@ The discrete walk is an edge table over stacked (N, d, d) node blocks; one
 step is the sum of sandwiches B ρ B† over its edges, computed by
 ``step_blocks``.  The table's targets enter the kernel as its flat scatter
 index, which ``scatter_index`` builds once per table.  The master equation
-moves its hops and reset jumps itself, and adds the damping of the resets on
-node 0, a diagonal scaling, with ``lindblad_rhs_kernel``.
+moves its hops and reset jumps itself on the (N, d) frame diagonal, and adds
+the damping of the resets to node 0's (d,) row with ``lindblad_rhs_kernel``.
 """
 
 from __future__ import annotations
@@ -41,9 +41,10 @@ def step_blocks(b_ops, b_dag, src, scatter, blocks):
 
 
 def lindblad_rhs_kernel(jump, g, g_dag, blocks):
-    """Master-equation generator jump + G ρ_n + ρ_n G† for a diagonal damping
-    G = −½K, as elementwise scalings: G's diagonal as a column ``g`` and a
-    row ``g_dag`` on (N, d, d) blocks, or both as vectors on their diagonals."""
+    """Master-equation generator jump + G ρ_0 + ρ_0 G† for a diagonal damping
+    G = −½K, as elementwise scalings: G's diagonal as both ``g`` and
+    ``g_dag`` on node 0's (d,) row of the frame diagonal, as the library
+    passes it, or as a column and a row on complex (1, d, d) blocks."""
     return jump + g * blocks + blocks * g_dag
 
 

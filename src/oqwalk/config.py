@@ -2,9 +2,9 @@
 
 The tolerances that the library's checks share live in one frozen record so
 that tests and library code agree on what "Hermitian enough" or "unitary
-enough" means.  A threshold that only one module reads is a named constant
-of that module, with its reason (the input checks and the trace
-renormalization of ``lindblad``).  Convergence tolerances are arguments.
+enough" means.  ``trace`` is the one trace rule of both engines: ``walk``
+and ``lindblad`` check their inputs and every step against it, and neither
+rescales a state.  Convergence tolerances are arguments.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ class Tolerances:
     unitary: float = 1e-10
     #: Eigenvalues above -psd count as non-negative.
     psd: float = 1e-10
-    #: Allowed drift of the total trace of a block state.
+    #: Allowed drift of the total trace of a block state or a frame diagonal.
     trace: float = 1e-10
     #: Allowed residual of the per-source normalization sum_i B†B = I.
     walk_norm: float = 1e-10

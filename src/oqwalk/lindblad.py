@@ -35,6 +35,7 @@ import numpy as np
 
 from . import _kernels
 from .circuits import Circuit, circuit_unitaries
+from .config import TOL
 from .errors import DomainError, ShapeError
 from .linalg import frobenius
 
@@ -50,13 +51,6 @@ __all__ = [
 #: Largest RK4 step count ``ceil(max_time/dt)`` a run may plan; the default
 #: ``max_time`` and ``dt`` plan 50 000.
 MAX_RK4_STEPS = 1_000_000
-
-#: Slack of the unit-total check on ``integrate``'s input diagonal; looser
-#: than ``TOL``, since the run renormalizes the total anyway.
-INPUT_TOL = 1e-8
-#: Trace drift above which an RK4 step renormalizes the state: the generator
-#: preserves the trace, so a smaller drift is rounding, not worth a division.
-RENORM_TOL = 1e-12
 
 
 def path_laplacian(num_nodes: int) -> np.ndarray:
@@ -161,23 +155,23 @@ def integrate(
 
     ``p0`` is the real (N, d) frame diagonal p[t, x] = ⟨x|W_t† ρ_t W_t|x⟩
     of a state without coherence in the frame: finite, of unit total within
-    ``INPUT_TOL``.  ‖rhs‖_F of p is that of the whole state.  Its trace is
-    renormalized whenever it drifts from 1 by more than ``RENORM_TOL``.  Its
-    ``node_marginals`` are sampled at t = 0 and then every
-    ``round(observe_every/dt)`` steps, plus at the final step when it is
-    off that stride.  The generator is linear, so its fixed points are those
-    of the RK4 map, and the step size changes the path, not the limit.
+    ``TOL.trace``, as ``walk.validate_state`` asks of a block state.
+    ‖rhs‖_F of p is that of the whole state.  Its ``node_marginals`` are
+    sampled at t = 0 and then every ``round(observe_every/dt)`` steps, plus
+    at the final step when it is off that stride.  The generator is linear,
+    so its fixed points are those of the RK4 map, and the step size changes
+    the path, not the limit.
 
-    RK4 is stable while ``dt`` times the generator's spectral radius stays
-    below 2.785: up to 0.705 on toffoli, whose path Laplacian reaches −3.95
-    (−4 in the limit).  The resets add the popcount of the input to node
-    0's rate and lower the limit: 0.701 for qft3 from 110, 0.619 for qft4
-    from 1011.  Above it the state grows, hidden by the renormalization
-    until a step's total trace is not finite and positive, or an operation
-    overflows, divides by zero or is invalid: that raises
-    ``ArithmeticError("RK4 diverged at step n: ...")``, naming the step and
-    ``dt``.  A run that ends first returns marginals that may lie outside
-    [0, 1].
+    The generator preserves the total, and nothing rescales it: a step whose
+    total lies more than ``TOL.trace`` from 1, or whose arithmetic
+    overflows, divides by zero or is invalid, raises ``ArithmeticError("RK4
+    diverged at step n: ...")``, naming the step, the total or the
+    operation, and ``dt``.  RK4 is stable while ``dt`` times the generator's
+    spectral radius stays below 2.785: up to 0.705 on toffoli, 0.701 on qft3
+    from 110 with resets, which add the input's popcount to node 0's rate,
+    and 0.619 on qft4 from 1011.  Below the limit the drift is rounding (at
+    most 3.5e-14 over 10^6 steps), but a run may still sample marginals
+    outside [0, 1]: RK4 does not keep probabilities non-negative.
     """
     for name, value in (("dt", dt), ("stop_tol", stop_tol), ("max_time", max_time),
                         ("observe_every", observe_every)):
@@ -202,8 +196,8 @@ def integrate(
         raise ShapeError(f"p0 must be a frame diagonal of shape {shape}, got {p.shape}")
     if not np.isfinite(p).all():
         raise DomainError("p0 contains NaN or Inf entries")
-    if abs(p.sum() - 1.0) > INPUT_TOL:
-        raise DomainError("p0 must have unit total within 1e-8")
+    if abs(p.sum() - 1.0) > TOL.trace:
+        raise DomainError(f"p0 must have unit total within {TOL.trace:g}")
     moves = _reset_moves(model)
     rhs = lambda x: _rhs(model, x, moves)
 
@@ -224,17 +218,16 @@ def integrate(
                 k3 = rhs(p + (0.5 * dt) * k2)
                 k4 = rhs(p + dt * k3)
                 p = p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                tr = np.cumsum(np.cumsum(p, axis=1)[:, -1])[-1]  # as the marginals
+                tr = p.sum()
             except FloatingPointError as exc:
                 raise ArithmeticError(
                     f"RK4 diverged at step {n + 1}: {exc} (dt = {dt:g})"
                 ) from exc
-            if not (math.isfinite(tr) and tr > 0):
+            if abs(tr - 1.0) > TOL.trace:
                 raise ArithmeticError(
-                    f"RK4 diverged at step {n + 1}: total trace {tr:g} (dt = {dt:g})"
+                    f"RK4 diverged at step {n + 1}: total trace drifted to {tr:.17g} "
+                    f"(dt = {dt:g})"
                 )
-            if abs(tr - 1.0) > RENORM_TOL:
-                p = p * (1.0 / tr)  # as numpy divides a complex array by a real
             steps = n + 1
             if steps % stride == 0:
                 samples.append((steps * dt, node_marginals(p)))

@@ -22,7 +22,7 @@ it.
 
 ``frame_rhs`` is the model's generator on complex (N, d, d) frame blocks,
 coherences included, and ``frame_rk4`` the RK4 loop on them, Hermitized
-and renormalized each step; the library integrates only the real frame
+each step and never rescaled; the library integrates only the real frame
 diagonal, and must give the bits of this loop's diagonal.  ``lab_rhs`` is
 ``frame_rhs`` on lab-frame blocks, lowered into the frame and lifted back
 with the stacked frames.
@@ -162,8 +162,7 @@ def frame_rhs(model, blocks):
 
 def frame_rk4(model, blocks, dt, steps):
     """The frame blocks after each of ``steps`` RK4 steps of ``frame_rhs``
-    from ``blocks``: Hermitized after each step, and divided by their total
-    trace when it drifts from 1 by more than 1e-12."""
+    from ``blocks``, Hermitized after each step."""
     rhs = lambda r: frame_rhs(model, r)
     rho = 0.5 * (blocks + blocks.conj().transpose(0, 2, 1))
     for _ in range(steps):
@@ -173,9 +172,6 @@ def frame_rk4(model, blocks, dt, steps):
         k4 = rhs(rho + dt * k3)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
-        tr = np.einsum("nii->", rho).real
-        if abs(tr - 1.0) > 1e-12:
-            rho = rho / tr
         yield rho
 
 

@@ -500,18 +500,41 @@ class TestLindbladCommand:
         # RK4 is stable while dt times the generator's spectral radius stays
         # below 2.785: up to dt = 0.705 on toffoli, whose path Laplacian
         # reaches −3.95, and 0.714 on qft3 from 000, where no reset acts.
-        # Above it the state grows until its trace changes sign, or a
-        # product overflows at once
-        (["--circuit", "toffoli", "--dt", "0.75"], "error: RK4 diverged at step 154:"),
+        # Above it the rounding grows until the total trace drifts from 1 by
+        # more than TOL.trace, or a product overflows at once
+        (["--circuit", "toffoli", "--dt", "0.75"],
+         "error: RK4 diverged at step 61: total trace drifted to "),
         (["--circuit", "toffoli", "--dt", "1e300"], "error: RK4 diverged at step 1:"),
         (["--circuit", "qft3", "--include-reset", "--dt", "0.9"],
-         "error: RK4 diverged at step 39:"),
+         "error: RK4 diverged at step 16: total trace drifted to "),
     ])
     def test_diverging_dt_is_a_numeric_failure(self, argv, message, tmp_path, capsys):
         out = tmp_path / "lb.csv"
         assert main(["lindblad", *argv, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(message) and err.count("\n") == 1, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("circuit, argv, step", [
+        ("qft4", ["--input", "1011", "--dt", "0.65", "--max-time", "105"], 53),
+        ("seeded 8x4", ["--input", "11111111", "--dt", "0.4", "--max-time", "10"], 7),
+    ])
+    def test_above_the_limit_with_reset_is_an_error_not_a_csv(self, circuit, argv, step,
+                                                              tmp_path, capsys):
+        # above RK4's limit (0.619 for qft4 from 1011, 0.305 for the 8-qubit
+        # file from all ones) the rounding of the reset columns grows.  A
+        # rescale of the total once let both runs write their samples, with
+        # minima −0.3125 and −0.048828125, and exit 1 with an empty stderr;
+        # the drift rule stops them at the step the total leaves TOL.trace
+        if circuit != "qft4":
+            circuit = tmp_path / "seeded.circ"
+            circuit.write_text(render_circuit(seeded_circuit(8, 8, 4)))
+        out = tmp_path / "lb.csv"
+        assert main(["lindblad", "--circuit", str(circuit), "--include-reset", *argv,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: RK4 diverged at step {step}: total trace drifted to ")
+        assert err.count("\n") == 1, err
         assert not out.exists()
 
     @pytest.mark.parametrize("reset", [[], ["--include-reset"]])

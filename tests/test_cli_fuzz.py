@@ -6,7 +6,10 @@ literals (``nan``, ``inf``, ``-0``, ``1e-320``, ``1e308``, empty, ``５``,
 valid files.  Whatever the input, ``cli.main`` exits 0, 1 or 2, prints no
 traceback and issues no warning (a warning would print to stderr); every
 input error, a command line that argparse rejects included, returns 2 with
-stderr starting ``error:``.
+stderr starting ``error:``.  ``lindblad`` keeps its trace rule: a run that
+ends, stationary or not, writes samples whose marginals sum to 1 within
+``TOL.trace``, and a run that drifts prints one ``RK4 diverged`` line and no
+CSV.
 
 Every example is cheap: ``run`` and ``sweep`` always get ``--max-steps``,
 and ``lindblad`` always gets ``--dt`` and ``--max-time``, each drawn from
@@ -15,13 +18,15 @@ small values and edge literals, and a fuzzed file has at most six qubits.
 
 import contextlib
 import io
+import math
 import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
+from oqwalk import config
 from oqwalk.cli import main
 
 HUGE = "9" * 400
@@ -124,13 +129,27 @@ def argvs(draw):
 
 
 def call(argv):
-    """Exit code, stderr and the warnings."""
+    """Exit code, stdout, stderr and the warnings."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main(argv)
-    return code, err.getvalue(), caught
+    return code, out.getvalue(), err.getvalue(), caught
+
+
+def lindblad_samples(csv):
+    """The node marginals of each sample of a ``lindblad`` CSV: a sample's
+    rows run from node 0 up."""
+    lines = csv.splitlines()
+    assert lines[0] == "time,node,probability"
+    samples = []
+    for line in lines[1:lines.index("max_deviation_from_uniform,stationary")]:
+        _time, node, probability = line.split(",")
+        if node == "0":
+            samples.append([])
+        samples[-1].append(float(probability))
+    return samples
 
 
 @pytest.fixture(scope="module")
@@ -141,14 +160,27 @@ def workdir(tmp_path_factory):
 @settings(max_examples=500, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(argv=argvs(), text=circuit_texts())
+# the derandomized draw reaches neither way a run diverges: an overflow on
+# the first step, and a total that drifts (at step 16 of 23)
+@example(argv=["lindblad", "--circuit", "toffoli", "--dt", "1e308", "--max-time", "2"],
+         text=VALID_TEXTS[0])
+@example(argv=["lindblad", "--circuit", "qft3", "--dt", "0.9", "--max-time", "20",
+               "--include-reset"], text=VALID_TEXTS[0])
 def test_exit_codes_and_stderr_hold_the_contract(argv, text, workdir):
     fuzzed = workdir / "fuzz.circ"
     fuzzed.write_text(text, encoding="utf-8")
     argv = [str(fuzzed) if a == "fuzz.circ" else a for a in argv]
-    code, err, caught = call(argv)
+    code, out, err, caught = call(argv)
     event(f"{argv[0]} exit {code}")
     assert code in (0, 1, 2), (code, err)
     assert "Traceback" not in err
     assert not caught, [str(w.message) for w in caught]
     if code == 2:
         assert err.startswith("error:"), err
+    elif argv[0] == "lindblad" and err:
+        event("lindblad diverged")
+        assert code == 1 and err.startswith("error: RK4 diverged at step "), err
+        assert err.count("\n") == 1 and not out, (err, out)
+    elif argv[0] == "lindblad":
+        for sample in lindblad_samples(out):
+            assert abs(math.fsum(sample) - 1.0) <= config.TOL.trace, sample

@@ -34,6 +34,7 @@ from oqwalk.circuits import (
     toffoli13,
 )
 from oqwalk.cli import main
+from oqwalk.config import TOL
 from oqwalk.errors import CircuitError, DomainError, ShapeError
 from oqwalk.lindblad import (
     MAX_RK4_STEPS,
@@ -376,6 +377,12 @@ class TestResetOracle:
         assert src.size == dst.size == 0
 
 
+#: The step at which ``frame_rk4``'s total first drifts past TOL.trace, in 40
+#: steps from all ones or a random start: only qft4 with reset at dt 0.65,
+#: above its limit.  The other reset cases at 0.65 drift by at most 3.3e-12.
+DRIFT_STEPS = {("qft4", True, "basis", 0.65): 13, ("qft4", True, "random", 0.65): 21}
+
+
 class TestDiagonal:
     """The frame diagonal evolves alone: the library's real engine against
     the complex frame engine of ``tests/dense_lindblad.py``."""
@@ -398,9 +405,10 @@ class TestDiagonal:
     def test_samples_are_bit_equal_to_the_complex_frame_loop(self, name, include_reset,
                                                               start):
         # integrate's samples, one per step, are the traces of the complex
-        # frame blocks that ``frame_rk4`` steps, Hermitizes and renormalizes;
-        # dt = 0.65 is above the stability limit, so the state grows and is
-        # renormalized on most steps
+        # frame blocks that ``frame_rk4`` steps and Hermitizes.  dt = 0.65 is
+        # above the stability limit of the reset runs from all ones, so their
+        # rounding grows: where the loop's total first drifts past TOL.trace,
+        # integrate raises at that step, and up to it the two stay bit-equal
         circuit = BUILTIN_CIRCUITS[name]()
         model = build_dqc_lindblad(circuit, include_reset=include_reset)
         if start == "basis":
@@ -410,11 +418,22 @@ class TestDiagonal:
         frame0 = stacked_lower(model._unitaries, rho0)
         p0 = np.einsum("nii->ni", frame0).real
         for dt in (0.25, 0.65):
-            result = integrate(model, p0, dt=dt, stop_tol=1e-300, max_time=40 * dt,
-                               observe_every=dt)
-            assert result.steps == 40
-            frames = frame_rk4(model, frame0, dt, 40)
-            for (_t, marginals), rho in zip(result.samples[1:], frames, strict=True):
+            frames = list(frame_rk4(model, frame0, dt, 40))
+            first = next((n for n, rho in enumerate(frames, start=1)
+                          if abs(np.einsum("nii->", rho).real - 1.0) > TOL.trace), None)
+            assert first == DRIFT_STEPS.get((name, include_reset, start, dt))
+            steps = 40
+            if first:
+                steps = first - 1
+                with pytest.raises(ArithmeticError, match=(
+                        rf"^RK4 diverged at step {first}: total trace drifted to ")):
+                    integrate(model, p0, dt=dt, stop_tol=1e-300, max_time=40 * dt)
+            # half a step short of ``steps``, so that ceil(max_time/dt) is
+            # ``steps`` however steps·dt rounds
+            result = integrate(model, p0, dt=dt, stop_tol=1e-300,
+                               max_time=(steps - 0.5) * dt, observe_every=dt)
+            assert result.steps == steps
+            for (_t, marginals), rho in zip(result.samples[1:], frames[:steps], strict=True):
                 assert marginals.tobytes() == np.einsum("nii->n", rho).real.tobytes()
 
 
@@ -455,16 +474,20 @@ class TestRhs:
 
     def test_input_validation(self):
         # the input is the (N, d) frame diagonal: (N, d, d) blocks, a wrong
-        # width, a total off 1 by more than INPUT_TOL and NaN are refused
+        # width, a total off 1 by more than TOL.trace, as ``walk`` asks of a
+        # block state, and NaN are refused
         model = build_dqc_lindblad(single_gate_circuit())
         with pytest.raises(ShapeError, match=r"frame diagonal of shape \(2, 2\)"):
             integrate(model, np.stack([np.eye(2) / 4] * 2))
         with pytest.raises(ShapeError):
             integrate(model, np.full((2, 3), 1 / 6))
-        with pytest.raises(DomainError, match="unit total"):
+        with pytest.raises(DomainError, match="unit total within 1e-10"):
             integrate(model, np.ones((2, 2)))
-        near = np.array([[1.0 + 1e-10, 0.0], [0.0, 0.0]])
+        near = np.array([[1.0 + 0.5 * TOL.trace, 0.0], [0.0, 0.0]])
         assert integrate(model, near, max_time=1.0).steps == 100
+        for past in (1.0 + 2 * TOL.trace, 1.0 - 2 * TOL.trace):
+            with pytest.raises(DomainError, match="unit total within 1e-10"):
+                integrate(model, np.array([[past, 0.0], [0.0, 0.0]]))
         nan = np.full((2, 2), 0.25)
         nan[1, 0] = np.nan
         with pytest.raises(DomainError, match="NaN or Inf"):
@@ -554,12 +577,15 @@ class TestIntegrate:
         assert 12 * p0.nbytes < model.num_nodes * model.dim**2 * 16
 
     @pytest.mark.parametrize("dt, detail", [
-        (3.0, "total trace 0 (dt = 3)"),
+        (3.0, "total trace drifted to 2 (dt = 3)"),
         (1e300, "overflow encountered in multiply (dt = 1e+300)"),
     ])
     def test_divergence_names_the_step_and_dt(self, dt, detail):
         # the path Laplacian of two registers reaches −2: RK4 is stable up
-        # to dt ≈ 1.39, so both step sizes grow the state
+        # to dt ≈ 1.39, so both step sizes grow the state.  At dt = 3 the
+        # mode of eigenvalue −2 grows 31-fold a step, and its rounding
+        # moves the conserved total at step 11; at 1e300 the first product
+        # overflows
         model = build_dqc_lindblad(single_gate_circuit())
         with pytest.raises(ArithmeticError, match=r"^RK4 diverged at step \d+: ") as info:
             integrate(model, start_diagonal(model, "0"), dt=dt, max_time=100 * dt)
@@ -585,8 +611,7 @@ class TestIntegrate:
 
 def dense_rk4(jumps, rho, dt, steps, stride):
     """``integrate``'s loop on the dense state: RK4 steps of ``dense_rhs``,
-    Hermitized, renormalized on a trace drift above 1e-12, and sampled
-    every ``stride`` steps and at the end."""
+    Hermitized, and sampled every ``stride`` steps and at the end."""
     rhs = lambda r: dense_rhs(jumps, r)
     rho = 0.5 * (rho + rho.conj().T)
     samples = [rho]
@@ -597,12 +622,86 @@ def dense_rk4(jumps, rho, dt, steps, stride):
         k4 = rhs(rho + dt * k3)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         rho = 0.5 * (rho + rho.conj().T)
-        tr = np.trace(rho).real
-        if abs(tr - 1.0) > 1e-12:
-            rho = rho / tr
         if n % stride == 0 or n == steps:
             samples.append(rho)
     return samples
+
+
+def path_rk4(num_nodes, dt, steps):
+    """RK4 of the path Laplacian L_T from e₀: the (steps + 1, T + 1) node
+    populations before and after each step."""
+    lap = path_laplacian(num_nodes)
+    p = np.eye(num_nodes)[0]
+    out = [p]
+    for _ in range(steps):
+        k1 = lap @ p
+        k2 = lap @ (p + (0.5 * dt) * k1)
+        k3 = lap @ (p + (0.5 * dt) * k2)
+        k4 = lap @ (p + dt * k3)
+        p = p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(p)
+    return np.array(out)
+
+
+#: How far RK4's stability interval reaches along the negative real axis:
+#: −z for the real root z ≈ −2.785 of R(z) − 1 = z(1 + z/2 + z²/6 + z³/24).
+RK4_EDGE = -min(r.real for r in np.roots([1 / 24, 1 / 6, 1 / 2, 1]) if abs(r.imag) < 1e-12)
+
+
+def rk4_limit(num_nodes, popcount):
+    """The largest stable ``dt`` from an input of this popcount at node 0
+    with resets (0 without): ordered by x, the generator on the frame
+    diagonal is block triangular, with diagonal blocks L_T − k·E₀₀ for the
+    popcounts k the resets reach from the input, and k = popcount has the
+    largest spectral radius."""
+    block = path_laplacian(num_nodes)
+    block[0, 0] -= popcount
+    return RK4_EDGE / -np.linalg.eigvalsh(block)[0]
+
+
+#: Circuits of the marginal oracle: the built-ins, and seeded files of 5-8
+#: qubits, with their depth.
+MARGINAL_CASES = [*sorted(BUILTIN_CIRCUITS), "5x12", "6x10", "7x8", "8x4"]
+
+#: How far the samples may lie from RK4(L_T)·e₀ below the stability limit.
+#: A step rounds each entry of the (N, d) diagonal within a few ε of the
+#: terms that form it, and the node sums add the entries' rounding, so each
+#: step adds a few ε·‖p‖₁ to a marginal.  RK4(L_T) does not amplify what
+#: was added before: ρ(L_T) is below every reset block's, so |R(dt·λ)| ≤ 1
+#: on its spectrum.  With reset, ‖p‖₁ grows while the reset columns cancel
+#: under bounded row sums: up to 24 on the 8-qubit file from all ones at 0.9
+#: of its limit, where the largest gap, 20.25ε, was measured.
+MARGINAL_TOL = 64 * EPS
+
+
+class TestMarginalOracle:
+    """The resets conserve node 0's total, so summing each node's row of the
+    frame diagonal maps RK4 of the whole generator to RK4 of the path
+    Laplacian alone: in exact arithmetic the samples are RK4(L_T)·e₀ for
+    every width, input and reset flag.  No rescale enters either side."""
+
+    @pytest.mark.parametrize("name", MARGINAL_CASES)
+    def test_samples_are_rk4_of_the_path_laplacian_from_node_zero(self, name):
+        if name in BUILTIN_CIRCUITS:
+            circuit = BUILTIN_CIRCUITS[name]()
+        else:
+            qubits, depth = map(int, name.split("x"))
+            circuit = seeded_circuit(qubits * depth, qubits, depth)
+        q = circuit.num_qubits
+        steps = 120
+        for include_reset in (False, True):
+            model = build_dqc_lindblad(circuit, include_reset=include_reset)
+            for x in (0, 1 << (q - 1), 2**q - 1):  # zero, one-hot and all-ones
+                popcount = bin(x).count("1") if include_reset else 0
+                dt = 0.9 * rk4_limit(model.num_nodes, popcount)
+                p0 = np.zeros((model.num_nodes, model.dim))
+                p0[0, x] = 1.0
+                result = integrate(model, p0, dt=dt, stop_tol=1e-300,
+                                   max_time=(steps - 0.5) * dt, observe_every=dt)
+                assert result.steps == steps
+                got = np.array([marginals for _t, marginals in result.samples])
+                gap = np.abs(got - path_rk4(model.num_nodes, dt, steps)).max()
+                assert gap <= MARGINAL_TOL, (include_reset, x, dt, gap / EPS)
 
 
 class TestIntegrateOracles:
@@ -638,21 +737,12 @@ class TestIntegrateOracles:
         result = integrate(model, start_diagonal(model, "110"), dt=0.4, stop_tol=2e-6,
                            max_time=500.0, observe_every=0.4)
         assert result.stationary and result.steps == 457
-        lap = path_laplacian(14)
-        p = np.eye(14)[0]
-        expected = [p]
-        for _ in range(result.steps):
-            k1 = lap @ p
-            k2 = lap @ (p + 0.2 * k1)
-            k3 = lap @ (p + 0.2 * k2)
-            k4 = lap @ (p + 0.4 * k3)
-            p = p + (0.4 / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            expected.append(p)
+        expected = path_rk4(14, 0.4, result.steps)
         assert len(result.samples) == len(expected)
         for (_t, marginals), want in zip(result.samples, expected):
             assert np.abs(marginals - want).max() < 1e-12
         # the relaxation gap of the canonical model falls as π²/(T+1)²
-        eigs = np.linalg.eigvalsh(lap)
+        eigs = np.linalg.eigvalsh(path_laplacian(14))
         assert eigs[-1] == pytest.approx(0.0, abs=1e-14)
         assert -eigs[-2] == pytest.approx(2 - 2 * np.cos(np.pi / 14), rel=1e-12)
 
