@@ -83,6 +83,8 @@ CASES = [
     ["lindblad", "--circuit", "qft4", "--input", "1111", *_SHORT, "--max-time", "40",
      "--include-reset"],
     ["lindblad", "--circuit", "qft3", "--input", "111", "--dt", "0.75", "--include-reset"],
+    # a dt so large that the first step overflows
+    ["lindblad", "--circuit", "toffoli", "--dt", "1e300"],
     # d = 128: a seeded seven-qubit file
     ["run", "--circuit", "seeded7.circ", "--omega", "0.8", "--input", "1011001"],
     ["lindblad", "--circuit", "seeded7.circ", "--input", "1011001", *_SHORT,
