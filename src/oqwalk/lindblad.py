@@ -112,18 +112,15 @@ def _rhs(model: LindbladModel, p, moves) -> np.ndarray:
     """The generator on the (N, d) frame diagonal: the hops as one real
     product of the path Laplacian, plus the resets on node 0.
 
-    ``moves`` is ``_reset_moves(model)``.  One ``np.add.at`` (numpy's 1-D
-    fast path) sums the moved probabilities into each target from zero, in
-    list order, so in qubit order, and raises on overflow under
-    ``np.errstate``; ``np.bincount`` gives the same bits but overflows to
-    inf silently.
+    ``moves`` is ``_reset_moves(model)``.  One ``np.bincount`` sums the
+    moved probabilities into each target from zero, in list order, so in
+    qubit order.
     """
     out = model._rates @ p
     if model._resets:
         src, dst = moves
         node0 = p[0]
-        jump = np.zeros(model.dim)
-        np.add.at(jump, dst, node0[src])
+        jump = np.bincount(dst, weights=node0[src], minlength=model.dim)
         g = model._g
         out[0] += _kernels.lindblad_rhs_kernel(jump, g, g, node0)
     return out
@@ -135,8 +132,10 @@ class IntegrationResult:
 
     time: float
     steps: int
-    #: True when the stopping rule ‖rhs‖_F < stop_tol fired before max_time.
+    #: True when the stopping rule ‖rhs‖_F < stop_tol fired, on a step
+    #: before max_time or on the final state.
     stationary: bool
+    #: ‖rhs‖_F of the final state.
     rhs_norm: float
     #: (time, node marginals) pairs: at t = 0, every ``observe_every``, and
     #: at the final step.
@@ -162,16 +161,24 @@ def integrate(
     so its fixed points are those of the RK4 map, and the step size changes
     the path, not the limit.
 
+    The run is ``stationary`` once ‖rhs‖_F < ``stop_tol``, and that norm
+    covers every column of p, not only the marginals.  The marginals relax
+    at the path Laplacian's gap 2 − 2cos(π/(T+1)).  With resets, from an
+    input of popcount ≥ 1, ‖rhs‖_F decays at 2 − 2cos(π/(2T+3)), the
+    smallest rate of the popcount-1 block L_T − E₀₀, a quarter of that, so
+    the run stops about four times later than its marginals settle.
+
     The generator preserves the total, and nothing rescales it: a step whose
-    total lies more than ``TOL.trace`` from 1, or whose arithmetic
-    overflows, divides by zero or is invalid, raises ``ArithmeticError("RK4
-    diverged at step n: ...")``, naming the step, the total or the
-    operation, and ``dt``.  RK4 is stable while ``dt`` times the generator's
-    spectral radius stays below 2.785: up to 0.705 on toffoli, 0.701 on qft3
-    from 110 with resets, which add the input's popcount to node 0's rate,
-    and 0.619 on qft4 from 1011.  Below the limit the drift is rounding (at
-    most 3.5e-14 over 10^6 steps), but a run may still sample marginals
-    outside [0, 1]: RK4 does not keep probabilities non-negative.
+    total is not within ``TOL.trace`` of 1 raises ``ArithmeticError("RK4
+    diverged at step n: total trace drifted to ... (dt = ...)")``.  A step
+    that overflows leaves a total of inf or nan, so it raises that error at
+    that step, as the walk's blocks do.  RK4 is stable while ``dt`` times
+    the generator's spectral radius stays below 2.785: up to 0.705 on
+    toffoli, 0.701 on qft3 from 110 with resets, which add the input's
+    popcount to node 0's rate, and 0.619 on qft4 from 1011.  Below the limit
+    the drift is rounding (at most 3.5e-14 over 10^6 steps), but a run may
+    still sample marginals outside [0, 1]: RK4 does not keep probabilities
+    non-negative.
     """
     for name, value in (("dt", dt), ("stop_tol", stop_tol), ("max_time", max_time),
                         ("observe_every", observe_every)):
@@ -203,27 +210,22 @@ def integrate(
 
     samples = [(0.0, node_marginals(p))]
     stride = max(1, round(observe_every / dt))
-    stationary = False
-    rhs_norm = math.nan
     steps = 0
-    with np.errstate(over="raise", divide="raise", invalid="raise"):
-        for n in range(n_steps):
-            try:
-                k1 = rhs(p)
-                rhs_norm = frobenius(k1)
-                if rhs_norm < stop_tol:
-                    stationary = True
-                    break
-                k2 = rhs(p + (0.5 * dt) * k1)
-                k3 = rhs(p + (0.5 * dt) * k2)
-                k4 = rhs(p + dt * k3)
-                p = p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                tr = p.sum()
-            except FloatingPointError as exc:
-                raise ArithmeticError(
-                    f"RK4 diverged at step {n + 1}: {exc} (dt = {dt:g})"
-                ) from exc
-            if abs(tr - 1.0) > TOL.trace:
+    # a step past the stability limit may overflow: its inf and nan are left
+    # to the drift check, as in the walk's blocks
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(n_steps + 1):
+            k1 = rhs(p)
+            rhs_norm = frobenius(k1)
+            stationary = rhs_norm < stop_tol
+            if stationary or n == n_steps:
+                break
+            k2 = rhs(p + (0.5 * dt) * k1)
+            k3 = rhs(p + (0.5 * dt) * k2)
+            k4 = rhs(p + dt * k3)
+            p = p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            tr = p.sum()
+            if not abs(tr - 1.0) <= TOL.trace:
                 raise ArithmeticError(
                     f"RK4 diverged at step {n + 1}: total trace drifted to {tr:.17g} "
                     f"(dt = {dt:g})"
@@ -231,9 +233,6 @@ def integrate(
             steps = n + 1
             if steps % stride == 0:
                 samples.append((steps * dt, node_marginals(p)))
-    if not stationary:
-        rhs_norm = frobenius(rhs(p))
-        stationary = rhs_norm < stop_tol
     if steps % stride != 0:
         samples.append((steps * dt, node_marginals(p)))
     return IntegrationResult(

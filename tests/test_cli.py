@@ -501,10 +501,12 @@ class TestLindbladCommand:
         # below 2.785: up to dt = 0.705 on toffoli, whose path Laplacian
         # reaches −3.95, and 0.714 on qft3 from 000, where no reset acts.
         # Above it the rounding grows until the total trace drifts from 1 by
-        # more than TOL.trace, or a product overflows at once
+        # more than TOL.trace, or at once, where a step overflows to a
+        # non-finite total
         (["--circuit", "toffoli", "--dt", "0.75"],
          "error: RK4 diverged at step 61: total trace drifted to "),
-        (["--circuit", "toffoli", "--dt", "1e300"], "error: RK4 diverged at step 1:"),
+        (["--circuit", "toffoli", "--dt", "1e300"],
+         "error: RK4 diverged at step 1: total trace drifted to "),
         (["--circuit", "qft3", "--include-reset", "--dt", "0.9"],
          "error: RK4 diverged at step 16: total trace drifted to "),
     ])

@@ -8,8 +8,9 @@ traceback and issues no warning (a warning would print to stderr); every
 input error, a command line that argparse rejects included, returns 2 with
 stderr starting ``error:``.  ``lindblad`` keeps its trace rule: a run that
 ends, stationary or not, writes samples whose marginals sum to 1 within
-``TOL.trace``, and a run that drifts prints one ``RK4 diverged`` line and no
-CSV.
+``TOL.trace``, and a run that diverges prints no CSV and one line, ``RK4
+diverged at step n: total trace drifted to``, whether its total drifted or
+a step overflowed.
 
 Every example is cheap: ``run`` and ``sweep`` always get ``--max-steps``,
 and ``lindblad`` always gets ``--dt`` and ``--max-time``, each drawn from
@@ -19,6 +20,7 @@ small values and edge literals, and a fuzzed file has at most six qubits.
 import contextlib
 import io
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -28,6 +30,9 @@ from hypothesis import strategies as st
 
 from oqwalk import config
 from oqwalk.cli import main
+
+#: The one line of a diverging ``lindblad`` run.
+DIVERGED = re.compile(r"error: RK4 diverged at step \d+: total trace drifted to [^\n]*\n")
 
 HUGE = "9" * 400
 EDGE = ["nan", "inf", "-inf", "-0", "0", "1e-320", "1e308", "", "５", "1_0", HUGE, "-" + HUGE,
@@ -160,8 +165,8 @@ def workdir(tmp_path_factory):
 @settings(max_examples=500, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(argv=argvs(), text=circuit_texts())
-# the derandomized draw reaches neither way a run diverges: an overflow on
-# the first step, and a total that drifts (at step 16 of 23)
+# the derandomized draw reaches no divergence: a step that overflows to a
+# non-finite total (the first), and a total that drifts (at step 16 of 23)
 @example(argv=["lindblad", "--circuit", "toffoli", "--dt", "1e308", "--max-time", "2"],
          text=VALID_TEXTS[0])
 @example(argv=["lindblad", "--circuit", "qft3", "--dt", "0.9", "--max-time", "20",
@@ -179,8 +184,8 @@ def test_exit_codes_and_stderr_hold_the_contract(argv, text, workdir):
         assert err.startswith("error:"), err
     elif argv[0] == "lindblad" and err:
         event("lindblad diverged")
-        assert code == 1 and err.startswith("error: RK4 diverged at step "), err
-        assert err.count("\n") == 1 and not out, (err, out)
+        assert code == 1 and DIVERGED.fullmatch(err), err
+        assert not out, out
     elif argv[0] == "lindblad":
         for sample in lindblad_samples(out):
             assert abs(math.fsum(sample) - 1.0) <= config.TOL.trace, sample

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from collections import defaultdict
 from pathlib import Path
 
@@ -342,30 +343,32 @@ class TestResetOracle:
         assert not (reset - diagonal_blocks(np.einsum("nii->ni", reset))).any()
 
 
-    def test_an_overflow_in_the_moves_raises(self):
+    def test_an_overflow_in_the_moves_is_a_drift_error(self):
         # 7e307 at node 0's one-bit entries 1, 2 and 4: all three move to 0,
         # and their sum, 2.1e308, overflows, while no other operation of the
-        # generator leaves the floats.  ``np.add.at`` raises on it, as the
-        # per-qubit loop of ``frame_rhs`` does, so a diverging RK4 step
-        # reports the overflow
+        # generator leaves the floats.  −7e307 at node 0's entry 0 and the
+        # negated row at node 2 keep every row sum finite, and 1 at node 1
+        # makes the total 1 (numpy sums this (10, 8) array column by
+        # column, so the ±7e307 cancel before the 1 is added).  The
+        # overflow leaves a non-finite total, and the drift rule reports it
+        # at that step, with no warning
         model = build_dqc_lindblad(qft(3), include_reset=True)
         p = np.zeros((model.num_nodes, model.dim))
-        p[0, [1, 2, 4]] = 7e307
-        moves = _reset_moves(model)
-        for rhs in (lambda: _rhs(model, p, moves), lambda: frame_rhs(model, diagonal_blocks(p))):
-            with np.errstate(over="raise"), pytest.raises(
-                FloatingPointError, match="^overflow encountered in add$"
-            ):
-                rhs()
-        # the same moves by ``np.bincount`` overflow to inf without raising,
-        # and so does the rest of the generator on that inf
-        src, dst = moves
-        with np.errstate(over="raise"):
-            jump = np.bincount(dst, weights=p[0, src], minlength=model.dim)
-            out = model._rates @ p
-            out[0] += _kernels.lindblad_rhs_kernel(jump, model._g, model._g, p[0])
-        assert np.isinf(jump[0]) and np.isinf(out[0, 0])
-        assert np.isfinite(np.delete(out, 0)).all()
+        p[0, [0, 1, 2, 4]] = [-7e307, 7e307, 7e307, 7e307]
+        p[2, [0, 1, 2, 4]] = [7e307, -7e307, -7e307, -7e307]
+        p[1, 7] = 1.0
+        assert p.sum() == 1.0
+        plain = build_dqc_lindblad(qft(3))
+        assert np.isfinite(_rhs(plain, p, _reset_moves(plain))).all()
+        with np.errstate(over="ignore"):
+            out = _rhs(model, p, _reset_moves(model))
+        assert np.isinf(out[0, 0]) and np.isfinite(np.delete(out, 0)).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError, match=(
+                    r"^RK4 diverged at step 1: total trace drifted to (nan|-?inf) "
+                    r"\(dt = 0\.01\)$")):
+                integrate(model, p, max_time=1.0)
 
     def test_moves_go_qubit_by_qubit(self):
         # qubit 1 is the top bit of x: its moves come first, then qubit 2's, ...
@@ -578,14 +581,14 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("dt, detail", [
         (3.0, "total trace drifted to 2 (dt = 3)"),
-        (1e300, "overflow encountered in multiply (dt = 1e+300)"),
+        (1e300, "total trace drifted to nan (dt = 1e+300)"),
     ])
     def test_divergence_names_the_step_and_dt(self, dt, detail):
         # the path Laplacian of two registers reaches −2: RK4 is stable up
         # to dt ≈ 1.39, so both step sizes grow the state.  At dt = 3 the
         # mode of eigenvalue −2 grows 31-fold a step, and its rounding
-        # moves the conserved total at step 11; at 1e300 the first product
-        # overflows
+        # moves the conserved total at step 11; at 1e300 the first step
+        # overflows, and its total is nan
         model = build_dqc_lindblad(single_gate_circuit())
         with pytest.raises(ArithmeticError, match=r"^RK4 diverged at step \d+: ") as info:
             integrate(model, start_diagonal(model, "0"), dt=dt, max_time=100 * dt)
@@ -702,6 +705,53 @@ class TestMarginalOracle:
                 got = np.array([marginals for _t, marginals in result.samples])
                 gap = np.abs(got - path_rk4(model.num_nodes, dt, steps)).max()
                 assert gap <= MARGINAL_TOL, (include_reset, x, dt, gap / EPS)
+
+
+def marginal_gap(big_t):
+    """The smallest nonzero rate of L_T: how fast the marginals relax."""
+    return 2 - 2 * np.cos(np.pi / (big_t + 1))
+
+
+def reset_gap(big_t):
+    """The smallest rate of L_T − E₀₀, the popcount-1 block."""
+    return 2 - 2 * np.cos(np.pi / (2 * big_t + 3))
+
+
+class TestStopRate:
+    """What ``stationary`` judges: ‖rhs‖_F over the whole (N, d) frame
+    diagonal, not the marginals.  Ordered by x, the generator is block
+    triangular with blocks L_T − k·E₀₀ for the popcounts k the resets reach
+    from the input, and its slowest nonzero mode sets the rate: the marginal
+    gap from 000, where no reset acts, and the popcount-1 block's from any
+    input a reset acts on, under a quarter of the marginal gap."""
+
+    @pytest.mark.parametrize("big_t", [9, 13, 16, 96])
+    def test_the_gaps_are_the_smallest_rates_of_their_blocks(self, big_t):
+        lap = path_laplacian(big_t + 1)
+        assert -np.linalg.eigvalsh(lap)[-2] == pytest.approx(marginal_gap(big_t), rel=1e-12)
+        lap[0, 0] -= 1
+        assert -np.linalg.eigvalsh(lap)[-1] == pytest.approx(reset_gap(big_t), rel=1e-12)
+        assert reset_gap(big_t) < marginal_gap(big_t) / 4
+
+    @pytest.mark.parametrize("bits, include_reset, gap, t1, t2, bound", [
+        # one slowest mode: within RK4's own rate error, (dt·gap)⁴/120 ≤ 5e-8
+        ("000", False, marginal_gap, 50, 150, 1e-6),
+        ("000", True, marginal_gap, 50, 150, 1e-6),
+        ("100", True, reset_gap, 200, 400, 1e-6),
+        # from popcount 2, the block L_T − 2E₀₀ decays at 0.0246, only 0.0023
+        # faster, so its share fades slowly: measured 1.1e-2 here
+        ("110", True, reset_gap, 400, 800, 2e-2),
+    ])
+    def test_rhs_norm_decays_at_the_slowest_rate(self, bits, include_reset, gap, t1, t2,
+                                                 bound):
+        # qft3, T = 9: ‖rhs‖_F after two run lengths gives the decay rate
+        model = build_dqc_lindblad(qft(3), include_reset=include_reset)
+        p0 = np.zeros((model.num_nodes, model.dim))
+        p0[0, int(bits, 2)] = 1.0
+        norms = [integrate(model, p0, dt=0.5, stop_tol=1e-300, max_time=t).rhs_norm
+                 for t in (t1, t2)]
+        rate = np.log(norms[0] / norms[1]) / (t2 - t1)
+        assert abs(rate / gap(model.num_nodes - 1) - 1.0) <= bound, rate
 
 
 class TestIntegrateOracles:

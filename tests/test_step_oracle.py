@@ -13,6 +13,12 @@ A stochastic matrix contracts the L1 norm, so Σ_t |Δp(n)_t| never grows
 with n, and the step count is the first n where it falls below tol: a
 bisection over n finds it without iterating the chain.  This is evidence,
 independent of the engine's loop, that sweep_chain stops on the right step.
+
+S is the (T+1)-node path with holding at its ends, so its spectrum is
+known in closed form: 1 and μ_k = 2√(ωλ)·cos(πk/(T+1)), k = 1..T (Levin,
+Peres and Wilmer, "Markov Chains and Mixing Times", the biased walk on a
+path).  The ±μ_1 modes decay slowest, so late in a run the step difference
+shrinks by μ_1² every two steps.
 """
 
 import math
@@ -22,14 +28,27 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from oqwalk.walk import sweep_chain
+from oqwalk.circuits import BUILTIN_CIRCUITS
+from oqwalk.walk import ChainParams, build_dqc_chain, run_chain, sweep_chain
 from test_cli import WALK_REFERENCE
 from test_sweep_chain import parse_reference_key
 
 EPS = np.finfo(np.float64).eps
+#: ω of the spectrum tests: the grid of ``sweep`` and ``run`` tests below
+#: ω = 1, where λ = 0 and the chain, no longer reversible, has no S.
+GRID = [round(0.5 + 0.05 * k, 12) for k in range(10)]
 #: A decision within this of tol is a tie: the engine's rounding may decide
 #: it either way (the 64dε of run_until_converged's margin, with d = 1).
 TIE = 64 * EPS
+
+
+def symmetric_chain(big_t, omega):
+    """S: √(ωλ) off the diagonal, λ and ω at its two ends."""
+    lam = 1.0 - omega
+    s = np.diag(np.full(big_t, math.sqrt(omega * lam)), 1)
+    s += s.T
+    s[0, 0], s[-1, -1] = lam, omega
+    return s
 
 
 def step_difference(big_t, omega):
@@ -41,10 +60,7 @@ def step_difference(big_t, omega):
     how far the closed form can then be trusted.
     """
     lam = 1.0 - omega
-    s = np.diag(np.full(big_t, math.sqrt(omega * lam)), 1)
-    s += s.T
-    s[0, 0], s[-1, -1] = lam, omega
-    mu, q = np.linalg.eigh(s)
+    mu, q = np.linalg.eigh(symmetric_chain(big_t, omega))
     weights = q * q[0] * (mu - 1.0)
     log_d = 0.5 * (math.log(omega) - math.log(lam)) * np.arange(big_t + 1)
     # an eigenvalue 0 (T = 1, ω = ½) contributes μ^0 = 1 and then e^−708 ≈ 0
@@ -114,3 +130,61 @@ def test_sweep_chain_stops_where_the_closed_form_crosses_tol(draw, tol):
         event("tie")
         return
     assert (row.steps, row.converged) == (steps, converged)
+
+
+def chain_matrix(big_t, omega):
+    """P from its definition: column t sends ω to t + 1 and λ to t − 1,
+    node 0 keeps its λ and node T its ω."""
+    p = np.zeros((big_t + 1, big_t + 1))
+    t = np.arange(big_t)
+    p[t + 1, t], p[t, t + 1] = omega, 1.0 - omega
+    p[0, 0], p[-1, -1] = 1.0 - omega, omega
+    return p
+
+
+def closed_form_spectrum(big_t, omega):
+    """1 and 2√(ωλ)·cos(πk/(T+1)), k = 1..T, in ascending order."""
+    k = np.arange(1, big_t + 1)
+    mu = 2.0 * math.sqrt(omega * (1.0 - omega)) * np.cos(np.pi * k / (big_t + 1))
+    return np.sort(np.append(mu, 1.0))
+
+
+#: How far ``eigvalsh`` of S may lie from the closed form.  LAPACK's
+#: symmetric solver is backward stable, so each eigenvalue is within a small
+#: multiple of ε‖S‖₂ ≤ ε; the worst measured, on this grid, was 19.5ε.
+SPECTRUM_TOL = 64 * EPS
+
+
+@pytest.mark.parametrize("big_t", [1, 9, 13, 16, 96, 1000])
+def test_the_symmetrized_chain_has_the_closed_form_spectrum(big_t):
+    # D^{−1/2} P D^{1/2} entry by entry: P is tridiagonal, so entry (i, j) is
+    # P_ij·r^{(j−i)/2} with |j − i| ≤ 1, and no power r^{t/2} is formed
+    # (r^{T/2} overflows at T = 1000 and ω = 0.95).  eigvalsh of that
+    # symmetric matrix, not eigvals of P: r^T ruins P's conditioning, and at
+    # T = 96 and ω = 0.95 eigvals is off by up to 0.29
+    for omega in GRID:
+        p = chain_matrix(big_t, omega)
+        half = math.sqrt(omega / (1.0 - omega))  # r^{1/2}
+        s = np.diag(np.diag(p)) + np.diag(np.diag(p, 1) * half, 1)
+        s += np.diag(np.diag(p, -1) / half, -1)
+        assert np.abs(s - symmetric_chain(big_t, omega)).max() <= 4 * EPS, omega
+        gap = np.abs(np.linalg.eigvalsh(s) - closed_form_spectrum(big_t, omega)).max()
+        assert gap <= SPECTRUM_TOL, (omega, gap / EPS)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_CIRCUITS))
+def test_late_steps_shrink_by_the_second_eigenvalue_squared(name):
+    # Δp(n) = Σ_k c_k μ_k^{n−1}(μ_k − 1) v_k: over two steps the ±μ_1 modes
+    # both scale by μ_1², so moved(n)/moved(n−2) → μ_1², up to the share of
+    # the modes with |μ| ≤ μ_2, which falls as (μ_2/μ_1)^n; twice that bounds
+    # it on every case here (measured: up to 1.4 times it, qft3 at ω 0.9 and
+    # 0.95).  The run stops with moved near 1e-7, where rounding each
+    # |Δp_t| by about ε·p_t moves the ratio by about 2e-9: hence the 1e-8
+    circuit = BUILTIN_CIRCUITS[name]()
+    for omega in GRID:
+        report = run_chain(build_dqc_chain(circuit, ChainParams(omega)))
+        assert report.converged
+        moved = np.abs(np.diff(report.history, axis=0)).sum(axis=1)
+        mu1, mu2 = closed_form_spectrum(circuit.depth, omega)[[-2, -3]]
+        bound = 2.0 * (mu2 / mu1) ** report.steps + 1e-8
+        assert abs(moved[-1] / moved[-3] / mu1**2 - 1.0) <= bound, (omega, report.steps)
