@@ -165,8 +165,8 @@ def integrate(
     covers every column of p, not only the marginals.  The marginals relax
     at the path Laplacian's gap 2 − 2cos(π/(T+1)).  With resets, from an
     input of popcount ≥ 1, ‖rhs‖_F decays at 2 − 2cos(π/(2T+3)), the
-    smallest rate of the popcount-1 block L_T − E₀₀, a quarter of that, so
-    the run stops about four times later than its marginals settle.
+    smallest rate of the popcount-1 block L_T − E₀₀, under a quarter of
+    that, so the run stops over four times later than its marginals settle.
 
     The generator preserves the total, and nothing rescales it: a step whose
     total is not within ``TOL.trace`` of 1 raises ``ArithmeticError("RK4

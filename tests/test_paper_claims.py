@@ -17,8 +17,8 @@ Only T enters, so no circuit is compiled.
 
 The walk's second eigenvalue, 2√(ωλ)·cos(π/(T+1)) (``test_step_oracle.py``),
 stays below 2√(ωλ) < 1 for every T at ω > ½, so its step count follows
-the transport time T/(2ω − 1), not T²: the slopes that the test below
-measures at T ≤ 96 are pre-asymptotic, and the asymptotic slope is 1.
+the transport time T/(2ω − 1), not T²: the sub-linear slopes measured at
+T ≤ 96 are pre-asymptotic, and the asymptotic slope is 1.
 """
 
 import math
@@ -101,17 +101,12 @@ def test_walk_steps_grow_slower_than_the_canonical_relaxation_time():
 
 def test_walk_steps_approach_the_transport_time():
     # steps·(2ω − 1)/T falls towards 1 as T grows (measured at ω = 0.6 / 0.8:
-    # 2.75 / 1.77 at T = 96, 1.41 / 1.19 at 1000, 1.22 / 1.11 at 3000), while
-    # the canonical relaxation time 1/gap, over T, grows as T/π²
-    depths = [96, 300, 1000, 3000]
+    # 2.75 / 1.77 at T = 96, 1.41 / 1.19 at 1000, 1.22 / 1.11 at 3000)
     ratios = []
-    for big_t in depths:
+    for big_t in [96, 300, 1000, 3000]:
         rows = sweep_chain(big_t, [0.6, 0.8], tol=1e-7)
         assert all(row.converged for row in rows), big_t
         ratios.append([row.steps * (2 * w - 1) / big_t for row, w in zip(rows, [0.6, 0.8])])
     for k in range(2):
         per_depth = [r[k] for r in ratios]
         assert all(a > b > 1.0 for a, b in zip(per_depth, per_depth[1:])), per_depth
-    canonical = [1.0 / (big_t * (2.0 - 2.0 * math.cos(math.pi / (big_t + 1))))
-                 for big_t in depths]
-    assert all(a < b for a, b in zip(canonical, canonical[1:])), canonical

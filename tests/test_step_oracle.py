@@ -34,7 +34,7 @@ from test_cli import WALK_REFERENCE
 from test_sweep_chain import parse_reference_key
 
 EPS = np.finfo(np.float64).eps
-#: ω of the spectrum tests: the grid of ``sweep`` and ``run`` tests below
+#: ω of the spectrum tests: the ``sweep`` and ``run`` test grid without
 #: ω = 1, where λ = 0 and the chain, no longer reversible, has no S.
 GRID = [round(0.5 + 0.05 * k, 12) for k in range(10)]
 #: A decision within this of tol is a tie: the engine's rounding may decide
