@@ -3,7 +3,8 @@
 Subcommands: ``validate`` (circuit and walk normalization report), ``run``
 (single walk to steady state, per-step CSV), ``sweep`` (ω grid, one summary
 row per value), ``lindblad`` (continuous-time cross-check).  Each subcommand
-accepts only the options it reads; ``lindblad`` integrates the unit-rate
+accepts only the options it reads: ``sweep`` reads only the circuit's
+depth, so it takes no ``--input``, and ``lindblad`` integrates the unit-rate
 master equation, so it takes no ω, ``--tol`` or ``--max-steps``.  All numeric
 CSV fields are printed with 17 significant digits and LF line endings, so
 output is byte-stable for a fixed configuration.
@@ -64,7 +65,7 @@ def _decimal(x: float) -> tuple[int, int]:
 
 
 def parse_omega_spec(spec: str) -> list[float]:
-    """A single value, or an inclusive ``start:stop:step`` grid.
+    """A single value, or an inclusive ``start:stop:step`` grid, ascending.
 
     Grid points are start + k·step ≤ stop, computed exactly on the decimals
     of the three values (their literals, up to 15 significant digits) and
@@ -219,9 +220,8 @@ def _sweep_workers() -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    omegas = sorted(parse_omega_spec(args.omega))
+    omegas = parse_omega_spec(args.omega)
     circuit = load_circuit(args.circuit)
-    _input_state(args, circuit)  # checked only: populations do not depend on it
     tol = _resolve_tol(args.circuit, args.tol)
     with ThreadPoolExecutor(max_workers=_sweep_workers()) as pool:
         reports = pool.submit(
@@ -300,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=None,
                        help="convergence tolerance (default 1e-7; 1e-5 for qft4)")
         p.add_argument("--max-steps", type=int, default=100_000)
-    for p in (run, sweep, lindblad):
+    for p in (run, lindblad):
         p.add_argument("--input", dest="input_bits", default=None,
                        help="input bitstring (defaults per circuit)")
     for p in (validate, run, sweep, lindblad):

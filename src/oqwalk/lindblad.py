@@ -71,25 +71,32 @@ class LindbladModel:
     Nothing in the library reads them: the frame diagonal never does.  The
     benchmark harness still times this compile on the ``lindblad`` run and
     wraps ``lindblad.circuit_unitaries``, so it stays until the harness
-    stops requiring it.  ``_resets`` is
-    the number of qubits lowered at register 0 (0 without resets), and
-    ``_g`` the diagonal of their damping G = −½·diag(popcount) as a real
-    vector of length d, or None.
+    stops requiring it.
+
+    With resets, ``_moves`` is their (src, dst) index list on node 0's row,
+    built once here: for each lowered qubit q in order, every x with bit
+    d >> q set, and x with that bit cleared.  Each x is the source of one
+    move per set bit, so ``_g``, the diagonal of their damping
+    G = −½·diag(popcount) as a real vector of length d, is −½ times the
+    list's out-degree.  Both are None without resets.
     """
 
     def __init__(self, circuit: Circuit, include_reset: bool = False):
         self._unitaries = tuple(circuit_unitaries(circuit))
         self.num_nodes, self.dim = len(self._unitaries) + 1, 2**circuit.num_qubits
         self._rates = path_laplacian(self.num_nodes)
-        self._resets = circuit.num_qubits if include_reset else 0
-        self._g = None
-        if self._resets:
-            self._g = -0.5 * np.array([bin(x).count("1") for x in range(self.dim)])
+        self._moves = self._g = None
+        if include_reset:
+            bits = self.dim >> np.arange(1, circuit.num_qubits + 1)[:, None]
+            x = np.arange(self.dim)
+            moved = (x & bits) != 0
+            self._moves = np.broadcast_to(x, moved.shape)[moved], (x ^ bits)[moved]
+            self._g = -0.5 * moved.sum(axis=0)
 
     def __repr__(self):
         return (
             f"LindbladModel(num_nodes={self.num_nodes}, dim={self.dim}, "
-            f"resets={self._resets})"
+            f"include_reset={self._moves is not None})"
         )
 
 
@@ -98,27 +105,16 @@ def build_dqc_lindblad(circuit: Circuit, include_reset: bool = False) -> Lindbla
     return LindbladModel(circuit, include_reset)
 
 
-def _reset_moves(model: LindbladModel) -> tuple[np.ndarray, np.ndarray]:
-    """The reset jumps as one (src, dst) index list on node 0's row: for
-    each lowered qubit q in order, every x with bit d >> q set, and x with
-    that bit cleared.  Empty without resets."""
-    bits = model.dim >> np.arange(1, model._resets + 1)[:, None]
-    x = np.arange(model.dim)
-    moved = (x & bits) != 0
-    return np.broadcast_to(x, moved.shape)[moved], (x ^ bits)[moved]
-
-
-def _rhs(model: LindbladModel, p, moves) -> np.ndarray:
+def _rhs(model: LindbladModel, p) -> np.ndarray:
     """The generator on the (N, d) frame diagonal: the hops as one real
     product of the path Laplacian, plus the resets on node 0.
 
-    ``moves`` is ``_reset_moves(model)``.  One ``np.bincount`` sums the
-    moved probabilities into each target from zero, in list order, so in
-    qubit order.
+    One ``np.bincount`` sums the probabilities moved by ``model._moves``
+    into each target from zero, in list order, so in qubit order.
     """
     out = model._rates @ p
-    if model._resets:
-        src, dst = moves
+    if model._moves is not None:
+        src, dst = model._moves
         node0 = p[0]
         jump = np.bincount(dst, weights=node0[src], minlength=model.dim)
         g = model._g
@@ -154,7 +150,8 @@ def integrate(
 
     ``p0`` is the real (N, d) frame diagonal p[t, x] = ⟨x|W_t† ρ_t W_t|x⟩
     of a state without coherence in the frame: finite, of unit total within
-    ``TOL.trace``, as ``walk.validate_state`` asks of a block state.
+    ``TOL.trace``, as ``walk.validate_state`` asks of a block state, and
+    with finite node totals, which its t = 0 sample checks.
     ‖rhs‖_F of p is that of the whole state.  Its ``node_marginals`` are
     sampled at t = 0 and then every ``round(observe_every/dt)`` steps, plus
     at the final step when it is off that stride.  The generator is linear,
@@ -205,24 +202,23 @@ def integrate(
         raise DomainError("p0 contains NaN or Inf entries")
     if abs(p.sum() - 1.0) > TOL.trace:
         raise DomainError(f"p0 must have unit total within {TOL.trace:g}")
-    moves = _reset_moves(model)
-    rhs = lambda x: _rhs(model, x, moves)
-
-    samples = [(0.0, node_marginals(p))]
     stride = max(1, round(observe_every / dt))
     steps = 0
     # a step past the stability limit may overflow: its inf and nan are left
     # to the drift check, as in the walk's blocks
     with np.errstate(over="ignore", invalid="ignore"):
+        samples = [(0.0, node_marginals(p))]
+        if not np.isfinite(samples[0][1]).all():
+            raise DomainError("p0 has a node total that is not finite")
         for n in range(n_steps + 1):
-            k1 = rhs(p)
+            k1 = _rhs(model, p)
             rhs_norm = frobenius(k1)
             stationary = rhs_norm < stop_tol
             if stationary or n == n_steps:
                 break
-            k2 = rhs(p + (0.5 * dt) * k1)
-            k3 = rhs(p + (0.5 * dt) * k2)
-            k4 = rhs(p + dt * k3)
+            k2 = _rhs(model, p + (0.5 * dt) * k1)
+            k3 = _rhs(model, p + (0.5 * dt) * k2)
+            k4 = _rhs(model, p + dt * k3)
             p = p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             tr = p.sum()
             if not abs(tr - 1.0) <= TOL.trace:

@@ -145,14 +145,16 @@ def frame_rhs(model, blocks):
 
     Lowering qubit q moves the [1, 1] sub-block of its axis pair to the
     [0, 0] one; the moves are summed from zeros in qubit order, the bits of
-    the sum of σ⁻ ρ̃_0 σ⁺ over the qubits.
+    the sum of σ⁻ ρ̃_0 σ⁺ over the qubits.  The qubits are counted from d,
+    never read off the model's move list; the model gives only the damping
+    ``_g``, which ``edge_table_reset`` checks.
     """
     flat = blocks.reshape(model.num_nodes, -1).view(np.float64)
     out = (model._rates @ flat).view(np.complex128).reshape(blocks.shape)
-    if model._resets:
+    if model._g is not None:
         node0 = blocks[:1]
         jump = np.zeros_like(node0)
-        for q in range(1, model._resets + 1):
+        for q in range(1, model.dim.bit_length()):
             axes = (2 ** (q - 1), 2, model.dim >> q) * 2
             jump.reshape(axes)[:, 0, :, :, 0] += node0.reshape(axes)[:, 1, :, :, 1]
         g = model._g

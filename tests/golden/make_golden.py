@@ -14,10 +14,12 @@ other the numbers parsed from the output and stderr within
 the exit codes exactly.
 
 When it rewrites an existing file, the script prints each case whose
-record changed: its argv, how many numbers moved and the largest move, and
-whether the exit code or the text between the numbers changed.  A change
-that moves output bytes on purpose reruns this script and lists every
-changed case, with its reason, in CHANGES.md.
+record changed: its argv, how many numbers moved and the largest move (NaN
+when a number becomes NaN or stops being one), the two counts of an output
+that gained or lost numbers, whose numbers are not paired, and whether the
+exit code or the text between the numbers changed.  A change that moves
+output bytes on purpose reruns this script and lists every changed case,
+with its reason, in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -161,16 +163,20 @@ def describe_change(old: dict | None, new: dict) -> str | None:
         return f"new: {argv}"
     if all(old[k] == new[k] for k in ("exit", "stdout", "stderr")):
         return None
-    moved, largest, text_changed = 0, 0.0, False
+    moves, counts, text_changed = [], [], False
     for key in ("stdout", "stderr"):
         old_text, old_nums = split_numbers(old[key])
         new_text, new_nums = split_numbers(new[key])
         text_changed |= old_text != new_text
-        for a, b in zip(old_nums, new_nums):
-            if a != b and not (math.isnan(a) and math.isnan(b)):
-                moved += 1
-                largest = max(largest, abs(a - b))
-    line = f"changed: {argv}: {moved} numbers moved, largest move {largest:.3g}"
+        if len(old_nums) != len(new_nums):
+            counts.append(f"{key} {len(old_nums)} -> {len(new_nums)} numbers")
+            continue
+        moves += [abs(a - b) for a, b in zip(old_nums, new_nums)
+                  if a != b and not (math.isnan(a) and math.isnan(b))]
+    # a number that becomes NaN, or stops being one, moves by NaN
+    largest = math.nan if any(map(math.isnan, moves)) else max(moves, default=0.0)
+    line = "; ".join([f"changed: {argv}: {len(moves)} numbers moved, "
+                      f"largest move {largest:.3g}", *counts])
     if old["exit"] != new["exit"]:
         line += f"; exit {old['exit']} -> {new['exit']}"
     if text_changed:

@@ -198,12 +198,16 @@ class TestRunCommand:
         assert err.startswith("error: trace drifted")
         assert "Traceback" not in err
 
-    def test_input_length_checked(self, tmp_path, capsys):
+    @pytest.mark.parametrize("bits", ["11", "11x"])
+    def test_input_length_checked(self, bits, tmp_path, capsys):
+        out = tmp_path / "x.csv"
         code = main([
-            "run", "--circuit", "toffoli", "--omega", "0.5", "--input", "11",
-            "--out", str(tmp_path / "x.csv"),
+            "run", "--circuit", "toffoli", "--omega", "0.5", "--input", bits,
+            "--out", str(out),
         ])
         assert code == 2
+        assert capsys.readouterr().err == f"error: need 3 bits of 0/1, got '{bits}'\n"
+        assert not out.exists()
 
 
 def comprehension_run_csv(name, omega, tol, max_steps):
@@ -426,8 +430,7 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("option", [
         ["--tol", "nan"], ["--tol", "inf"], ["--tol", "0"], ["--tol", "-1"],
-        ["--max-steps", "0"], ["--max-steps", "-3"], ["--input", "11"],
-        ["--input", "11x"], ["--circuit", "no-such-circuit.txt"],
+        ["--max-steps", "0"], ["--max-steps", "-3"], ["--circuit", "no-such-circuit.txt"],
     ])
     def test_bad_input_is_the_input_error_of_run(self, option, tmp_path, capsys):
         errors = []
@@ -593,6 +596,7 @@ def test_resolve_tol_defaults():
         ("validate", "--tol"),
         ("validate", "--max-steps"),
         ("validate", "--input"),
+        ("sweep", "--input"),
         ("lindblad", "--omega"),
         ("lindblad", "--tol"),
         ("lindblad", "--max-steps"),

@@ -55,7 +55,7 @@ OPTIONS = {
         ("--omega", ["0.5", "1", "0.5:1:0.25", "0.5:0.95:0.05", "1e-320:1:0.5"],
          [*EDGE, "0.5:1:1e-320", "0.9:0.5:0.1", "0:1:0.1", "0.5:inf:0.1", "nan:1:0.1",
           "0.5:1:0", "0.5:1", "0.5::0.1"]),
-        TOL, INPUT,
+        TOL,
     ]),
     "lindblad": ([("--dt", ["0.4", "0.75", "５", "1_0"], EDGE),
                   ("--max-time", ["0", "2", "8", "1e-320", "５"], EDGE)], [
@@ -65,7 +65,7 @@ OPTIONS = {
     ]),
 }
 #: One option that each command does not take.
-FOREIGN = {"validate": "--tol", "run": "--dt", "sweep": "--include-reset",
+FOREIGN = {"validate": "--tol", "run": "--dt", "sweep": "--input",
            "lindblad": "--omega"}
 
 HERE = Path(__file__).resolve().parent

@@ -13,7 +13,14 @@ import math
 
 import pytest
 
-from golden.make_golden import CASES, GOLDEN, capture, platform_key, split_numbers
+from golden.make_golden import (
+    CASES,
+    GOLDEN,
+    capture,
+    describe_change,
+    platform_key,
+    split_numbers,
+)
 
 RECORD = json.loads(GOLDEN.read_text(encoding="utf-8"))
 SAME_PLATFORM = RECORD["platform"] == platform_key()
@@ -42,3 +49,21 @@ def test_cli_output_matches_the_golden_record(case):
     else:
         assert_close(got["stdout"], case["stdout"], RECORD["relative_tol"])
         assert_close(got["stderr"], case["stderr"], RECORD["relative_tol"])
+
+
+@pytest.mark.parametrize("old, new, report", [
+    # the overflow message has three numbers (the 4 of RK4 counts) and the
+    # drift message four, so they are not paired by position
+    ("error: RK4 diverged at step 1: overflow encountered in multiply (dt = 1e+300)\n",
+     "error: RK4 diverged at step 1: total trace drifted to nan (dt = 1e+300)\n",
+     "0 numbers moved, largest move 0; stderr 3 -> 4 numbers; "
+     "the text between the numbers changed"),
+    # a number that becomes NaN, or stops being one, moves by NaN
+    ("total 0.5\n", "total nan\n", "1 numbers moved, largest move nan"),
+    ("total nan\n", "total 0.5\n", "1 numbers moved, largest move nan"),
+])
+def test_describe_change_reports_nan_moves_and_changed_counts(old, new, report):
+    argv = ["lindblad", "--circuit", "toffoli"]
+    before = {"argv": argv, "exit": 1, "stdout": "", "stderr": old}
+    line = describe_change(before, {**before, "stderr": new})
+    assert line == f"changed: lindblad --circuit toffoli: {report}"

@@ -39,7 +39,6 @@ from oqwalk.config import TOL
 from oqwalk.errors import CircuitError, DomainError, ShapeError
 from oqwalk.lindblad import (
     MAX_RK4_STEPS,
-    _reset_moves,
     _rhs,
     build_dqc_lindblad,
     integrate,
@@ -83,7 +82,8 @@ def start_diagonal(model, bits):
 def edge_table(model):
     """(source, target) -> the lab-frame coins W_dst B̃ W_src† of that pair's
     edges: a rate r off the diagonal of the generator as the coin √r·I, then
-    the reset coins at register 0, where W_0 = I, in qubit order."""
+    the reset coins at register 0, where W_0 = I, read off the model's move
+    list: its d/2 moves per qubit, in order, as one 0/1 matrix each."""
     eye = np.eye(model.dim)
     frames, _ = stacked_frames(model._unitaries)
     table = defaultdict(list)
@@ -91,8 +91,12 @@ def edge_table(model):
         if d != s:
             coin = np.sqrt(model._rates[d, s]) * eye
             table[int(s), int(d)].append(frames[d] @ coin @ frames[s].conj().T)
-    if model._resets:
-        table[0, 0] += [lowering(model._resets, q) for q in range(1, model._resets + 1)]
+    if model._moves is not None:
+        num_qubits = model.dim.bit_length() - 1
+        for src, dst in zip(*(np.split(a, num_qubits) for a in model._moves)):
+            coin = np.zeros((model.dim, model.dim))
+            coin[dst, src] = 1.0
+            table[0, 0].append(coin)
     return table
 
 
@@ -167,7 +171,7 @@ class TestBuildModel:
         # the jumps U ⊗ |t⟩⟨t−1| + U† ⊗ |t−1⟩⟨t| are the path-graph Laplacian
         model = build_dqc_lindblad(toffoli13())
         assert np.array_equal(model._rates, path_laplacian(14))
-        assert model._resets == 0 and model._g is None
+        assert model._moves is None and model._g is None
 
     def test_frames_are_the_partial_products(self):
         # the stacked frames that the tests lower lab-frame states with are
@@ -192,7 +196,7 @@ class TestBuildModel:
         base = build_dqc_lindblad(toffoli13())
         with_reset = build_dqc_lindblad(toffoli13(), include_reset=True)
         assert np.array_equal(with_reset._rates, base._rates)
-        assert (base._resets, with_reset._resets) == (0, 3)
+        assert base._moves is None
         assert (0, 0) not in edge_table(base)
         eye = np.eye(2)
         lowers = [np.kron(LOWER, np.eye(4)), np.kron(eye, np.kron(LOWER, eye)),
@@ -214,8 +218,15 @@ class TestBuildModel:
         assert (model.num_nodes, model.dim) == (circuit.depth + 1, 16)
         assert sum(map(len, edge_table(model).values())) == 2 * circuit.depth + 4
         assert model._g.shape == (16,) and model._g.dtype == np.float64
-        popcount = [bin(x).count("1") for x in range(16)]
-        assert np.array_equal(model._g, -0.5 * np.array(popcount))
+
+    @pytest.mark.parametrize("num_qubits", range(1, 9))
+    def test_reset_damping_is_minus_half_the_popcount(self, num_qubits):
+        # G = −½ Σ σ⁻†σ⁻ counts the set bits of x: a loop over the bits of
+        # each x, independent of the model's move list
+        model = build_dqc_lindblad(Circuit(num_qubits, ((Gate("H", (1,)),),)), True)
+        popcount = [bin(x).count("1") for x in range(2**num_qubits)]
+        assert model._g.dtype == np.float64
+        assert model._g.tobytes() == (-0.5 * np.array(popcount, dtype=float)).tobytes()
 
     def test_build_holds_no_frames(self):
         # 7 qubits × 16 slices, compiled before tracing: one d×d frame is
@@ -239,7 +250,9 @@ class TestBuildModel:
         # the reset is index moves and the diagonal of its damping, not q
         # dense coins nor a dense d×d damping block (d² complex entries,
         # 64 KiB at d = 64): with the model alive, and at the peak, the
-        # build with resets holds at most four more length-d float vectors
+        # build with resets holds at most its move list, q·d/2 pairs of
+        # int64 indices (3 KiB), and four more length-d float vectors
+        # (measured: 3.8 KiB held, no higher peak)
         circuit = qft(6)
         circuit_unitaries(circuit)  # compiled and cached before tracing
         held, peaks = [], []
@@ -253,7 +266,7 @@ class TestBuildModel:
             held.append(current)
             peaks.append(peak)
             del model
-        bound = 4 * 64 * 8
+        bound = 2 * (6 * 32) * 8 + 4 * 64 * 8
         assert held[1] - held[0] <= bound
         assert peaks[1] - peaks[0] <= bound
 
@@ -294,7 +307,7 @@ class TestDenseOracle:
             dense = dense_rhs(jumps, embed_blocks(lab))
             frame = stacked_lower(model._unitaries,
                                   np.stack([node_block(dense, i, i, n) for i in range(n)]))
-            got = _rhs(model, p, _reset_moves(model))
+            got = _rhs(model, p)
             assert np.abs(np.einsum("nii->ni", frame) - got).max() < 1e-12
             assert np.abs(frame - diagonal_blocks(got)).max() < 1e-12
 
@@ -336,9 +349,9 @@ class TestResetOracle:
         model = build_dqc_lindblad(circuit, include_reset=True)
         p = rng.normal(size=(2, model.dim))
         reset = edge_table_reset(num_qubits, diagonal_blocks(p[:1]))
-        want = _rhs(plain, p, _reset_moves(plain))
+        want = _rhs(plain, p)
         want[:1] += np.einsum("nii->ni", reset).real
-        got = _rhs(model, p, _reset_moves(model))
+        got = _rhs(model, p)
         assert got.tobytes() == want.tobytes()
         assert not (reset - diagonal_blocks(np.einsum("nii->ni", reset))).any()
 
@@ -359,9 +372,9 @@ class TestResetOracle:
         p[1, 7] = 1.0
         assert p.sum() == 1.0
         plain = build_dqc_lindblad(qft(3))
-        assert np.isfinite(_rhs(plain, p, _reset_moves(plain))).all()
+        assert np.isfinite(_rhs(plain, p)).all()
         with np.errstate(over="ignore"):
-            out = _rhs(model, p, _reset_moves(model))
+            out = _rhs(model, p)
         assert np.isinf(out[0, 0]) and np.isfinite(np.delete(out, 0)).all()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -373,11 +386,10 @@ class TestResetOracle:
     def test_moves_go_qubit_by_qubit(self):
         # qubit 1 is the top bit of x: its moves come first, then qubit 2's, ...
         model = build_dqc_lindblad(qft(3), include_reset=True)
-        src, dst = _reset_moves(model)
+        src, dst = model._moves
         assert src.tolist() == [4, 5, 6, 7, 2, 3, 6, 7, 1, 3, 5, 7]
         assert dst.tolist() == [0, 1, 2, 3, 0, 1, 4, 5, 0, 2, 4, 6]
-        src, dst = _reset_moves(build_dqc_lindblad(qft(3)))
-        assert src.size == dst.size == 0
+        assert build_dqc_lindblad(qft(3))._moves is None
 
 
 #: The step at which ``frame_rk4``'s total first drifts past TOL.trace, in 40
@@ -399,7 +411,7 @@ class TestDiagonal:
         model = build_dqc_lindblad(BUILTIN_CIRCUITS[name](), include_reset=include_reset)
         p = random_diagonal(np.random.default_rng(60), model.num_nodes, model.dim)
         out = frame_rhs(model, diagonal_blocks(p))
-        want = _rhs(model, p, _reset_moves(model))
+        want = _rhs(model, p)
         assert out.tobytes() == diagonal_blocks(want).tobytes()
 
     @pytest.mark.parametrize("name", sorted(BUILTIN_CIRCUITS))
@@ -563,8 +575,9 @@ class TestIntegrate:
         # 7 qubits × 16 slices with resets, compiled before tracing: the
         # (17, 128) frame diagonal is 17 KiB, where a lab-frame input stack
         # of (17, 128, 128) complex blocks was 4.3 MiB.  The run holds only
-        # the state, the four RK4 stages, their sums and the reset moves, so
-        # its peak is a few diagonals (measured: 8.6), far below one stack
+        # the state, the four RK4 stages and their sums (the model holds the
+        # reset moves), so its peak is a few diagonals (measured: 8.1), far
+        # below one stack
         circuit = seeded_circuit(112, 7, 16)
         circuit_unitaries(circuit)
         model = build_dqc_lindblad(circuit, include_reset=True)
@@ -594,6 +607,21 @@ class TestIntegrate:
             integrate(model, start_diagonal(model, "0"), dt=dt, max_time=100 * dt)
         assert type(info.value) is ArithmeticError
         assert str(info.value).endswith(detail)
+
+    def test_a_node_total_that_overflows_is_refused_at_t0(self):
+        # every entry is finite and the total is 1, so the input checks
+        # pass, but node 0's sequential sum reaches 2.1e308 and overflows:
+        # the t = 0 sample is refused, with no warning
+        model = build_dqc_lindblad(Circuit(3, ((Gate("H", (1,)),),)))
+        p0 = np.zeros((2, 8))
+        p0[0, :3] = 7e307
+        p0[0, 7] = 1.0
+        p0[1, :3] = -7e307
+        assert p0.sum() == 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^p0 has a node total that is not finite$"):
+                integrate(model, p0)
 
     def test_matches_balanced_walk_marginals(self):
         # continuous-time stationary registers are uniform, exactly what the
@@ -885,7 +913,7 @@ class TestFrames:
                 "--max-time", "0.1", "--out", str(tmp_path / "out.csv")]
         assert main(argv + ["--include-reset"] * include_reset) in (0, 1)
         [(model, p0)] = seen
-        assert model._resets == (circuit.num_qubits if include_reset else 0)
+        assert (model._moves is not None) == include_reset
         rho = start_state(model, bits)
         want = frame_diagonal(circuit_unitaries(circuit), rho)
         assert p0.dtype == want.dtype and p0.shape == want.shape
