@@ -13,6 +13,12 @@ The walk engines return residuals, populations and states, and the judgements
 are made here: ``validate`` compares residuals with ``TOL``, and ``run``
 computes the fidelity of the last node's state to the circuit's output.
 
+The parser is built on the first ``main`` call, never at import, and every
+later call in the process reuses it, so ``main`` may be called many times in
+one process.  The parser holds no command function: ``main`` looks up
+``cmd_<subcommand>`` by name when it runs, so a replaced ``cmd_*`` takes
+effect after the first call too.
+
 Exit codes: 0 success, 1 numerical non-convergence, 2 input error (a
 command line that argparse rejects included), whose stderr is one
 ``error:`` line.
@@ -21,6 +27,7 @@ command line that argparse rejects included), whose stderr is one
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -164,9 +171,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
         f"({circuit.num_qubits} qubits, {circuit.depth} slices)"
     ]
     unis = circuit_unitaries(circuit)
-    uni_residual = max(
-        frobenius(u.conj().T @ u - np.eye(u.shape[0])) for u in unis
-    )
+    eye = np.eye(2**circuit.num_qubits)
+    uni_residual = max(frobenius(u.conj().T @ u - eye) for u in unis)
     lines.append(f"max slice unitarity residual: {uni_residual:.3e}")
     chain = wk.build_dqc_chain(circuit, wk.ChainParams(omega))
     norm_residual = float(wk.validate(chain).max())
@@ -191,9 +197,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     # undefined while no population has reached that register.  That state
     # is the normalized block p_T·v v† of v = U_T···U_1 ψ0 (ψ0 is a unit
     # basis vector), the one block of the run that is built.
-    target = circuit_product(circuit) @ psi0
     fidelity = math.nan
     if report.final_detection > TOL.zero_probability:
+        target = circuit_product(circuit) @ psi0
         v = psi0
         for u in chain.unitaries:
             v = u @ v
@@ -280,6 +286,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="oqw",
@@ -289,9 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
     validate, run, sweep, lindblad = (
         sub.add_parser(name) for name in ("validate", "run", "sweep", "lindblad")
     )
-    for p, fn in ((validate, cmd_validate), (run, cmd_run),
-                  (sweep, cmd_sweep), (lindblad, cmd_lindblad)):
-        p.set_defaults(func=fn)
+    for p in (validate, run, sweep, lindblad):
         p.add_argument("--circuit", required=True, help="built-in name or file path")
     for p in (validate, run, sweep):
         p.add_argument("--omega", default="0.5",
@@ -320,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (ValueError, OSError) as exc:  # bad options, values, circuits and files
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import resource
@@ -813,3 +814,106 @@ def test_module_entry_point(tmp_path):
     assert missing.returncode == 2
     assert missing.stderr.startswith("error:")
     assert "Traceback" not in missing.stderr
+
+
+def test_two_main_calls_build_one_parser(monkeypatch, capsys):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    for _ in range(2):
+        assert main(["validate", "--circuit", "qft3"]) == 0
+    assert built.count("oqw") == 1
+
+
+def test_import_builds_no_parser():
+    # a parser built at import would be paid by every fresh ``oqw`` process
+    # before it reads its command line
+    src = str(Path(oqwalk.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting_init(self, *args, **kwargs):\n"
+        "    built.append(kwargs.get('prog'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting_init\n"
+        "import oqwalk.cli\n"
+        "print(len(built))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
+
+
+#: Pairs of command lines that differ in one option, and would print each
+#: other's output if an option of one call leaked into the next.  ``run``
+#: prints the same CSV for every input of the right width, so its input is
+#: three bits on a four-qubit circuit: rejected, where the default runs.
+LEAK_PAIRS = {
+    "include-reset": (
+        ["lindblad", "--circuit", "toffoli", "--dt", "0.4", "--max-time", "2",
+         "--include-reset"],
+        ["lindblad", "--circuit", "toffoli", "--dt", "0.4", "--max-time", "2"],
+    ),
+    "input": (
+        ["run", "--circuit", "qft4", "--max-steps", "7", "--input", "101"],
+        ["run", "--circuit", "qft4", "--max-steps", "7"],
+    ),
+    "tol": (
+        ["run", "--circuit", "qft3", "--tol", "1e-3"],
+        ["run", "--circuit", "qft3"],
+    ),
+    "rejected": (
+        ["sweep", "--circuit", "qft3", "--omega", "1", "--input", "1"],
+        ["sweep", "--circuit", "qft3", "--omega", "1"],
+    ),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(LEAK_PAIRS))
+def test_options_do_not_leak_between_calls(pair, capsys):
+    def call(argv):
+        code = main(argv)
+        return (code, *capsys.readouterr())
+
+    a, b = LEAK_PAIRS[pair]
+    a_first = call(a), call(b)
+    b_first = call(b), call(a)
+    assert a_first == b_first[::-1]
+    assert a_first[0] != a_first[1]  # the option shows in the output
+    if pair in ("input", "rejected"):
+        assert a_first[0][0] == 2 and a_first[1][0] in (0, 1)
+
+
+def test_a_patched_command_takes_effect_after_the_first_call(monkeypatch, capsys):
+    argv = ["run", "--circuit", "qft3", "--omega", "1"]
+    assert main(argv) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_run", lambda args: seen.append(args.circuit) or 0)
+    assert main(argv) == 0
+    assert seen == ["qft3"]
+    assert capsys.readouterr().out.startswith("step,node,probability")  # the first call
+
+
+@pytest.mark.parametrize("max_steps, products", [("7", 0), ("100000", 1)])
+def test_run_builds_its_fidelity_target_only_when_the_fidelity_is_defined(
+    max_steps, products, monkeypatch, tmp_path
+):
+    # seven steps leave toffoli's last node, T = 13, empty: the fidelity is nan
+    calls = []
+    product = cli.circuit_product
+    monkeypatch.setattr(cli, "circuit_product", lambda c: calls.append(c) or product(c))
+    out = tmp_path / "run.csv"
+    main(["run", "--circuit", "toffoli", "--max-steps", max_steps, "--out", str(out)])
+    _, summary = read_run_csv(out)
+    assert math.isnan(summary["fidelity"]) == (products == 0)
+    assert len(calls) == products
