@@ -6,42 +6,12 @@ steady state, and reports how the detection probability at the output
 register and the number of steps to stationarity depend on ω.  Integrating
 the master equation of the canonical dissipative model of the same chain,
 on the same node blocks, gives an independent continuous-time check.
+
+Each public name is imported from its module; the package binds only its
+submodules, ``__version__`` and ``USING_NUMBA``.
 """
 
 from . import circuits, lindblad, linalg, walk
-from .circuits import (
-    BUILTIN_CIRCUITS,
-    Circuit,
-    Gate,
-    circuit_product,
-    circuit_unitaries,
-    parse_circuit,
-    qft,
-    toffoli13,
-)
-from .config import TOL
-from .errors import (
-    CircuitError,
-    CircuitParseError,
-    DomainError,
-    ShapeError,
-)
-from .lindblad import LindbladModel, build_dqc_lindblad, integrate
-from .walk import (
-    BlockState,
-    ChainParams,
-    ChainWalk,
-    ConvergenceReport,
-    OpenQuantumWalk,
-    analytic_chain_steady,
-    build_dqc_chain,
-    classical_marginal_step,
-    run_chain,
-    run_until_converged,
-    step,
-    sweep_chain,
-    validate,
-)
 
 __version__ = "0.1.0"
 

@@ -229,6 +229,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     omegas = parse_omega_spec(args.omega)
     circuit = load_circuit(args.circuit)
     tol = _resolve_tol(args.circuit, args.tol)
+    # A one-thread pool gains nothing; it stays only because the benchmark
+    # pins it (the ``cli.sweep.pool`` span, the ``cli.ThreadPoolExecutor``
+    # patch, ``_sweep_workers()``), and ROADMAP item 2 deletes it after item 1.
     with ThreadPoolExecutor(max_workers=_sweep_workers()) as pool:
         reports = pool.submit(
             wk.sweep_chain, circuit.depth, omegas, tol, args.max_steps
@@ -332,7 +335,3 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -518,6 +518,18 @@ class TestParse:
         with pytest.raises(CircuitParseError, match=r"line 4: .*\[1\] used twice"):
             parse_circuit("qubits 3\nH 1\nX 2\nH 1 ; H 1\n")
 
+    @pytest.mark.parametrize(
+        "body, match",
+        [("H 1 ; H 1\nFOO 1", r"line 2: slice: qubit\(s\) \[1\] used twice"),
+         ("FOO 1\nH 1 ; H 1", "line 2: unknown gate 'FOO'")],
+    )
+    def test_the_first_bad_line_is_reported_whichever_check_it_fails(self, body, match):
+        # each slice is checked as its line is parsed: ``Circuit`` checks the
+        # slices again, but only once every line has parsed, so leaving the
+        # slice checks to it would report a later line's syntax error first
+        with pytest.raises(CircuitParseError, match=match):
+            parse_circuit(f"qubits 2\n{body}\n")
+
     def test_cp_normalizes_order(self):
         c = parse_circuit("qubits 3\nCP 3 1 pi/2\n")
         assert c.slices[0][0].qubits == (1, 3)

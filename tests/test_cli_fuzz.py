@@ -13,9 +13,12 @@ diverged at step n: total trace drifted to``, whether its total drifted or
 a step overflowed.  An exit-0 ``validate`` ends ``OK`` with both residuals
 at most 1e-10, and each row of a ``sweep`` that prints its CSV (exit 0, or
 exit 1 with rows that did not converge) is that of ``walk.run_chain`` on
-the same circuit at its ω, tol and max-steps.  All examples run in one
-process, through the parser that the first one built, so an option that
-leaked from one call into the next would show here too.
+the same circuit at its ω, tol and max-steps.  A ``run`` that prints its
+CSV (exit 0, or exit 1 out of steps) has history rows that sum to 1 and
+follow the birth-death recurrence from node 0 at its ω, and a summary read
+off its last row.  All examples run in one process, through the parser that
+the first one built, so an option that leaked from one call into the next
+would show here too.
 
 Every example is cheap: ``run`` and ``sweep`` always get ``--max-steps``,
 and ``lindblad`` always gets ``--dt`` and ``--max-time``, each drawn from
@@ -29,6 +32,7 @@ import re
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, example, given, seed, settings
 from hypothesis import strategies as st
@@ -183,6 +187,34 @@ def check_sweep(argv, out):
                                    str(report.converged).lower()], (omega, line)
 
 
+#: Each ``run`` history row against the birth-death recurrence, as the
+#: benchmark checks it.
+HISTORY_TOL = 1e-10
+
+
+def check_run(argv, code, out):
+    """The history, steps 0..n by nodes 0..T, against the birth-death chain
+    from node 0 at the run's ω, and the summary against its last row."""
+    lines = out.splitlines()
+    assert lines[0] == "step,node,probability"
+    assert lines[-2] == "steps_to_converge,final_detection,final_fidelity,converged"
+    rows = [line.split(",") for line in lines[1:-2]]
+    nodes = sum(step == "0" for step, _node, _probability in rows)
+    assert [(int(step), int(node)) for step, node, _ in rows] == \
+        [divmod(i, nodes) for i in range(len(rows))], out
+    history = np.array([float(probability) for *_, probability in rows]).reshape(-1, nodes)
+    omega = float(option(argv, "--omega", "0.5"))
+    p = np.eye(nodes)[0]
+    for step, row in enumerate(history):
+        assert abs(math.fsum(row) - 1.0) <= config.TOL.trace, (step, row)
+        assert np.abs(row - p).max() <= HISTORY_TOL, (step, row, p)
+        p = np.concatenate([[(1 - omega) * p[:2].sum()],
+                            omega * p[:-2] + (1 - omega) * p[2:], [omega * p[-2:].sum()]])
+    steps, detection, _fidelity, converged = lines[-1].split(",")
+    assert steps == rows[-1][0] and detection == rows[-1][2], out
+    assert converged == ("true" if code == 0 else "false"), (code, converged)
+
+
 def lindblad_samples(csv):
     """The node marginals of each sample of a ``lindblad`` CSV: a sample's
     rows run from node 0 up."""
@@ -222,6 +254,10 @@ DRAW_SEED = int("aaf80dd36cc4c42776f9d54d160dfeaafe2b11e010ef97061c96f900bd9c470
 # nor a sweep that converges on every row
 @example(argv=["sweep", "--circuit", "qft3", "--omega", "0.5:1:0.25", "--max-steps", "300",
                "--tol", "1e-3"], text=VALID_TEXTS[0])
+# nor a run that converges, on a built-in and on a file
+@example(argv=["run", "--circuit", "qft3", "--max-steps", "300", "--tol", "1e-3"],
+         text=VALID_TEXTS[0])
+@example(argv=["run", "--circuit", "fuzz.circ", "--max-steps", "30"], text=VALID_TEXTS[2])
 def test_exit_codes_and_stderr_hold_the_contract(argv, text, workdir):
     fuzzed = workdir / "fuzz.circ"
     fuzzed.write_text(text, encoding="utf-8")
@@ -244,3 +280,5 @@ def test_exit_codes_and_stderr_hold_the_contract(argv, text, workdir):
         check_validate(out)
     elif argv[0] == "sweep" and not err:
         check_sweep(argv, out)
+    elif argv[0] == "run" and not err:
+        check_run(argv, code, out)
