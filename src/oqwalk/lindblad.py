@@ -7,23 +7,25 @@ with jump operators built from the circuit unitaries: the pair of registers
 undoes it.  Optional reset jumps lower each qubit inside register 0.
 
 These jumps map a state that is block diagonal in the register index to one
-that is again block diagonal, so a state is (N, d, d) node blocks.  In the
-history-state frame W_0 = I, W_t = U_t W_{t−1}, on the blocks
-ρ̃_t = W_t† ρ_t W_t, both halves of every register jump are the identity,
-so the hops move ρ̃_{t−1} to ρ̃_t and back at unit rate: the path-graph
-Laplacian, acting on every block entry alike.  The resets keep their
-lab-frame form, since W_0 = I: lowering qubit q moves the |1⟩⟨1| sub-block
-of that qubit in ρ̃_0 to |0⟩⟨0|, so the diagonal entry of each x with bit q
-set to that of x with it cleared, and the damping of all resets is the
-diagonal G = −½·diag(popcount).  So no part of the generator
-feeds the frame diagonal from an off-diagonal entry, and none feeds an
-off-diagonal entry from the diagonal: p[t, x] = ⟨x|ρ̃_t|x⟩ evolves alone,
-as a real Markov chain on (T+1)·2^q probabilities, and a state without
-coherence in the frame keeps none.  ``integrate`` starts from p itself
-and steps it with fixed classical Runge-Kutta steps; the node populations
-are its row sums, the traces, which the frame does not change.  A basis
-state |x⟩ at register 0, where W_0 = I, is its own frame block, so the
-CLI's input is the one-hot row p[0, x] = 1, and no gate enters the run.
+that is again block diagonal.  In the history-state frame W_0 = I,
+W_t = U_t W_{t−1}, on the blocks ρ̃_t = W_t† ρ_t W_t, both halves of every
+register jump are the identity, so the hops move ρ̃_{t−1} to ρ̃_t and back
+at unit rate: the path-graph Laplacian L_T, acting on every block entry
+alike.  The resets keep their lab-frame form, since W_0 = I: lowering qubit
+q moves the diagonal entry of each x with bit q set in ρ̃_0 to that of x
+with it cleared, and their damping is −½·diag(popcount).  So the frame
+diagonal p[t, x] = ⟨x|ρ̃_t|x⟩ evolves alone, as a real Markov chain, and a
+state without coherence in the frame keeps none.
+
+From a basis input x₀ at register 0, where W_0 = I, the resets reach only
+the columns s ⊆ x₀, and permuting the k set bits of x₀ maps the chain to
+itself, so every column of popcount j evolves alike: the chain lumps
+exactly (Kemeny and Snell, "Finite Markov Chains", 1960) to q[t, j], the
+common value of those C(k, j) columns, on (T+1)·(k+1) levels, with k = 0
+without resets.  At node 0, level j gains (k − j)·q[0, j+1] and loses
+j·q[0, j].  ``integrate`` steps q with one precomputed RK4 increment
+matrix, and the node populations are Σ_j C(k, j)·q[t, j], the traces,
+which the frame does not change.  No gate enters the run.
 """
 
 from __future__ import annotations
@@ -61,65 +63,47 @@ def path_laplacian(num_nodes: int) -> np.ndarray:
 
 
 class LindbladModel:
-    """The canonical dissipative model of a circuit, on T+1 registers of
-    2^q-dimensional blocks: one Hermitian hop per slice between its two
-    registers, and with ``include_reset`` one lowering jump per qubit at
-    register 0.
+    """The canonical dissipative model of a circuit, lumped for a basis
+    input of ``popcount`` set bits: T+1 registers of k+1 levels, with
+    k = ``popcount`` with ``include_reset`` and 0 without.
 
-    ``_rates`` is the path Laplacian of the hops.  ``_unitaries`` holds
-    U_1..U_T, the circuit's read-only compiled slices, shared, not copied.
-    Nothing in the library reads them: the frame diagonal never does.  The
-    benchmark harness still times this compile on the ``lindblad`` run and
-    wraps ``lindblad.circuit_unitaries``, so it stays until the harness
-    stops requiring it.
-
-    With resets, ``_moves`` is their (src, dst) index list on node 0's row,
-    built once here: for each lowered qubit q in order, every x with bit
-    d >> q set, and x with that bit cleared.  Each x is the source of one
-    move per set bit, so ``_g``, the diagonal of their damping
-    G = −½·diag(popcount) as a real vector of length d, is −½ times the
-    list's out-degree.  Both are None without resets.
+    ``weights`` holds C(k, j), the number of frame-diagonal columns that
+    level j stands for.  ``_generator`` is the real generator Q of the
+    flattened state q[t, j] (index t·(k+1) + j): kron(L_T, I) for the hops,
+    plus node 0's level block, whose level j gains (k − j)·q[0, j+1] and
+    loses j·q[0, j], built by the damping kernel with g = −½j.
+    ``_unitaries`` holds U_1..U_T, the circuit's read-only compiled slices,
+    shared, not copied.  Nothing in the library reads them: the benchmark
+    harness still times this compile on the ``lindblad`` run and wraps
+    ``lindblad.circuit_unitaries``, so it stays until the harness stops
+    requiring it.
     """
 
-    def __init__(self, circuit: Circuit, include_reset: bool = False):
+    def __init__(self, circuit: Circuit, include_reset: bool = False, popcount: int = 0):
+        if not 0 <= popcount <= circuit.num_qubits:
+            raise DomainError(f"popcount must be in 0..{circuit.num_qubits}, got {popcount}")
         self._unitaries = tuple(circuit_unitaries(circuit))
-        self.num_nodes, self.dim = len(self._unitaries) + 1, 2**circuit.num_qubits
-        self._rates = path_laplacian(self.num_nodes)
-        self._moves = self._g = None
-        if include_reset:
-            bits = self.dim >> np.arange(1, circuit.num_qubits + 1)[:, None]
-            x = np.arange(self.dim)
-            moved = (x & bits) != 0
-            self._moves = np.broadcast_to(x, moved.shape)[moved], (x ^ bits)[moved]
-            self._g = -0.5 * moved.sum(axis=0)
+        self.num_nodes = len(self._unitaries) + 1
+        self.include_reset = include_reset
+        k = popcount if include_reset else 0
+        self.weights = np.array([math.comb(k, j) for j in range(k + 1)], dtype=np.float64)
+        j = np.arange(k + 1.0)
+        g = -0.5 * j
+        block = _kernels.lindblad_rhs_kernel(np.diag(k - j[:-1], 1), g[:, None], g[None, :],
+                                             np.eye(k + 1))
+        self._generator = np.kron(path_laplacian(self.num_nodes), np.eye(k + 1))
+        self._generator[: k + 1, : k + 1] += block
 
     def __repr__(self):
-        return (
-            f"LindbladModel(num_nodes={self.num_nodes}, dim={self.dim}, "
-            f"include_reset={self._moves is not None})"
-        )
+        return (f"LindbladModel(num_nodes={self.num_nodes}, levels={len(self.weights)}, "
+                f"include_reset={self.include_reset})")
 
 
-def build_dqc_lindblad(circuit: Circuit, include_reset: bool = False) -> LindbladModel:
-    """The circuit's ``LindbladModel``, with or without the resets."""
-    return LindbladModel(circuit, include_reset)
-
-
-def _rhs(model: LindbladModel, p) -> np.ndarray:
-    """The generator on the (N, d) frame diagonal: the hops as one real
-    product of the path Laplacian, plus the resets on node 0.
-
-    One ``np.bincount`` sums the probabilities moved by ``model._moves``
-    into each target from zero, in list order, so in qubit order.
-    """
-    out = model._rates @ p
-    if model._moves is not None:
-        src, dst = model._moves
-        node0 = p[0]
-        jump = np.bincount(dst, weights=node0[src], minlength=model.dim)
-        g = model._g
-        out[0] += _kernels.lindblad_rhs_kernel(jump, g, g, node0)
-    return out
+def build_dqc_lindblad(circuit: Circuit, include_reset: bool = False,
+                       popcount: int = 0) -> LindbladModel:
+    """The circuit's ``LindbladModel``, with or without the resets, lumped
+    for an input of ``popcount`` set bits."""
+    return LindbladModel(circuit, include_reset, popcount)
 
 
 @dataclass
@@ -140,7 +124,7 @@ class IntegrationResult:
 
 def integrate(
     model: LindbladModel,
-    p0,
+    q0,
     dt: float = 0.01,
     stop_tol: float = 1e-8,
     max_time: float = 500.0,
@@ -148,34 +132,44 @@ def integrate(
 ) -> IntegrationResult:
     """March the master equation to stationarity with classical RK4 steps.
 
-    ``p0`` is the real (N, d) frame diagonal p[t, x] = ⟨x|W_t† ρ_t W_t|x⟩
-    of a state without coherence in the frame: finite, of unit total within
-    ``TOL.trace``, as ``walk.validate_state`` asks of a block state, and
-    with finite node totals, which its t = 0 sample checks.
-    ‖rhs‖_F of p is that of the whole state.  Its ``node_marginals`` are
+    ``q0`` is the real (T+1, k+1) lumped state: q[t, j] is the common
+    frame-diagonal entry ⟨s|W_t† ρ_t W_t|s⟩ of the C(k, j) columns of level
+    j, the s ⊆ x₀ of popcount j with resets, x₀ alone without.  It must be
+    finite, of unit total Σ C(k, j)·q[t, j] within ``TOL.trace``, as
+    ``walk.validate_state`` asks of a block state, and with finite node
+    totals, which its t = 0 sample checks.  Its ``node_marginals`` are
     sampled at t = 0 and then every ``round(observe_every/dt)`` steps, plus
-    at the final step when it is off that stride.  The generator is linear,
-    so its fixed points are those of the RK4 map, and the step size changes
-    the path, not the limit.
+    at the final step when it is off that stride.
+
+    The generator Q is linear, so an RK4 step is q += D·q with the increment
+    matrix D = A(I + A/2(I + A/3(I + A/4))), A = dt·Q: the degree-4 Taylor
+    polynomial of e^A less I.  D is built once per call in ``np.longdouble``
+    and rounded once to float64, and stacked over diag(√C(k, j))·Q, so one
+    product per step gives both the increment and the right-hand side whose
+    2-norm is ‖rhs‖_F of the whole frame diagonal.  Q has at most three
+    nonzeros a row, so each product of the build sums only those, and the
+    build, like a step, costs O(((T+1)(k+1))²).  The fixed points of the
+    RK4 map are those of Q, so the step size changes the path, not the
+    limit.
 
     The run is ``stationary`` once ‖rhs‖_F < ``stop_tol``, and that norm
-    covers every column of p, not only the marginals.  The marginals relax
-    at the path Laplacian's gap 2 − 2cos(π/(T+1)).  With resets, from an
-    input of popcount ≥ 1, ‖rhs‖_F decays at 2 − 2cos(π/(2T+3)), the
-    smallest rate of the popcount-1 block L_T − E₀₀, under a quarter of
-    that, so the run stops over four times later than its marginals settle.
+    covers every column of the frame diagonal, not only the marginals.  The
+    marginals relax at the path Laplacian's gap 2 − 2cos(π/(T+1)).  With
+    resets, from an input of popcount ≥ 1, ‖rhs‖_F decays at
+    2 − 2cos(π/(2T+3)), the smallest rate of the popcount-1 block L_T − E₀₀,
+    under a quarter of that, so the run stops over four times later than its
+    marginals settle.
 
-    The generator preserves the total, and nothing rescales it: a step whose
-    total is not within ``TOL.trace`` of 1 raises ``ArithmeticError("RK4
-    diverged at step n: total trace drifted to ... (dt = ...)")``.  A step
-    that overflows leaves a total of inf or nan, so it raises that error at
-    that step, as the walk's blocks do.  RK4 is stable while ``dt`` times
-    the generator's spectral radius stays below 2.785: up to 0.705 on
-    toffoli, 0.701 on qft3 from 110 with resets, which add the input's
-    popcount to node 0's rate, and 0.619 on qft4 from 1011.  Below the limit
-    the drift is rounding (at most 3.5e-14 over 10^6 steps), but a run may
-    still sample marginals outside [0, 1]: RK4 does not keep probabilities
-    non-negative.
+    Q preserves the total, and nothing rescales it: a step whose total is
+    not within ``TOL.trace`` of 1 raises ``ArithmeticError("RK4 diverged at
+    step n: total trace drifted to ... (dt = ...)")``.  A step that
+    overflows leaves a total of inf or nan, so it raises that error at that
+    step, as the walk's blocks do.  RK4 is stable while ``dt`` times Q's
+    spectral radius stays below 2.785: up to 0.705 on toffoli, 0.701 on qft3
+    from 110 with resets, which add the input's popcount to node 0's rate,
+    and 0.619 on qft4 from 1011.  Below the limit the drift is rounding, but
+    a run may still sample marginals outside [0, 1]: RK4 does not keep
+    probabilities non-negative.
     """
     for name, value in (("dt", dt), ("stop_tol", stop_tol), ("max_time", max_time),
                         ("observe_every", observe_every)):
@@ -194,33 +188,43 @@ def integrate(
         raise DomainError(
             f"max_time/dt = {max_time / dt:.17g} RK4 steps; at most {MAX_RK4_STEPS}"
         )
-    p = np.asarray(p0, dtype=np.float64)
-    shape = (model.num_nodes, model.dim)
-    if p.shape != shape:
-        raise ShapeError(f"p0 must be a frame diagonal of shape {shape}, got {p.shape}")
-    if not np.isfinite(p).all():
-        raise DomainError("p0 contains NaN or Inf entries")
-    if abs(p.sum() - 1.0) > TOL.trace:
-        raise DomainError(f"p0 must have unit total within {TOL.trace:g}")
+    q = np.array(q0, dtype=np.float64)
+    weights = model.weights
+    shape = (model.num_nodes, len(weights))
+    if q.shape != shape:
+        raise ShapeError(f"q0 must be a lumped state of shape {shape}, got {q.shape}")
+    if not np.isfinite(q).all():
+        raise DomainError("q0 contains NaN or Inf entries")
+    if abs(q.sum(axis=0) @ weights - 1.0) > TOL.trace:
+        raise DomainError(f"q0 must have unit total within {TOL.trace:g}")
     stride = max(1, round(observe_every / dt))
-    steps = 0
+    steps, size = 0, q.size
+    counts = np.tile(weights, model.num_nodes)
+    a = dt * model._generator.astype(np.longdouble)
+    rows, cols = np.nonzero(model._generator)
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    def times(c, x):
+        """(A/c)·x, summed over the few nonzeros of each row of A."""
+        return np.add.reduceat((a[rows, cols] / c)[:, None] * x[cols], starts)
+    eye = np.eye(size, dtype=np.longdouble)
     # a step past the stability limit may overflow: its inf and nan are left
     # to the drift check, as in the walk's blocks
     with np.errstate(over="ignore", invalid="ignore"):
-        samples = [(0.0, node_marginals(p))]
+        samples = [(0.0, node_marginals(q, weights))]
         if not np.isfinite(samples[0][1]).all():
-            raise DomainError("p0 has a node total that is not finite")
+            raise DomainError("q0 has a node total that is not finite")
+        increment = times(1, eye + times(2, eye + times(3, eye + a / 4)))
+        stacked = np.vstack([increment.astype(np.float64),
+                             np.sqrt(counts)[:, None] * model._generator])
+        flat = q.reshape(-1)
         for n in range(n_steps + 1):
-            k1 = _rhs(model, p)
-            rhs_norm = frobenius(k1)
+            out = stacked @ flat
+            rhs_norm = frobenius(out[size:])
             stationary = rhs_norm < stop_tol
             if stationary or n == n_steps:
                 break
-            k2 = _rhs(model, p + (0.5 * dt) * k1)
-            k3 = _rhs(model, p + (0.5 * dt) * k2)
-            k4 = _rhs(model, p + dt * k3)
-            p = p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            tr = p.sum()
+            flat += out[:size]
+            tr = counts @ flat
             if not abs(tr - 1.0) <= TOL.trace:
                 raise ArithmeticError(
                     f"RK4 diverged at step {n + 1}: total trace drifted to {tr:.17g} "
@@ -228,19 +232,19 @@ def integrate(
                 )
             steps = n + 1
             if steps % stride == 0:
-                samples.append((steps * dt, node_marginals(p)))
+                samples.append((steps * dt, node_marginals(q, weights)))
     if steps % stride != 0:
-        samples.append((steps * dt, node_marginals(p)))
+        samples.append((steps * dt, node_marginals(q, weights)))
     return IntegrationResult(
         time=steps * dt, steps=steps, stationary=stationary, rhs_norm=rhs_norm,
         samples=samples,
     )
 
 
-def node_marginals(p) -> np.ndarray:
-    """Population of each chain register: the sequential sum of its row of
-    the (N, d) frame diagonal, the bits of the trace of its block."""
-    p = np.asarray(p)
-    if p.ndim != 2:
-        raise ShapeError(f"p must be (N, d) frame diagonals, got shape {p.shape}")
-    return np.cumsum(p, axis=1)[:, -1].copy()  # not a view of the (N, d) sums
+def node_marginals(q, weights) -> np.ndarray:
+    """Population of each chain register: Σ_j C(k, j)·q[t, j] over the
+    (T+1, k+1) lumped state, with the model's level ``weights`` C(k, j)."""
+    q = np.asarray(q)
+    if q.ndim != 2:
+        raise ShapeError(f"q must be a (T+1, k+1) lumped state, got shape {q.shape}")
+    return q @ weights

@@ -8,24 +8,31 @@ so it is an independent oracle for the block model.
 
 ``edge_table_reset`` is the reset term as an edge table: one embedded
 lowering coin per qubit on the (0 → 0) edge, through the walk's step kernel,
-and its damping as dense products with the Gram sum of ``source_gram``.  The
-model moves sub-blocks and scales by the diagonal instead, and must give the
-same bits.  ``source_gram`` is also the oracle of ``walk.validate``.  Both
-call the step kernel through ``target_step``, which builds its scatter index
-from the edges' target nodes, as the tests of the kernel do.
+and its damping as dense products with the Gram sum of ``source_gram``.
+``frame_rhs`` moves sub-blocks and scales by the diagonal instead, and must
+give the same bits.  ``source_gram`` is also the oracle of
+``walk.validate``.  Both call the step kernel through ``target_step``, which
+builds its scatter index from the edges' target nodes, as the tests of the
+kernel do.
 
 ``stacked_frames`` writes all T+1 history-state frames into one stack, with
 their daggers, and ``stacked_lift`` and ``stacked_lower`` apply them as two
-batched products.  The library never builds a frame: ``integrate`` takes the
-real frame diagonal, and ``frame_diagonal`` lowers a lab-frame test state to
-it.
+batched products.  The library never builds a frame, and
+``frame_diagonal`` lowers a lab-frame test state to its real frame
+diagonal.
 
-``frame_rhs`` is the model's generator on complex (N, d, d) frame blocks,
-coherences included, and ``frame_rk4`` the RK4 loop on them, Hermitized
-each step and never rescaled; the library integrates only the real frame
-diagonal, and must give the bits of this loop's diagonal.  ``lab_rhs`` is
-``frame_rhs`` on lab-frame blocks, lowered into the frame and lifted back
-with the stacked frames.
+``frame_rhs`` is the generator on complex (N, d, d) frame blocks,
+coherences included, written from the path Laplacian and the qubits' bits,
+never from the model's generator, and ``frame_rk4`` the RK4 loop on them,
+Hermitized each step and never rescaled.  ``lab_rhs`` is ``frame_rhs`` on
+lab-frame blocks, lowered into the frame and lifted back with the stacked
+frames.
+
+The library integrates the lumped state q[t, j] of a basis input x: the
+common frame-diagonal entry of the columns s ⊆ x of popcount j.
+``level_columns`` lists those columns and ``lift_levels`` writes q out as
+the (N, d) frame diagonal it stands for, so the tests can hold the lumped
+chain to the frame loop on the whole diagonal.
 """
 
 import numpy as np
@@ -139,25 +146,33 @@ def frame_diagonal(unitaries, blocks):
     return np.einsum("nii->ni", stacked_lower(unitaries, blocks)).real.copy()
 
 
+def path_laplacian(num_nodes):
+    """Unit-rate generator of the path graph 0 − 1 − … − (N−1)."""
+    lap = np.diag(np.ones(num_nodes - 1), 1) + np.diag(np.ones(num_nodes - 1), -1)
+    return lap - np.diag(lap.sum(axis=0))
+
+
 def frame_rhs(model, blocks):
     """The generator on frame blocks: the hops as one real product of the
-    path Laplacian on the (N, 2d²) float view, plus the resets on node 0.
+    path Laplacian on the (N, 2d²) float view, plus, with the model's
+    ``include_reset``, the resets on node 0.
 
     Lowering qubit q moves the [1, 1] sub-block of its axis pair to the
     [0, 0] one; the moves are summed from zeros in qubit order, the bits of
-    the sum of σ⁻ ρ̃_0 σ⁺ over the qubits.  The qubits are counted from d,
-    never read off the model's move list; the model gives only the damping
-    ``_g``, which ``edge_table_reset`` checks.
+    the sum of σ⁻ ρ̃_0 σ⁺ over the qubits.  The damping is −½ the popcount of
+    each basis state, counted bit by bit.  Only the reset flag is read off
+    the model.
     """
-    flat = blocks.reshape(model.num_nodes, -1).view(np.float64)
-    out = (model._rates @ flat).view(np.complex128).reshape(blocks.shape)
-    if model._g is not None:
+    num_nodes, dim = blocks.shape[:2]
+    flat = blocks.reshape(num_nodes, -1).view(np.float64)
+    out = (path_laplacian(num_nodes) @ flat).view(np.complex128).reshape(blocks.shape)
+    if model.include_reset:
         node0 = blocks[:1]
         jump = np.zeros_like(node0)
-        for q in range(1, model.dim.bit_length()):
-            axes = (2 ** (q - 1), 2, model.dim >> q) * 2
+        for q in range(1, dim.bit_length()):
+            axes = (2 ** (q - 1), 2, dim >> q) * 2
             jump.reshape(axes)[:, 0, :, :, 0] += node0.reshape(axes)[:, 1, :, :, 1]
-        g = model._g
+        g = -0.5 * np.array([bin(x).count("1") for x in range(dim)], dtype=float)
         out[:1] += _kernels.lindblad_rhs_kernel(jump, g[:, None], g[None, :], node0)
     return out
 
@@ -181,3 +196,46 @@ def lab_rhs(model, blocks):
     """The generator applied to lab-frame blocks: W ``frame_rhs``(W† ρ W) W†."""
     slices = model._unitaries
     return stacked_lift(slices, frame_rhs(model, stacked_lower(slices, blocks)))
+
+
+def level_columns(x, levels, dim):
+    """The frame-diagonal columns that level j of a lumped state stands for,
+    from input x: the s ⊆ x of popcount j + popcount(x) − k, with k + 1 the
+    level count (k = popcount(x) with resets, 0 without)."""
+    low = bin(x).count("1") - (levels - 1)
+    columns = [[] for _ in range(levels)]
+    for s in range(dim):
+        if s & x == s and bin(s).count("1") >= low:
+            columns[bin(s).count("1") - low].append(s)
+    return columns
+
+
+def lift_levels(q, x, dim):
+    """The (N, d) frame diagonal that the lumped state q stands for from
+    input x: q[:, j] in every column of level j, zeros elsewhere."""
+    p = np.zeros((q.shape[0], dim))
+    for j, columns in enumerate(level_columns(x, q.shape[1], dim)):
+        p[:, columns] = q[:, j : j + 1]
+    return p
+
+
+def frame_run(model, blocks, dt, stop_tol, max_time, observe_every):
+    """``integrate``'s loop on frame blocks: ``frame_rk4`` steps until
+    ‖``frame_rhs``‖_F < stop_tol or ceil(max_time/dt) steps, with the node
+    traces sampled at t = 0, every round(observe_every/dt) steps and at the
+    final step.  (time, traces) samples, steps, stationary."""
+    n_steps = int(np.ceil(max_time / dt))
+    stride = max(1, round(observe_every / dt))
+    rho, steps = blocks, 0
+    samples = [(0.0, np.einsum("nii->n", rho).real)]
+    for n in range(n_steps + 1):
+        stationary = np.linalg.norm(frame_rhs(model, rho)) < stop_tol
+        if stationary or n == n_steps:
+            break
+        rho = next(frame_rk4(model, rho, dt, 1))
+        steps = n + 1
+        if steps % stride == 0:
+            samples.append((steps * dt, np.einsum("nii->n", rho).real))
+    if steps % stride != 0:
+        samples.append((steps * dt, np.einsum("nii->n", rho).real))
+    return samples, steps, stationary

@@ -4,6 +4,9 @@ Run from the root of a checkout, to rewrite ``tests/golden/golden.json``:
 
     PYTHONPATH=src python tests/golden/make_golden.py
 
+The script takes no arguments: given any, ``--help`` included, it exits 1
+with a usage line and writes nothing.
+
 Each case runs ``oqwalk.cli.main`` in-process, in this directory (so
 ``w5.circ`` and the other circuit files are relative paths), and records the exit code, the output
 (stdout) and stderr with their sha256.  The file also records the platform
@@ -200,5 +203,8 @@ def main() -> None:
 
 
 if __name__ == "__main__":
+    if sys.argv[1:]:
+        sys.exit(f"usage: PYTHONPATH=src python {sys.argv[0]}\n"
+                 f"takes no arguments, got: {' '.join(sys.argv[1:])}")
     sys.path.insert(0, str(HERE.parent.parent / "src"))
     main()

@@ -222,10 +222,11 @@ def test_criterion_09_lindblad_cross_check():
     circuit = toffoli13()
     big = build_dqc_lindblad(circuit)
     psi = basis_state(3, "110")
-    rho0 = BlockState.pure(big.num_nodes, big.dim, 0, psi).blocks
+    # the input's frame diagonal is its own column: one level, at node 0
+    q0 = np.zeros((big.num_nodes, 1))
+    q0[0] = 1.0
     start = time.perf_counter()
-    result = integrate(big, frame_diagonal(big._unitaries, rho0), dt=0.4, stop_tol=2e-6,
-                       max_time=400.0)
+    result = integrate(big, q0, dt=0.4, stop_tol=2e-6, max_time=400.0)
     elapsed = time.perf_counter() - start
     assert result.stationary
     marginals = result.samples[-1][1]
@@ -240,8 +241,9 @@ def test_criterion_09_lindblad_cross_check():
         history.append(u @ history[-1])
     mixture = np.stack([np.outer(v, v.conj()) for v in history]) / big.num_nodes
     assert np.linalg.norm(lab_rhs(big, mixture)) < 1e-10
-    assert integrate(big, frame_diagonal(big._unitaries, mixture), dt=0.4,
-                     stop_tol=2e-6).steps == 0
+    frame = frame_diagonal(big._unitaries, mixture)
+    assert np.abs(frame[:, 0b110] - 1.0 / big.num_nodes).max() < 1e-15
+    assert integrate(big, frame[:, [0b110]], dt=0.4, stop_tol=2e-6).steps == 0
     block = mixture[-1] / np.trace(mixture[-1]).real
     target = circuit_product(circuit) @ psi
     fidelity = float((target.conj() @ block @ target).real)

@@ -16,7 +16,9 @@ exit 1 with rows that did not converge) is that of ``walk.run_chain`` on
 the same circuit at its ω, tol and max-steps.  A ``run`` that prints its
 CSV (exit 0, or exit 1 out of steps) has history rows that sum to 1 and
 follow the birth-death recurrence from node 0 at its ω, and a summary read
-off its last row.  All examples run in one process, through the parser that
+off its last row.  A chain walk is trace preserving for every ω in (0, 1],
+so a ``run`` or ``sweep`` exits 1 only out of steps, with an empty stderr,
+and the examples in ``CONVERGING`` exit 0.  All examples run in one process, through the parser that
 the first one built, so an option that leaked from one call into the next
 would show here too.
 
@@ -241,24 +243,33 @@ DRAW_SEED = int("aaf80dd36cc4c42776f9d54d160dfeaafe2b11e010ef97061c96f900bd9c470
                 "4508688cde3ba949cce4f2a8c8752c3", 16)
 
 
+#: Examples that must exit 0: a chain walk is trace preserving for every ω
+#: in (0, 1], so a sweep that converges on every row, and a run that
+#: converges, on a built-in and on a file, print their CSV with exit 0.
+CONVERGING = [
+    (["sweep", "--circuit", "qft3", "--omega", "0.5:1:0.25", "--max-steps", "300",
+      "--tol", "1e-3"], VALID_TEXTS[0]),
+    (["run", "--circuit", "qft3", "--max-steps", "300", "--tol", "1e-3"], VALID_TEXTS[0]),
+    (["run", "--circuit", "fuzz.circ", "--max-steps", "30"], VALID_TEXTS[2]),
+]
+
+
 @seed(DRAW_SEED)
 @settings(max_examples=500, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(argv=argvs(), text=circuit_texts())
 # the derandomized draw reaches no divergence: a step that overflows to a
-# non-finite total (the first), and a total that drifts (at step 16 of 23)
+# non-finite total (the first), and a total that drifts (at step 17 of 23)
 @example(argv=["lindblad", "--circuit", "toffoli", "--dt", "1e308", "--max-time", "2"],
          text=VALID_TEXTS[0])
 @example(argv=["lindblad", "--circuit", "qft3", "--dt", "0.9", "--max-time", "20",
                "--include-reset"], text=VALID_TEXTS[0])
-# nor a sweep that converges on every row
-@example(argv=["sweep", "--circuit", "qft3", "--omega", "0.5:1:0.25", "--max-steps", "300",
-               "--tol", "1e-3"], text=VALID_TEXTS[0])
-# nor a run that converges, on a built-in and on a file
-@example(argv=["run", "--circuit", "qft3", "--max-steps", "300", "--tol", "1e-3"],
-         text=VALID_TEXTS[0])
-@example(argv=["run", "--circuit", "fuzz.circ", "--max-steps", "30"], text=VALID_TEXTS[2])
+# nor the converging examples
+@example(argv=CONVERGING[0][0], text=CONVERGING[0][1])
+@example(argv=CONVERGING[1][0], text=CONVERGING[1][1])
+@example(argv=CONVERGING[2][0], text=CONVERGING[2][1])
 def test_exit_codes_and_stderr_hold_the_contract(argv, text, workdir):
+    converging = (argv, text) in CONVERGING
     fuzzed = workdir / "fuzz.circ"
     fuzzed.write_text(text, encoding="utf-8")
     argv = [str(fuzzed) if a == "fuzz.circ" else a for a in argv]
@@ -267,6 +278,11 @@ def test_exit_codes_and_stderr_hold_the_contract(argv, text, workdir):
     assert code in (0, 1, 2), (code, err)
     assert "Traceback" not in err
     assert not caught, [str(w.message) for w in caught]
+    assert code == 0 or not converging, (code, err)
+    if code == 1 and argv[0] in ("run", "sweep"):
+        # a chain walk is trace preserving, so it fails only by running out
+        # of steps, which prints its CSV and no error
+        assert not err, err
     if code == 2:
         assert err.startswith("error:"), err
     elif argv[0] == "lindblad" and err:

@@ -10,6 +10,9 @@ purpose.
 
 import json
 import math
+import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -67,3 +70,20 @@ def test_describe_change_reports_nan_moves_and_changed_counts(old, new, report):
     before = {"argv": argv, "exit": 1, "stdout": "", "stderr": old}
     line = describe_change(before, {**before, "stderr": new})
     assert line == f"changed: lindblad --circuit toffoli: {report}"
+
+
+@pytest.mark.parametrize("args", [["--help"], ["-h"], ["golden.json"]])
+def test_the_script_rejects_arguments_and_writes_nothing(args, tmp_path):
+    # a copy of the script beside a copy of the record: an argument it does
+    # not take ends the run with exit 1 and a usage line, before any case
+    # runs, and the record keeps its bytes
+    script = GOLDEN.with_name("make_golden.py")
+    shutil.copy(script, tmp_path / script.name)
+    shutil.copy(GOLDEN, tmp_path / "golden.json")
+    before = (tmp_path / "golden.json").read_bytes()
+    proc = subprocess.run([sys.executable, str(tmp_path / script.name), *args],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("usage: ") and "takes no arguments" in proc.stderr
+    assert proc.stdout == ""
+    assert (tmp_path / "golden.json").read_bytes() == before
