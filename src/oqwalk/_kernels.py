@@ -4,8 +4,8 @@ The discrete walk is an edge table over stacked (N, d, d) node blocks; one
 step is the sum of sandwiches B ρ B† over its edges, computed by
 ``step_blocks``.  The table's targets enter the kernel as its flat scatter
 index, which ``scatter_index`` builds once per table.  The master equation
-moves its hops and reset jumps itself on the (N, d) frame diagonal, and adds
-the damping of the resets to node 0's (d,) row with ``lindblad_rhs_kernel``.
+calls ``lindblad_rhs_kernel`` once per model, to build node 0's
+(k+1)-square level block of its lumped generator.
 """
 
 from __future__ import annotations
@@ -42,9 +42,10 @@ def step_blocks(b_ops, b_dag, src, scatter, blocks):
 
 def lindblad_rhs_kernel(jump, g, g_dag, blocks):
     """Master-equation generator jump + G ρ_0 + ρ_0 G† for a diagonal damping
-    G = −½K, as elementwise scalings: G's diagonal as both ``g`` and
-    ``g_dag`` on node 0's (d,) row of the frame diagonal, as the library
-    passes it, or as a column and a row on complex (1, d, d) blocks."""
+    G = −½K, as elementwise scalings by G's diagonal as a column ``g`` and a
+    row ``g_dag``.  The library calls it once per model, on the (k+1)-square
+    level block: ``jump`` holds the gains k − j on its superdiagonal,
+    g = −j/2, and ``blocks`` is the identity, so the diagonal is −j."""
     return jump + g * blocks + blocks * g_dag
 
 

@@ -254,10 +254,7 @@ def cmd_lindblad(args: argparse.Namespace) -> int:
     x = int(np.flatnonzero(_input_state(args, circuit))[0])
     model = lb.build_dqc_lindblad(circuit, include_reset=args.include_reset,
                                   popcount=x.bit_count())
-    # a basis state at register 0, where W_0 = I, is its own frame block
-    q0 = np.zeros((model.num_nodes, len(model.weights)))
-    q0[0, -1] = 1.0
-    result = lb.integrate(model, q0, dt=args.dt, stop_tol=args.stop_tol,
+    result = lb.integrate(model, model.start, dt=args.dt, stop_tol=args.stop_tol,
                           max_time=args.max_time, observe_every=args.record_every)
     times = [fmt(t) for t, _ in result.samples]
     marginals = [marg.tolist() for _, marg in result.samples]

@@ -68,7 +68,9 @@ class LindbladModel:
     k = ``popcount`` with ``include_reset`` and 0 without.
 
     ``weights`` holds C(k, j), the number of frame-diagonal columns that
-    level j stands for.  ``_generator`` is the real generator Q of the
+    level j stands for.  ``start`` is the read-only (T+1, k+1) lumped state
+    of the basis input at register 0, where W_0 = I: its own column, 1 at
+    node 0, level k.  ``_generator`` is the real generator Q of the
     flattened state q[t, j] (index t·(k+1) + j): kron(L_T, I) for the hops,
     plus node 0's level block, whose level j gains (k − j)·q[0, j+1] and
     loses j·q[0, j], built by the damping kernel with g = −½j.
@@ -87,6 +89,9 @@ class LindbladModel:
         self.include_reset = include_reset
         k = popcount if include_reset else 0
         self.weights = np.array([math.comb(k, j) for j in range(k + 1)], dtype=np.float64)
+        self.start = np.zeros((self.num_nodes, k + 1))
+        self.start[0, k] = 1.0
+        self.start.flags.writeable = False
         j = np.arange(k + 1.0)
         g = -0.5 * j
         block = _kernels.lindblad_rhs_kernel(np.diag(k - j[:-1], 1), g[:, None], g[None, :],
@@ -132,9 +137,10 @@ def integrate(
 ) -> IntegrationResult:
     """March the master equation to stationarity with classical RK4 steps.
 
-    ``q0`` is the real (T+1, k+1) lumped state: q[t, j] is the common
-    frame-diagonal entry ⟨s|W_t† ρ_t W_t|s⟩ of the C(k, j) columns of level
-    j, the s ⊆ x₀ of popcount j with resets, x₀ alone without.  It must be
+    ``q0`` is the real lumped state of ``model.start``'s shape, (T+1, k+1):
+    q[t, j] is the common frame-diagonal entry ⟨s|W_t† ρ_t W_t|s⟩ of the
+    C(k, j) columns of level j, the s ⊆ x₀ of popcount j with resets, x₀
+    alone without; ``model.start`` is the basis input's.  It must be
     finite, of unit total Σ C(k, j)·q[t, j] within ``TOL.trace``, as
     ``walk.validate_state`` asks of a block state, and with finite node
     totals, which its t = 0 sample checks.  Its ``node_marginals`` are
@@ -189,8 +195,7 @@ def integrate(
             f"max_time/dt = {max_time / dt:.17g} RK4 steps; at most {MAX_RK4_STEPS}"
         )
     q = np.array(q0, dtype=np.float64)
-    weights = model.weights
-    shape = (model.num_nodes, len(weights))
+    weights, shape = model.weights, model.start.shape
     if q.shape != shape:
         raise ShapeError(f"q0 must be a lumped state of shape {shape}, got {q.shape}")
     if not np.isfinite(q).all():

@@ -122,10 +122,7 @@ class OpenQuantumWalk:
         self._dst = np.array([d for _, d in keys], dtype=np.int64)
         self._scatter = _kernels.scatter_index(self._dst, dim)
         b_ops.flags.writeable = False
-        # conjugating into a C-ordered buffer gives the bits of a copy of
-        # b_ops.conj().transpose(0, 2, 1) at a fraction of that copy's cost
-        self._b_dag = np.empty_like(b_ops)
-        np.conjugate(b_ops.transpose(0, 2, 1), out=self._b_dag)
+        self._b_dag = np.ascontiguousarray(b_ops.conj().transpose(0, 2, 1))
         self._b_ops = b_ops
         self.num_nodes = int(num_nodes)
         self.dim = int(dim)
@@ -276,8 +273,8 @@ def validate(chain: ChainWalk) -> np.ndarray:
     """The residual ‖Σ B†B − I‖_F of the normalization at every node of a
     chain walk, indexed by node.
 
-    Node t's sum is built from its two coins, one node at a time: from
-    zeros, the backward coin's (√λ·U_t)(√λ·U_t)†, then the forward coin's
+    Node t's sum is built from its two coins, one node at a time: the
+    backward coin's (√λ·U_t)(√λ·U_t)† plus the forward coin's
     (√ω·U_{t+1})†(√ω·U_{t+1}), with U_0 = U_{T+1} = I; that is the sum of
     B†B over its out-edges in key order, with no table of coins held.
     """
@@ -287,9 +284,7 @@ def validate(chain: ChainWalk) -> np.ndarray:
     residuals = np.empty(chain.num_nodes)
     for t in range(chain.num_nodes):
         back, forward = sqrt_l * us[t], sqrt_w * us[t + 1]
-        gram = np.zeros_like(eye)
-        gram += back @ back.conj().T
-        gram += forward.conj().T @ forward
+        gram = back @ back.conj().T + forward.conj().T @ forward
         residuals[t] = frobenius(gram - eye)
     return residuals
 

@@ -222,11 +222,8 @@ def test_criterion_09_lindblad_cross_check():
     circuit = toffoli13()
     big = build_dqc_lindblad(circuit)
     psi = basis_state(3, "110")
-    # the input's frame diagonal is its own column: one level, at node 0
-    q0 = np.zeros((big.num_nodes, 1))
-    q0[0] = 1.0
     start = time.perf_counter()
-    result = integrate(big, q0, dt=0.4, stop_tol=2e-6, max_time=400.0)
+    result = integrate(big, big.start, dt=0.4, stop_tol=2e-6, max_time=400.0)
     elapsed = time.perf_counter() - start
     assert result.stationary
     marginals = result.samples[-1][1]

@@ -20,8 +20,10 @@ from dense_lindblad import (
     lab_rhs,
     level_columns,
     lift_levels,
+    lumped_l1,
     node_block,
     path_laplacian,
+    path_rk4,
     stacked_frames,
     stacked_lift,
     stacked_lower,
@@ -85,14 +87,6 @@ def start_state(num_nodes, bits):
     """Lab-frame blocks of a basis state at register 0."""
     psi = basis_state(len(bits), bits)
     return BlockState.pure(num_nodes, len(psi), 0, psi).blocks
-
-
-def start_levels(model):
-    """The lumped state of a basis input at register 0, as ``oqw lindblad``
-    passes it: one column, the input's own, at the top level."""
-    q0 = np.zeros((model.num_nodes, len(model.weights)))
-    q0[0, -1] = 1.0
-    return q0
 
 
 def random_levels(rng, model):
@@ -223,6 +217,21 @@ class TestBuildModel:
         assert not reset[4:].any() and not reset[:, 4:].any()
         assert np.array_equal(reset[:4, :4], [[0, 3, 0, 0], [0, -1, 2, 0],
                                                [0, 0, -2, 1], [0, 0, 0, -3]])
+
+    @pytest.mark.parametrize("popcount", range(4))
+    @pytest.mark.parametrize("include_reset", [False, True])
+    def test_the_start_is_the_basis_input_at_its_top_level(self, popcount, include_reset):
+        # qft3 has 10 registers; a basis input at register 0 is its own
+        # frame column, which stands alone at level k: the popcount with
+        # resets, 0 without
+        model = build_dqc_lindblad(qft(3), include_reset, popcount)
+        k = popcount if include_reset else 0
+        want = np.zeros((10, k + 1))
+        want[0, k] = 1.0
+        assert model.start.dtype == want.dtype and model.start.shape == want.shape
+        assert model.start.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            model.start[0, 0] = 0.5
 
     def test_the_state_does_not_grow_with_the_width(self, monkeypatch):
         # (T+1)·(k+1) levels whatever the width: a 12-qubit, 16-slice file
@@ -421,7 +430,7 @@ class TestDiagonal:
         # loop's total or integrate's first drifts past TOL.trace, the two
         # are compared up to the step before
         model, x = ones_model(BUILTIN_CIRCUITS[name](), include_reset)
-        q0 = (start_levels(model) if start == "basis"
+        q0 = (model.start if start == "basis"
               else random_levels(np.random.default_rng(61), model))
         frame0 = diagonal_blocks(lift_levels(q0, x, x + 1))
         for dt in (0.25, 0.65):
@@ -519,7 +528,7 @@ class TestRhs:
 class TestIntegrate:
     def test_single_gate_relaxes_to_uniform_registers(self):
         model = build_dqc_lindblad(single_gate_circuit())
-        result = integrate(model, start_levels(model), dt=0.01, stop_tol=1e-9,
+        result = integrate(model, model.start, dt=0.01, stop_tol=1e-9,
                            max_time=50.0)
         assert result.stationary
         assert np.abs(result.samples[-1][1] - 0.5).max() < 1e-6
@@ -540,7 +549,7 @@ class TestIntegrate:
     def test_trajectory_stays_physical(self):
         model = build_dqc_lindblad(single_gate_circuit())
         result = integrate(
-            model, start_levels(model), dt=0.01, stop_tol=1e-9, max_time=30.0,
+            model, model.start, dt=0.01, stop_tol=1e-9, max_time=30.0,
             observe_every=1.0,
         )
         samples = result.samples
@@ -597,7 +606,7 @@ class TestIntegrate:
         circuit = seeded_circuit(112, 7, 16)
         circuit_unitaries(circuit)
         model = build_dqc_lindblad(circuit, include_reset=True, popcount=6)
-        q0 = start_levels(model)
+        q0 = model.start
         tracemalloc.start()
         try:
             result = integrate(model, q0, dt=0.1, stop_tol=1e-300, max_time=1.0)
@@ -621,7 +630,7 @@ class TestIntegrate:
         # increment matrix overflows, and the first step's total is nan
         model = build_dqc_lindblad(single_gate_circuit())
         with pytest.raises(ArithmeticError, match=r"^RK4 diverged at step \d+: ") as info:
-            integrate(model, start_levels(model), dt=dt, max_time=100 * dt)
+            integrate(model, model.start, dt=dt, max_time=100 * dt)
         assert type(info.value) is ArithmeticError
         assert re.search(detail + "$", str(info.value)), str(info.value)
 
@@ -647,7 +656,7 @@ class TestIntegrate:
 
         model = build_dqc_lindblad(single_gate_circuit())
         rho0 = start_state(model.num_nodes, "0")
-        res = integrate(model, start_levels(model), dt=0.01, stop_tol=1e-9, max_time=50.0)
+        res = integrate(model, model.start, dt=0.01, stop_tol=1e-9, max_time=50.0)
         continuous = res.samples[-1][1]
 
         walk = keyed_chain([H], ChainParams(0.5))
@@ -673,22 +682,6 @@ def dense_rk4(jumps, rho, dt, steps, stride):
     return samples
 
 
-def path_rk4(num_nodes, dt, steps):
-    """RK4 of the path Laplacian L_T from e₀: the (steps + 1, T + 1) node
-    populations before and after each step."""
-    lap = path_laplacian(num_nodes)
-    p = np.eye(num_nodes)[0]
-    out = [p]
-    for _ in range(steps):
-        k1 = lap @ p
-        k2 = lap @ (p + (0.5 * dt) * k1)
-        k3 = lap @ (p + (0.5 * dt) * k2)
-        k4 = lap @ (p + dt * k3)
-        p = p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out.append(p)
-    return np.array(out)
-
-
 #: How far RK4's stability interval reaches along the negative real axis:
 #: −z for the real root z ≈ −2.785 of R(z) − 1 = z(1 + z/2 + z²/6 + z³/24).
 RK4_EDGE = -min(r.real for r in np.roots([1 / 24, 1 / 6, 1 / 2, 1]) if abs(r.imag) < 1e-12)
@@ -702,30 +695,6 @@ def rk4_limit(num_nodes, popcount):
     block = path_laplacian(num_nodes)
     block[0, 0] -= popcount
     return RK4_EDGE / -np.linalg.eigvalsh(block)[0]
-
-
-def lumped_l1(num_nodes, popcount, dt, steps):
-    """The largest ‖p‖₁ over ``steps`` RK4 steps from the top level, the
-    ℓ1 norm Σ C(k, j)·|q[t, j]| of the frame diagonal, in np.longdouble with
-    the lumped generator written from its definition."""
-    k = popcount
-    gen = np.kron(path_laplacian(num_nodes), np.eye(k + 1)).astype(np.longdouble)
-    for j in range(k + 1):
-        gen[j, j] -= j
-        if j < k:
-            gen[j, j + 1] += k - j
-    weights = np.tile([math.comb(k, j) for j in range(k + 1)], num_nodes)
-    q = np.zeros(len(gen), dtype=np.longdouble)
-    q[k] = 1
-    largest = 1.0
-    for _ in range(steps):
-        k1 = gen @ q
-        k2 = gen @ (q + dt / 2 * k1)
-        k3 = gen @ (q + dt / 2 * k2)
-        k4 = gen @ (q + dt * k3)
-        q = q + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        largest = max(largest, float(weights @ np.abs(q)))
-    return largest
 
 
 #: Circuits of the marginal oracle: the built-ins, and seeded files of 5-8
@@ -760,7 +729,7 @@ class TestMarginalOracle:
                 model = build_dqc_lindblad(circuit, include_reset, bin(x).count("1"))
                 k = len(model.weights) - 1
                 dt = 0.9 * rk4_limit(model.num_nodes, k)
-                result = integrate(model, start_levels(model), dt=dt, stop_tol=1e-300,
+                result = integrate(model, model.start, dt=dt, stop_tol=1e-300,
                                    max_time=(steps - 0.5) * dt, observe_every=dt)
                 assert result.steps == steps
                 got = np.array([marginals for _t, marginals in result.samples])
@@ -824,7 +793,7 @@ class TestSpectralOracle:
         # 50 000 (their norm decays at the reset gap) and so does T = 96
         circuit = chain_circuit(96) if name == "T=96" else BUILTIN_CIRCUITS[name]()
         model, _ = ones_model(circuit, include_reset)
-        result = integrate(model, start_levels(model))
+        result = integrate(model, model.start)
         assert result.steps == 50_000 or not include_reset and result.stationary
         steps = [round(t / 0.01) for t, _ in result.samples]
         got = np.array([marginals for _t, marginals in result.samples])
@@ -870,7 +839,7 @@ class TestStopRate:
                                                  bound):
         # qft3, T = 9: ‖rhs‖_F after two run lengths gives the decay rate
         model = build_dqc_lindblad(qft(3), include_reset, bits.count("1"))
-        norms = [integrate(model, start_levels(model), dt=0.5, stop_tol=1e-300,
+        norms = [integrate(model, model.start, dt=0.5, stop_tol=1e-300,
                            max_time=t).rhs_norm
                  for t in (t1, t2)]
         rate = np.log(norms[0] / norms[1]) / (t2 - t1)
@@ -920,7 +889,7 @@ class TestIntegrateOracles:
         # the unit-rate path Laplacian on T+1 nodes, so RK4 on the master
         # equation is RK4 on p
         model = build_dqc_lindblad(toffoli13())
-        result = integrate(model, start_levels(model), dt=0.4, stop_tol=2e-6,
+        result = integrate(model, model.start, dt=0.4, stop_tol=2e-6,
                            max_time=500.0, observe_every=0.4)
         assert result.stationary and result.steps == 457
         expected = path_rk4(14, 0.4, result.steps)
@@ -968,7 +937,7 @@ class TestFrameSamples:
         # traces the samples are within ROUNDING (TestDiagonal); below the
         # limit its diagonal stays non-negative, so ‖p‖₁ = 1
         model, x = ones_model(BUILTIN_CIRCUITS[name](), include_reset)
-        q0 = (start_levels(model) if start == "basis"
+        q0 = (model.start if start == "basis"
               else random_levels(np.random.default_rng(50), model))
         frame0 = diagonal_blocks(lift_levels(q0, x, x + 1))
         samples = integrate(model, q0, dt=0.25, stop_tol=1e-300, max_time=2.0,
@@ -1022,6 +991,7 @@ class TestFrames:
                 "--max-time", "0.1", "--out", str(tmp_path / "out.csv")]
         assert main(argv + ["--include-reset"] * include_reset) in (0, 1)
         [(model, q0)] = seen
+        assert q0 is model.start
         assert len(model.weights) == (bits.count("1") + 1 if include_reset else 1)
         want = frame_diagonal(circuit_unitaries(circuit), start_state(model.num_nodes, bits))
         got = lift_levels(q0, x, dim)
