@@ -24,8 +24,10 @@ exactly (Kemeny and Snell, "Finite Markov Chains", 1960) to q[t, j], the
 common value of those C(k, j) columns, on (T+1)·(k+1) levels, with k = 0
 without resets.  At node 0, level j gains (k − j)·q[0, j+1] and loses
 j·q[0, j].  ``integrate`` steps q with one precomputed RK4 increment
-matrix, and the node populations are Σ_j C(k, j)·q[t, j], the traces,
-which the frame does not change.  No gate enters the run.
+matrix, in blocks of steps under the walk's ``_block_steps`` rule, and
+checks each block once, with the outcome of checking every step.  The node
+populations are Σ_j C(k, j)·q[t, j], the traces, which the frame does not
+change.  No gate enters the run.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, walk
 from .circuits import Circuit, circuit_unitaries
 from .config import TOL
 from .errors import DomainError, ShapeError
@@ -158,6 +160,17 @@ def integrate(
     RK4 map are those of Q, so the step size changes the path, not the
     limit.
 
+    The steps run in blocks sized by ``walk._block_steps``, so a block's
+    states and products fit in the walk's ``_BLOCK_FLOATS``: a step is that
+    product and the add, into a buffer, and once per block the norms and
+    totals of its states are one stacked product each, which numpy rounds
+    row by row as a step's own product does.  The block's checks are read
+    in the order of a step-by-step loop, state n's stop test before state
+    n + 1's drift, so a drift on a state past the last step, which a block
+    may compute, does not count; the samples, step count, stop flag,
+    ‖rhs‖_F and drift error are those of checking every step
+    (``tests/dense_lindblad.py::stepwise_integrate``).
+
     The run is ``stationary`` once ‖rhs‖_F < ``stop_tol``, and that norm
     covers every column of the frame diagonal, not only the marginals.  The
     marginals relax at the path Laplacian's gap 2 − 2cos(π/(T+1)).  With
@@ -203,7 +216,7 @@ def integrate(
     if abs(q.sum(axis=0) @ weights - 1.0) > TOL.trace:
         raise DomainError(f"q0 must have unit total within {TOL.trace:g}")
     stride = max(1, round(observe_every / dt))
-    steps, size = 0, q.size
+    size = q.size
     counts = np.tile(weights, model.num_nodes)
     a = dt * model._generator.astype(np.longdouble)
     rows, cols = np.nonzero(model._generator)
@@ -221,27 +234,51 @@ def integrate(
         increment = times(1, eye + times(2, eye + times(3, eye + a / 4)))
         stacked = np.vstack([increment.astype(np.float64),
                              np.sqrt(counts)[:, None] * model._generator])
-        flat = q.reshape(-1)
-        for n in range(n_steps + 1):
-            out = stacked @ flat
-            rhs_norm = frobenius(out[size:])
-            stationary = rhs_norm < stop_tol
-            if stationary or n == n_steps:
-                break
-            flat += out[:size]
-            tr = counts @ flat
-            if not abs(tr - 1.0) <= TOL.trace:
+        # states[j] is state n + j, and outs[j] its increment over its rhs;
+        # their row views are taken once, so a step is two calls
+        cap = walk._block_steps(n_steps, 3 * size)
+        states, outs = np.empty((cap + 1, size)), np.empty((cap, 2 * size))
+        state_rows, out_rows = list(states), list(outs)
+        increments = [out[:size] for out in outs]
+        states[0] = q.reshape(-1)
+        n = 0
+        while True:
+            b = walk._block_steps(n_steps - n, 3 * size)
+            for state, out, inc, after in zip(state_rows[:b], out_rows, increments,
+                                              state_rows[1:]):
+                np.matmul(stacked, state, out=out)
+                np.add(state, inc, out=after)
+            # stacked row products round as each row's own dot does
+            rhs = outs[:b, size:]
+            halt = np.sqrt(np.matmul(rhs[:, None, :], rhs[:, :, None]))[:, 0, 0] < stop_tol
+            halt[n_steps - n :] = True
+            totals = np.matmul(states[1 : b + 1, None, :], counts)[:, 0]
+            # the first stop and drift (b when none), in the order of a
+            # step-by-step loop: state m's stop test, then state m + 1's
+            # drift, so no drift past the last step counts
+            end = int(np.append(halt, True).argmax())
+            bad = int(np.append(~(np.abs(totals - 1.0) <= TOL.trace), True).argmax())
+            if bad < end:
                 raise ArithmeticError(
-                    f"RK4 diverged at step {n + 1}: total trace drifted to {tr:.17g} "
-                    f"(dt = {dt:g})"
+                    f"RK4 diverged at step {n + bad + 1}: total trace drifted to "
+                    f"{totals[bad]:.17g} (dt = {dt:g})"
                 )
-            steps = n + 1
-            if steps % stride == 0:
-                samples.append((steps * dt, node_marginals(q, weights)))
-    if steps % stride != 0:
-        samples.append((steps * dt, node_marginals(q, weights)))
+            # the states on the stride, and the last one when it is off it,
+            # one call each: one product over stacked samples rounds their
+            # rows otherwise from 8 levels on
+            picks = list(range(stride - n % stride, end + 1, stride))
+            if end < b and (n + end) % stride != 0:
+                picks.append(end)
+            samples += [((n + i) * dt, node_marginals(states[i].reshape(shape), weights))
+                        for i in picks]
+            if end < b:
+                break
+            n += b
+            states[0] = states[b]
+    steps = n + end
+    rhs_norm = frobenius(outs[end, size:])
     return IntegrationResult(
-        time=steps * dt, steps=steps, stationary=stationary, rhs_norm=rhs_norm,
+        time=steps * dt, steps=steps, stationary=rhs_norm < stop_tol, rhs_norm=rhs_norm,
         samples=samples,
     )
 

@@ -35,6 +35,10 @@ the (N, d) frame diagonal it stands for, so the tests can hold the lumped
 chain to the frame loop on the whole diagonal.  The node totals of that
 chain follow RK4 of the path Laplacian alone, ``path_rk4``, within a few ε
 of ``lumped_l1``, the largest ℓ1 norm of the diagonal over the run.
+
+``stepwise_integrate`` is ``integrate`` as a step-by-step loop, with its
+stop test, drift check and sample after every step: the oracle of the
+block-stepped loop.
 """
 
 import math
@@ -43,6 +47,9 @@ import numpy as np
 
 from oqwalk import _kernels
 from oqwalk.circuits import circuit_unitaries
+from oqwalk.config import TOL
+from oqwalk.linalg import frobenius
+from oqwalk.lindblad import IntegrationResult, node_marginals
 
 LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -283,3 +290,49 @@ def frame_run(model, blocks, dt, stop_tol, max_time, observe_every):
     if steps % stride != 0:
         samples.append((steps * dt, np.einsum("nii->n", rho).real))
     return samples, steps, stationary
+
+
+def stepwise_integrate(model, q0, dt=0.01, stop_tol=1e-8, max_time=500.0, observe_every=1.0):
+    """``integrate`` one RK4 step at a time: each step's product, ‖rhs‖_F
+    and stop test, in-place add, drift check and sample before the next.
+    The increment matrix is built as ``integrate`` builds it; the arguments
+    must pass ``integrate``'s checks, which this loop does not repeat."""
+    n_steps = math.ceil(max_time / dt)
+    stride = max(1, round(observe_every / dt))
+    q = np.array(q0, dtype=np.float64)
+    weights, steps, size = model.weights, 0, q.size
+    counts = np.tile(weights, model.num_nodes)
+    a = dt * model._generator.astype(np.longdouble)
+    rows, cols = np.nonzero(model._generator)
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+
+    def times(c, x):
+        return np.add.reduceat((a[rows, cols] / c)[:, None] * x[cols], starts)
+
+    eye = np.eye(size, dtype=np.longdouble)
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = [(0.0, node_marginals(q, weights))]
+        increment = times(1, eye + times(2, eye + times(3, eye + a / 4)))
+        stacked = np.vstack([increment.astype(np.float64),
+                             np.sqrt(counts)[:, None] * model._generator])
+        flat = q.reshape(-1)
+        for n in range(n_steps + 1):
+            out = stacked @ flat
+            rhs_norm = frobenius(out[size:])
+            stationary = rhs_norm < stop_tol
+            if stationary or n == n_steps:
+                break
+            flat += out[:size]
+            tr = counts @ flat
+            if not abs(tr - 1.0) <= TOL.trace:
+                raise ArithmeticError(
+                    f"RK4 diverged at step {n + 1}: total trace drifted to {tr:.17g} "
+                    f"(dt = {dt:g})"
+                )
+            steps = n + 1
+            if steps % stride == 0:
+                samples.append((steps * dt, node_marginals(q, weights)))
+    if steps % stride != 0:
+        samples.append((steps * dt, node_marginals(q, weights)))
+    return IntegrationResult(time=steps * dt, steps=steps, stationary=stationary,
+                             rhs_norm=rhs_norm, samples=samples)

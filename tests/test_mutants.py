@@ -51,13 +51,37 @@ MUTANTS = {
         ["tests/test_lindblad.py::TestStopRate::"
          "test_rhs_norm_is_that_of_the_whole_frame_diagonal"],
     ),
-    # the total of a step summed without the column counts C(k, j)
+    # the level block's loss j·q[0, j] dropped
+    "level-loss-dropped": (
+        "lindblad.py",
+        "g = -0.5 * j",
+        "g = 0 * j",
+        ["tests/test_lindblad.py::TestBuildModel::"
+         "test_resets_act_only_in_the_level_block_of_register_zero"],
+    ),
+    # the level block placed on node 1 instead of node 0
+    "level-block-on-node-one": (
+        "lindblad.py",
+        "self._generator[: k + 1, : k + 1] += block",
+        "self._generator[k + 1 : 2 * k + 2, k + 1 : 2 * k + 2] += block",
+        ["tests/test_lindblad.py::TestBuildModel::"
+         "test_resets_act_only_in_the_level_block_of_register_zero"],
+    ),
+    # the block's totals summed without the column counts C(k, j)
     "total-unweighted": (
         "lindblad.py",
-        "tr = counts @ flat",
-        "tr = flat.sum()",
+        "totals = np.matmul(states[1 : b + 1, None, :], counts)[:, 0]",
+        "totals = states[1 : b + 1].sum(axis=1)",
         ["tests/test_lindblad.py::TestRhs::"
          "test_the_total_counts_each_level_by_its_columns"],
+    ),
+    # a drift on the state past the last step counted, which the block
+    # computes but a step-by-step loop never reaches
+    "drift-past-the-last-step": (
+        "lindblad.py",
+        "if bad < end:",
+        "if bad <= end:",
+        ["tests/test_integrate_blocks.py::test_a_drift_past_the_last_step_is_not_counted"],
     ),
     # the basis input's start put at level 0 instead of level k
     "start-level-zero": (
@@ -75,6 +99,14 @@ MUTANTS = {
         "            pass\n",
         ["tests/test_circuits.py::TestParse::"
          "test_the_first_bad_line_is_reported_whichever_check_it_fails"],
+    ),
+    # the run history's last row dropped
+    "run-history-last-row-dropped": (
+        "cli.py",
+        "history = report.history.tolist()",
+        "history = report.history[:-1].tolist()",
+        ["tests/test_cli.py::"
+         "test_run_csv_is_that_of_the_per_row_comprehension[qft3-max-steps-7]"],
     ),
     # the run history numbered from step 1
     "run-history-from-one": (
