@@ -7,13 +7,20 @@ register and the number of steps to stationarity depend on ω.  Integrating
 the master equation of the canonical dissipative model of the same chain,
 on the same node blocks, gives an independent continuous-time check.
 
-Each public name is imported from its module; the package binds only its
-submodules, ``__version__`` and ``USING_NUMBA``.
+Each public name is imported from its module; the package binds only
+``__version__``, ``USING_NUMBA`` and its submodules, each on first access,
+so that a process loads only the modules its command runs.
 """
 
-from . import circuits, lindblad, linalg, walk
+import importlib
 
 __version__ = "0.1.0"
 
 #: There is one kernel backend, numpy; ``perfbench/worker.py`` records this flag.
 USING_NUMBA = False
+
+
+def __getattr__(name):
+    if name in ("circuits", "lindblad", "linalg", "walk"):
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -19,6 +19,10 @@ one process.  The parser holds no command function: ``main`` looks up
 ``cmd_<subcommand>`` by name when it runs, so a replaced ``cmd_*`` takes
 effect after the first call too.
 
+Importing the module loads only what every command runs.  ``lindblad``
+imports its module when it runs, and ``sweep`` the pool's, through the
+first access to ``ThreadPoolExecutor`` (the module ``__getattr__``).
+
 Exit codes: 0 success, 1 numerical non-convergence, 2 input error (a
 command line that argparse rejects included), whose stderr is one
 ``error:`` line.
@@ -30,12 +34,10 @@ import argparse
 import functools
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from . import lindblad as lb
 from . import walk as wk
 from .circuits import (
     BUILTIN_CIRCUITS,
@@ -225,6 +227,14 @@ def _sweep_workers() -> int:
     return 1
 
 
+def __getattr__(name):
+    if name == "ThreadPoolExecutor":
+        from concurrent.futures import ThreadPoolExecutor
+
+        return ThreadPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     omegas = parse_omega_spec(args.omega)
     circuit = load_circuit(args.circuit)
@@ -232,7 +242,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # A one-thread pool gains nothing; it stays only because the benchmark
     # pins it (the ``cli.sweep.pool`` span, the ``cli.ThreadPoolExecutor``
     # patch, ``_sweep_workers()``), and ROADMAP item 2 deletes it after item 1.
-    with ThreadPoolExecutor(max_workers=_sweep_workers()) as pool:
+    # The class is read from the module at call time, so a patch takes effect.
+    with sys.modules[__name__].ThreadPoolExecutor(max_workers=_sweep_workers()) as pool:
         reports = pool.submit(
             wk.sweep_chain, circuit.depth, omegas, tol, args.max_steps
         ).result()
@@ -250,6 +261,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_lindblad(args: argparse.Namespace) -> int:
+    from . import lindblad as lb
     circuit = load_circuit(args.circuit)
     x = int(np.flatnonzero(_input_state(args, circuit))[0])
     model = lb.build_dqc_lindblad(circuit, include_reset=args.include_reset,

@@ -162,9 +162,9 @@ def integrate(
 
     The steps run in blocks sized by ``walk._block_steps``, so a block's
     states and products fit in the walk's ``_BLOCK_FLOATS``: a step is that
-    product and the add, into a buffer, and once per block the norms and
-    totals of its states are one stacked product each, which numpy rounds
-    row by row as a step's own product does.  The block's checks are read
+    product and the add, into a buffer, and once per block the norms,
+    totals and samples of its states are one stacked product each, which
+    numpy rounds row by row as a step's own product does.  The checks are read
     in the order of a step-by-step loop, state n's stop test before state
     n + 1's drift, so a drift on a state past the last step, which a block
     may compute, does not count; the samples, step count, stop flag,
@@ -264,13 +264,13 @@ def integrate(
                     f"{totals[bad]:.17g} (dt = {dt:g})"
                 )
             # the states on the stride, and the last one when it is off it,
-            # one call each: one product over stacked samples rounds their
-            # rows otherwise from 8 levels on
+            # as one (s, T+1, k+1) stack: a 2-D product over their stacked
+            # rows would round them otherwise from 8 levels on
             picks = list(range(stride - n % stride, end + 1, stride))
             if end < b and (n + end) % stride != 0:
                 picks.append(end)
-            samples += [((n + i) * dt, node_marginals(states[i].reshape(shape), weights))
-                        for i in picks]
+            marginals = node_marginals(states[picks].reshape(-1, *shape), weights)
+            samples += [((n + i) * dt, m) for i, m in zip(picks, marginals)]
             if end < b:
                 break
             n += b
@@ -285,8 +285,9 @@ def integrate(
 
 def node_marginals(q, weights) -> np.ndarray:
     """Population of each chain register: Σ_j C(k, j)·q[t, j] over the
-    (T+1, k+1) lumped state, with the model's level ``weights`` C(k, j)."""
+    (T+1, k+1) lumped state, with the model's level ``weights`` C(k, j), or
+    over each state of an (s, T+1, k+1) stack, each rounded as on its own."""
     q = np.asarray(q)
-    if q.ndim != 2:
-        raise ShapeError(f"q must be a (T+1, k+1) lumped state, got shape {q.shape}")
+    if q.ndim not in (2, 3):
+        raise ShapeError(f"q must be a lumped state or a stack of them, got shape {q.shape}")
     return q @ weights

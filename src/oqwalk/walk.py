@@ -552,12 +552,14 @@ def sweep_chain(
         buf = np.empty((b + 1, *p.shape))
         buf[0] = p
         terms = scratch[: len(rows)]
-        for j in range(b):
+        # the block's state rows and the two halves of terms, taken once
+        states, from_prev, from_next = list(buf), terms[:, 0], terms[:, 1]
+        for state, after in zip(states, states[1:]):
             # (coef · p[:, sources]) · coef in place, then the two-term sum
-            np.take(buf[j], sources, axis=1, out=terms, mode="clip")
+            state.take(sources, axis=1, out=terms, mode="clip")
             np.multiply(coef, terms, out=terms)
             np.multiply(terms, coef, out=terms)
-            np.add(terms[:, 0], terms[:, 1], out=buf[j + 1])
+            np.add(from_prev, from_next, out=after)
         # row i converges at step n + j + 1 when that step moved it < tol;
         # it is live up to its first such step (first[i] = b when none)
         moved = np.abs(buf[1:] - buf[:-1]).sum(axis=2)

@@ -290,7 +290,7 @@ def loop_lindblad_csv(name, bits, include_reset, dt, stop_tol, max_time, record_
     per-row loop, from the complex frame loop of ``tests/dense_lindblad.py``
     on the input's one-hot frame diagonal."""
     circuit = cli.load_circuit(name)
-    model = cli.lb.build_dqc_lindblad(circuit, include_reset=include_reset)
+    model = oqwalk.lindblad.build_dqc_lindblad(circuit, include_reset=include_reset)
     dim = 2**circuit.num_qubits
     frame0 = np.zeros((circuit.depth + 1, dim, dim), dtype=complex)
     frame0[0, int(bits, 2), int(bits, 2)] = 1.0
@@ -848,12 +848,21 @@ def test_two_main_calls_build_one_parser(monkeypatch, capsys):
     assert built.count("oqw") == 1
 
 
-def test_import_builds_no_parser():
-    # a parser built at import would be paid by every fresh ``oqw`` process
-    # before it reads its command line
+def fresh_python(script):
+    """What a fresh interpreter running ``script`` prints, with this
+    checkout's ``src`` first on its path."""
     src = str(Path(oqwalk.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_builds_no_parser():
+    # a parser built at import would be paid by every fresh ``oqw`` process
+    # before it reads its command line
     script = (
         "import argparse\n"
         "built = []\n"
@@ -865,10 +874,38 @@ def test_import_builds_no_parser():
         "import oqwalk.cli\n"
         "print(len(built))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0\n"
+    assert fresh_python(script) == "0\n"
+
+
+def test_import_loads_only_what_every_command_runs():
+    # ``lindblad`` and the sweep's pool are imported by the commands that
+    # run them; the package's submodules and the pool class resolve on access
+    script = (
+        "import sys\n"
+        "import oqwalk, oqwalk.cli\n"
+        "lazy = ('oqwalk.lindblad', 'concurrent.futures')\n"
+        "print([name for name in lazy if name in sys.modules])\n"
+        "print(oqwalk.lindblad is sys.modules['oqwalk.lindblad'])\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "print(oqwalk.cli.ThreadPoolExecutor is ThreadPoolExecutor)\n"
+        "print(hasattr(oqwalk, 'nothing'), hasattr(oqwalk.cli, 'nothing'))\n"
+    )
+    assert fresh_python(script) == "[]\nTrue\nTrue\nFalse False\n"
+
+
+def test_sweep_runs_in_the_pool_class_patched_onto_the_module(monkeypatch, capsys):
+    # the benchmark records the sweep's pool by patching this name
+    entered = []
+
+    class RecordedPool(cli.ThreadPoolExecutor):
+        def __enter__(self):
+            entered.append(self._max_workers)
+            return super().__enter__()
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordedPool)
+    assert main(["sweep", "--circuit", "qft3", "--omega", "0.5:0.6:0.1"]) == 0
+    assert entered == [1]
+    assert capsys.readouterr().out.count("\n") == 3
 
 
 #: Pairs of command lines that differ in one option, and would print each

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from dense_chain import seeded_circuit
 from dense_lindblad import stepwise_integrate
 from oqwalk import walk
 from oqwalk.circuits import BUILTIN_CIRCUITS, Circuit, Gate
@@ -134,6 +135,17 @@ def test_drift_errors(name, include_reset, popcount, dt, detail):
     model = build_dqc_lindblad(builtin(name), include_reset, popcount)
     error = assert_same_run(model, dt=dt, max_time=100 * dt)
     assert isinstance(error, str) and detail in error
+
+
+@pytest.mark.parametrize("num_qubits, depth", [(9, 2), (10, 4)])
+def test_stacked_samples_at_many_levels(num_qubits, depth):
+    # all ones with resets has 10 or 11 levels, past the 8 from which one
+    # 2-D product over the block's stacked samples would round their rows
+    # otherwise; every state is sampled, 64 to a block
+    circuit = seeded_circuit(num_qubits, num_qubits, depth)
+    model = build_dqc_lindblad(circuit, True, num_qubits)
+    oracle = assert_same_run(model, dt=0.1, max_time=20.0, observe_every=0.1)
+    assert (oracle.steps, len(oracle.samples)) == (200, 201)
 
 
 @pytest.mark.parametrize("nodes, levels", [(2, 1), (6, 4), (10, 5), (17, 7), (13, 13)])

@@ -1048,8 +1048,20 @@ class TestNodeMarginals:
         assert node_marginals(q, np.ones(1)).tobytes() == q[:, 0].tobytes()
 
     def test_shape_guard(self):
-        # a stack of (N, d, d) blocks is not a lumped state
+        # a lumped state is 2-D and a stack of them 3-D; a flat vector or a
+        # stack of stacks is neither
         with pytest.raises(ShapeError):
-            node_marginals(np.zeros((3, 2, 2)), np.ones(2))
+            node_marginals(np.zeros((2, 3, 2, 2)), np.ones(2))
         with pytest.raises(ShapeError):
             node_marginals(np.ones(6), np.ones(1))
+
+    def test_a_stack_is_each_state_bit_for_bit(self):
+        # 11 levels, past the 8 from which a 2-D product over stacked rows
+        # rounds them otherwise
+        rng = np.random.default_rng(71)
+        q = rng.random((8, 5, 11))
+        weights = np.array([float(math.comb(10, j)) for j in range(11)])
+        stacked = node_marginals(q, weights)
+        assert stacked.shape == (8, 5)
+        for got, state in zip(stacked, q):
+            assert got.tobytes() == node_marginals(state, weights).tobytes()

@@ -17,15 +17,28 @@ differs from that commit, the sha256 of its ``src/**/*.py``, the Python and
 numpy versions the runs used, the seconds and seeds, each run's metrics and
 host factor, and the median of each metric over the runs.  A run that fails
 or reports a failed check stops the script before it writes.
+
+``setup_s`` times fresh interpreters importing ``oqwalk``, which compile its
+sources unless ``src/oqwalk/__pycache__`` holds current bytecode, and the
+first import writes that bytecode unless ``PYTHONDONTWRITEBYTECODE`` is set.
+So each entry records both, as they stood before its first run:
+``dont_write_bytecode`` (the variable was set and non-empty) and
+``bytecode_current`` (every module of ``src/oqwalk`` but ``__main__``, which
+no import loads, had a cache entry for this interpreter stamped with its
+source's mtime and size).  Entries compare on
+``setup_s`` only when both fields agree.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
+import os
 import re
 import statistics
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -43,6 +56,27 @@ def src_sha256(checkout: Path) -> str:
         digest.update(path.relative_to(checkout).as_posix().encode() + b"\0")
         digest.update(path.read_bytes() + b"\0")
     return digest.hexdigest()
+
+
+def bytecode_current(checkout: Path) -> bool:
+    """Whether this interpreter would load every module of ``src/oqwalk``
+    from ``__pycache__`` rather than compile it: each has a timestamp-based
+    cache entry whose header names this interpreter's magic number and the
+    source's mtime and size.  ``__main__`` runs only as ``python -m oqwalk``
+    and is left out."""
+    for path in (checkout / "src" / "oqwalk").glob("*.py"):
+        if path.name == "__main__.py":
+            continue
+        stat = path.stat()
+        header = importlib.util.MAGIC_NUMBER + struct.pack(
+            "<III", 0, int(stat.st_mtime) & 0xFFFFFFFF, stat.st_size & 0xFFFFFFFF)
+        try:
+            with open(importlib.util.cache_from_source(str(path)), "rb") as fh:
+                if fh.read(16) != header:
+                    return False
+        except OSError:
+            return False
+    return True
 
 
 def git(checkout: Path, *args: str) -> str:
@@ -85,6 +119,8 @@ def main() -> int:
     seconds = float(json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
                     ["run_seconds"])
 
+    dont_write = bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))
+    current = bytecode_current(checkout)
     runs = [run_once(checkout, args.workload, seed, seconds) for seed in args.seeds]
     names = list(runs[0]["metrics"])
     entry = {
@@ -94,6 +130,8 @@ def main() -> int:
         "src_sha256": src_sha256(checkout),
         "python": runs[0]["python"],
         "numpy": runs[0]["numpy"],
+        "dont_write_bytecode": dont_write,
+        "bytecode_current": current,
         "seconds": seconds,
         "seeds": args.seeds,
         "runs": runs,
